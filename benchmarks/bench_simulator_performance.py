@@ -27,76 +27,6 @@ def bench_event_kernel(benchmark):
     assert events == 5000
 
 
-def bench_event_kernel_fast(benchmark):
-    """Chunk-drain throughput of the batched fast path: the same 5000
-    homogeneous quanta as ``bench_event_kernel``, but drained through
-    one :class:`BatchSource` instead of per-event heap traffic."""
-
-    def run():
-        sim = Simulator()
-        fired = [0]
-
-        def chunk(start_index, times):
-            fired[0] += len(times)
-
-        sim.batch.periodic(0, 1, 5000, chunk_fn=chunk)
-        sim.run()
-        assert fired[0] == 5000
-        return sim.events_processed
-
-    events = benchmark(run)
-    assert events == 5000
-
-
-def bench_fast_path_speedup(benchmark):
-    """The fast-path acceptance gate: batched chunk drain must process
-    homogeneous periodic events at >=10x the per-event heap drain.
-
-    Both sides run the *same* 100k-quantum schedule through the same
-    ``Simulator.run`` loop; only the scheduling idiom differs.  The
-    reported sample is the reference/fast wall-time ratio (best of
-    three each), and the bench fails outright below the 10x bar."""
-    import time as _time
-
-    quanta = 100_000
-
-    def reference_s() -> float:
-        sim = Simulator()
-        callback = lambda: None  # noqa: E731 - minimal homogeneous handler
-        for index in range(quanta):
-            sim.schedule(index, callback)
-        started = _time.perf_counter()
-        sim.run()
-        elapsed = _time.perf_counter() - started
-        assert sim.events_processed == quanta
-        return elapsed
-
-    def fast_s() -> float:
-        sim = Simulator()
-        fired = [0]
-
-        def chunk(start_index, times):
-            fired[0] += len(times)
-
-        sim.batch.periodic(0, 1, quanta, chunk_fn=chunk)
-        started = _time.perf_counter()
-        sim.run()
-        elapsed = _time.perf_counter() - started
-        assert sim.events_processed == quanta and fired[0] == quanta
-        return elapsed
-
-    def run():
-        reference = min(reference_s() for _ in range(3))
-        fast = min(fast_s() for _ in range(3))
-        return reference / max(fast, 1e-9)
-
-    speedup = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert speedup >= 10.0, (
-        f"batched fast path is only {speedup:.1f}x the reference heap "
-        f"drain; the PR gate requires >=10x"
-    )
-
-
 def bench_functional_interpreter(benchmark):
     """Instructions per second of the functional MIPS machine."""
     program = assemble(
@@ -200,21 +130,3 @@ def bench_throughput_simulator(benchmark):
     frames = benchmark.pedantic(run, rounds=3, iterations=1)
     assert frames > 0
 
-
-def bench_throughput_simulator_fast(benchmark):
-    """The same macro-tier window on the batched fast path (``--fast``).
-
-    No speedup assertion here: full runs are dominated by the Python
-    frame handlers, so the honest comparison against
-    ``bench_throughput_simulator`` is reported, not gated.  The >=10x
-    gate lives in ``bench_fast_path_speedup`` where the kernel itself
-    is the workload."""
-    from repro.nic import RMW_166MHZ, ThroughputSimulator
-
-    def run():
-        simulator = ThroughputSimulator(RMW_166MHZ, 1472, fast=True)
-        result = simulator.run(warmup_s=0.1e-3, measure_s=0.2e-3)
-        return result.tx_frames
-
-    frames = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert frames > 0

@@ -50,61 +50,57 @@ def _config():
     return NicConfig(cores=2, core_frequency_hz=mhz(133))
 
 
-def _run_throughput(fast: bool = False):
+def _run_throughput():
     from repro.nic.throughput import ThroughputSimulator
 
-    return ThroughputSimulator(_config(), 1472, fast=fast).run(
-        WARMUP_S, MEASURE_S
-    )
+    return ThroughputSimulator(_config(), 1472).run(WARMUP_S, MEASURE_S)
 
 
-def _run_throughput_software(fast: bool = False):
+def _run_throughput_software():
     from repro.firmware.ordering import OrderingMode
     from repro.nic.throughput import ThroughputSimulator
 
     config = dataclasses.replace(
         _config(), ordering_mode=OrderingMode.SOFTWARE
     )
-    return ThroughputSimulator(config, 1472, fast=fast).run(
-        WARMUP_S, MEASURE_S
-    )
+    return ThroughputSimulator(config, 1472).run(WARMUP_S, MEASURE_S)
 
 
-def _run_faulted(fast: bool = False):
+def _run_faulted():
     from repro.faults import FaultPlan
     from repro.nic.throughput import ThroughputSimulator
 
     plan = FaultPlan(
         seed=7, rx_fcs_rate=0.01, sdram_error_rate=0.002, pci_stall_rate=0.001
     )
-    return ThroughputSimulator(
-        _config(), 1472, fault_plan=plan, fast=fast
-    ).run(WARMUP_S, MEASURE_S)
+    return ThroughputSimulator(_config(), 1472, fault_plan=plan).run(
+        WARMUP_S, MEASURE_S
+    )
 
 
-def _run_fabric(fast: bool = False):
+def _run_fabric():
     from repro.fabric import FabricSimulator, FabricSpec
 
     # estimator="exact": the corpus digests full result dicts, and only
     # exact nearest-rank percentiles are byte-stable across estimator
     # tuning (docs/observability.md, "Streaming quantiles").
     return FabricSimulator(
-        _config(), FabricSpec.rpc_pair(seed=11), estimator="exact", fast=fast
+        _config(), FabricSpec.rpc_pair(seed=11), estimator="exact"
     ).run(WARMUP_S, MEASURE_S)
 
 
-def _run_fabric_switched(fast: bool = False):
+def _run_fabric_switched():
     from repro.fabric import FabricSimulator, FabricSpec
 
     spec = dataclasses.replace(
         FabricSpec.rpc_pair(seed=3), switch=True, port_queue_frames=4
     )
-    return FabricSimulator(_config(), spec, estimator="exact", fast=fast).run(
+    return FabricSimulator(_config(), spec, estimator="exact").run(
         WARMUP_S, MEASURE_S
     )
 
 
-def _run_fabric_qos(fast: bool = False):
+def _run_fabric_qos():
     from repro.fabric import FabricSimulator, FabricSpec, StreamFlowSpec
     from repro.nic.config import NicConfig
     from repro.qos import QosSpec
@@ -130,12 +126,12 @@ def _run_fabric_qos(fast: bool = False):
         ),
     )
     config = NicConfig(cores=4, core_frequency_hz=mhz(133))
-    return FabricSimulator(config, spec, estimator="exact", fast=fast).run(
+    return FabricSimulator(config, spec, estimator="exact").run(
         WARMUP_S, MEASURE_S
     )
 
 
-def _run_fabric_topology(fast: bool = False):
+def _run_fabric_topology():
     from repro.fabric import (
         FabricSimulator,
         FabricSpec,
@@ -163,19 +159,13 @@ def _run_fabric_topology(fast: bool = False):
             StreamFlowSpec(src=2, dst=3, offered_fraction=0.4, name="in2"),
         ),
     )
-    return FabricSimulator(_config(), spec, estimator="exact", fast=fast).run(
+    return FabricSimulator(_config(), spec, estimator="exact").run(
         WARMUP_S, MEASURE_S
     )
 
 
 def golden_specs() -> Dict[str, Callable]:
-    """Name → runner for every canonical run in the corpus.
-
-    Every runner accepts ``fast=True`` to execute the same spec on the
-    batched kernel path; the corpus pins one digest per run because the
-    fast path is required to be byte-identical (the ``--fast`` checks
-    in CI and ``tests/test_batch_fast_path.py`` enforce it).
-    """
+    """Name → runner for every canonical run in the corpus."""
     return {
         "throughput-rmw": _run_throughput,
         "throughput-software": _run_throughput_software,
@@ -190,11 +180,8 @@ def golden_specs() -> Dict[str, Callable]:
 # ----------------------------------------------------------------------
 # Corpus I/O
 # ----------------------------------------------------------------------
-def compute_digests(fast: bool = False) -> Dict[str, str]:
-    return {
-        name: golden_digest(run(fast=fast))
-        for name, run in golden_specs().items()
-    }
+def compute_digests() -> Dict[str, str]:
+    return {name: golden_digest(run()) for name, run in golden_specs().items()}
 
 
 def load_corpus(path: str = DEFAULT_CORPUS_PATH) -> Dict[str, str]:
@@ -221,19 +208,14 @@ def write_corpus(path: str = DEFAULT_CORPUS_PATH) -> Dict[str, str]:
     return digests
 
 
-def compare_corpus(
-    path: str = DEFAULT_CORPUS_PATH, fast: bool = False
-) -> Dict[str, Dict[str, str]]:
+def compare_corpus(path: str = DEFAULT_CORPUS_PATH) -> Dict[str, Dict[str, str]]:
     """Re-run every canonical spec and diff against the pinned corpus.
 
     Returns ``{name: {"pinned": ..., "actual": ...}}`` for mismatches
     (missing entries count as mismatches with pinned ``"<absent>"``).
-    With ``fast=True`` the runs execute on the batched kernel path and
-    are diffed against the *same* pinned digests — the fast path's
-    byte-identity contract makes one corpus serve both modes.
     """
     pinned = load_corpus(path)
-    actual = compute_digests(fast=fast)
+    actual = compute_digests()
     mismatches: Dict[str, Dict[str, str]] = {}
     for name, digest in actual.items():
         expected = pinned.get(name, "<absent>")
@@ -253,11 +235,6 @@ def main(argv=None) -> int:
         help="regenerate tests/golden/golden.json from the current code",
     )
     parser.add_argument("--path", default=DEFAULT_CORPUS_PATH)
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="run the canonical specs on the batched kernel fast path "
-             "(diffed against the same pinned digests)",
-    )
     args = parser.parse_args(argv)
     if args.update:
         digests = write_corpus(args.path)
@@ -265,11 +242,9 @@ def main(argv=None) -> int:
             print(f"  {name}: {digest[:16]}…")
         print(f"wrote {len(digests)} golden digests to {args.path}")
         return 0
-    mismatches = compare_corpus(args.path, fast=args.fast)
+    mismatches = compare_corpus(args.path)
     if not mismatches:
-        mode = "fast path" if args.fast else "reference path"
-        print(f"golden corpus matches ({len(load_corpus(args.path))} runs, "
-              f"{mode})")
+        print(f"golden corpus matches ({len(load_corpus(args.path))} runs)")
         return 0
     for name, pair in sorted(mismatches.items()):
         print(f"MISMATCH {name}: pinned {pair['pinned'][:16]}… "

@@ -191,13 +191,8 @@ def run_loopback_oracle(
     warmup_s: float = 0.2e-3,
     measure_s: float = 0.8e-3,
     tolerance: float = LOOPBACK_TOLERANCE,
-    fast: bool = False,
 ) -> OracleReport:
-    """1-NIC fabric loopback vs bare ``ThroughputSimulator``.
-
-    ``fast=True`` runs both simulators on the batched hot path so the
-    differential oracle exercises the fast kernel end to end.
-    """
+    """1-NIC fabric loopback vs bare ``ThroughputSimulator``."""
     from repro.fabric import FabricSimulator, FabricSpec
     from repro.nic.config import NicConfig
     from repro.nic.throughput import ThroughputSimulator
@@ -210,13 +205,13 @@ def run_loopback_oracle(
     report = OracleReport("fabric-loopback vs bare")
 
     bare_monitor = InvariantMonitor()
-    bare_sim = ThroughputSimulator(config, 1472, fast=fast)
+    bare_sim = ThroughputSimulator(config, 1472)
     attach_monitor(bare_sim, bare_monitor)
     bare = bare_sim.run(warmup_s=warmup_s, measure_s=measure_s)
     verify_conservation(bare_sim, monitor=bare_monitor)
 
     loop_monitor = InvariantMonitor()
-    fabric = FabricSimulator(config, FabricSpec.loopback(), fast=fast)
+    fabric = FabricSimulator(config, FabricSpec.loopback())
     attach_monitor(fabric, loop_monitor)
     fabric_result = fabric.run(warmup_s=warmup_s, measure_s=measure_s)
     verify_conservation(fabric, monitor=loop_monitor)
@@ -250,7 +245,6 @@ def run_fault_oracle(
     fault_plan=None,
     warmup_s: float = 0.0,
     measure_s: float = 0.6e-3,
-    fast: bool = False,
 ) -> OracleReport:
     """A faulted run against its clean twin.
 
@@ -275,13 +269,13 @@ def run_fault_oracle(
     report = OracleReport("faulted vs clean accounting")
 
     clean_monitor = InvariantMonitor()
-    clean_sim = ThroughputSimulator(config, 1472, fast=fast)
+    clean_sim = ThroughputSimulator(config, 1472)
     attach_monitor(clean_sim, clean_monitor)
     clean = clean_sim.run(warmup_s=warmup_s, measure_s=measure_s)
     verify_conservation(clean_sim, monitor=clean_monitor)
 
     fault_monitor = InvariantMonitor()
-    fault_sim = ThroughputSimulator(config, 1472, fault_plan=fault_plan, fast=fast)
+    fault_sim = ThroughputSimulator(config, 1472, fault_plan=fault_plan)
     attach_monitor(fault_sim, fault_monitor)
     faulted = fault_sim.run(warmup_s=warmup_s, measure_s=measure_s)
     verify_conservation(fault_sim, monitor=fault_monitor)
@@ -333,17 +327,12 @@ def run_fault_oracle(
 
 
 # ----------------------------------------------------------------------
-def run_all_oracles(seed: int = 0, fast: bool = False) -> List[OracleReport]:
-    """The full oracle battery (CLI ``repro check`` default).
-
-    ``fast`` selects the batched kernel path for the simulator-backed
-    oracles (the ordering oracle drives ring boards directly and has no
-    kernel to switch).
-    """
+def run_all_oracles(seed: int = 0) -> List[OracleReport]:
+    """The full oracle battery (CLI ``repro check`` default)."""
     reports = [run_ordering_oracle(seed=seed)]
     try:
-        reports.append(run_loopback_oracle(fast=fast))
-        reports.append(run_fault_oracle(fast=fast))
+        reports.append(run_loopback_oracle())
+        reports.append(run_fault_oracle())
     except InvariantViolation as violation:
         failed = OracleReport("conservation")
         failed.add("verify_conservation", str(violation), None, ok=False)

@@ -37,10 +37,6 @@ def _add_run_parser(subparsers) -> None:
     parser.add_argument("--ordering", choices=["rmw", "software"], default="rmw")
     parser.add_argument("--payload", type=int, default=1472)
     parser.add_argument("--millis", type=float, default=1.0)
-    parser.add_argument(
-        "--fast", action=argparse.BooleanOptionalAction, default=False,
-        help="batched event-kernel fast path; results are byte-identical "
-             "to the reference path (--no-fast, the default)")
     parser.add_argument("--offered", type=float, default=1.0,
                         help="offered receive load as a fraction of line rate")
     parser.add_argument("--json", action="store_true",
@@ -190,10 +186,6 @@ def _add_fabric_parser(subparsers) -> None:
     parser.add_argument("--warmup-millis", type=float, default=0.2)
     parser.add_argument("--seed", type=int, default=0,
                         help="fabric seed (salts per-endpoint fault streams)")
-    parser.add_argument(
-        "--fast", action=argparse.BooleanOptionalAction, default=False,
-        help="batched event-kernel fast path; results are byte-identical "
-             "to the reference path (--no-fast, the default)")
     parser.add_argument("--estimator", choices=["streaming", "exact"],
                         default="streaming",
                         help="latency percentile estimator: 'streaming' "
@@ -261,10 +253,6 @@ def _add_qos_parser(subparsers) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="keys the RED drop decisions (same seed => "
                              "byte-identical runs)")
-    parser.add_argument(
-        "--fast", action=argparse.BooleanOptionalAction, default=False,
-        help="batched event-kernel fast path; results are byte-identical "
-             "to the reference path (--no-fast, the default)")
     parser.add_argument("--estimator", choices=["streaming", "exact"],
                         default="exact",
                         help="latency percentile estimator (default exact: "
@@ -318,10 +306,6 @@ def _add_topology_parser(subparsers) -> None:
     parser.add_argument("--seed", type=int, default=17,
                         help="keys the ECMP route draws (same seed => "
                              "byte-identical runs)")
-    parser.add_argument(
-        "--fast", action=argparse.BooleanOptionalAction, default=False,
-        help="batched event-kernel fast path; results are byte-identical "
-             "to the reference path (--no-fast, the default)")
     parser.add_argument("--estimator", choices=["streaming", "exact"],
                         default="exact",
                         help="latency percentile estimator (default exact: "
@@ -421,12 +405,6 @@ def _add_check_parser(subparsers) -> None:
     parser.add_argument("--golden-path", type=str, default="",
                         metavar="PATH", help="golden corpus file to check "
                                              "or regenerate")
-    parser.add_argument("--fast", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="run the simulator-backed oracles and the "
-                             "golden comparison on the batched fast path "
-                             "(digests must still match the reference "
-                             "corpus)")
 
 
 def _add_bench_parser(subparsers) -> None:
@@ -534,8 +512,7 @@ def _cmd_run(args) -> int:
 
         tracer = Tracer()
     simulator = ThroughputSimulator(
-        config, args.payload, offered_fraction=args.offered, tracer=tracer,
-        fast=args.fast,
+        config, args.payload, offered_fraction=args.offered, tracer=tracer
     )
     sampler = None
     if args.metrics_out:
@@ -878,13 +855,6 @@ def _cmd_fabric(args) -> int:
         print(f"invalid fabric: {error}", file=sys.stderr)
         return 2
     if args.sweep_loads:
-        if args.fast:
-            # Sweep points run through the cached experiment engine,
-            # whose RunSpec hashes don't (and shouldn't) encode an
-            # execution mode that cannot change results.
-            print("note: --sweep-loads points run via the experiment "
-                  "engine; --fast applies per spawned run, not here",
-                  file=sys.stderr)
         return _fabric_sweep(args, config, spec)
     return _fabric_single(args, config, spec)
 
@@ -899,7 +869,7 @@ def _fabric_single(args, config, spec) -> int:
 
         tracer = Tracer()
     fabric = FabricSimulator(config, spec, tracer=tracer,
-                             estimator=args.estimator, fast=args.fast)
+                             estimator=args.estimator)
     result = fabric.run(
         warmup_s=args.warmup_millis * 1e-3, measure_s=args.millis * 1e-3
     )
@@ -1043,9 +1013,8 @@ def _cmd_qos(args) -> int:
     saturation the per-class queueing must keep the guaranteed tail
     inside its provisioned p999 bound while every loss (RED or tail)
     lands on best-effort — the Papaefstathiou-style guarantee this
-    subsystem exists to demonstrate.  Runs in-process (reference or
-    ``--fast`` batched kernel; byte-identical), deterministically for
-    a given ``--seed``.
+    subsystem exists to demonstrate.  Runs in-process,
+    deterministically for a given ``--seed``.
     """
     from repro.analysis import format_table
     from repro.fabric import FabricSimulator, FabricSpec, StreamFlowSpec
@@ -1075,9 +1044,7 @@ def _cmd_qos(args) -> int:
     arms = []
     for load in args.loads:
         spec = base.with_load(float(load), flows=["bulk"])
-        simulator = FabricSimulator(
-            config, spec, estimator=args.estimator, fast=args.fast
-        )
+        simulator = FabricSimulator(config, spec, estimator=args.estimator)
         result = simulator.run(
             warmup_s=args.warmup_millis * 1e-3, measure_s=args.millis * 1e-3
         )
@@ -1166,7 +1133,7 @@ def _cmd_topology(args) -> int:
       spine's first-hop share is within ``--spread-tolerance`` of the
       uniform share.
 
-    Deterministic for a given ``--seed``; ``--fast`` is byte-identical.
+    Deterministic for a given ``--seed``.
     """
     from repro.analysis import format_table
     from repro.fabric import (
@@ -1212,9 +1179,7 @@ def _cmd_topology(args) -> int:
             ),
             stream_flows=elephants,
         )
-        simulator = FabricSimulator(
-            config, spec, estimator=args.estimator, fast=args.fast
-        )
+        simulator = FabricSimulator(config, spec, estimator=args.estimator)
         result = simulator.run(
             warmup_s=args.warmup_millis * 1e-3, measure_s=args.millis * 1e-3
         )
@@ -1522,7 +1487,7 @@ def _cmd_check(args) -> int:
     if not args.skip_oracles:
         from repro.check.oracles import run_all_oracles
 
-        for report in run_all_oracles(seed=args.seed, fast=args.fast):
+        for report in run_all_oracles(seed=args.seed):
             print(report.summary())
             failed = failed or not report.ok
 
@@ -1535,10 +1500,7 @@ def _cmd_check(args) -> int:
                   f"`repro check --update-golden`", file=sys.stderr)
             failed = True
         else:
-            golden_argv = ["--path", golden_path]
-            if args.fast:
-                golden_argv.append("--fast")
-            if golden_mod.main(golden_argv) != 0:
+            if golden_mod.main(["--path", golden_path]) != 0:
                 failed = True
 
     # -- seeded fuzzing ----------------------------------------------------

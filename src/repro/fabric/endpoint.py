@@ -261,7 +261,7 @@ class NicEndpoint(ThroughputSimulator):
             return
         arrival = mac.next_arrival_ps()
         if arrival > now:
-            self._schedule_rx_pump(arrival)
+            self.sim.schedule_at(arrival, self._rx_pump)
             return
         self._rx_space -= frame_size
         wire = mac.take_frame(now, frame_size)
@@ -277,7 +277,7 @@ class NicEndpoint(ThroughputSimulator):
             )
         self.sim.schedule_at(wire.wire_end_ps, lambda s=wire.seq: self._rx_store(s))
         if mac.has_pending:
-            self._schedule_rx_pump(max(now, mac.next_arrival_ps()))
+            self.sim.schedule_at(max(now, mac.next_arrival_ps()), self._rx_pump)
         else:
             self._rx_pump_active = False
 

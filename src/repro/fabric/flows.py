@@ -370,14 +370,6 @@ class StreamFlowRuntime(FlowRuntime):
         self._paused = False
         self._deferred = False
         self.pause_count = 0
-        # Fast path: the open-loop pacer is a textbook self-rescheduling
-        # chain, so it runs on a heap-free ticket-faithful timer when
-        # the fabric's batched mode is on (byte-identical ordering; see
-        # repro.sim.batch.ChainedTimer).
-        self._timer = (
-            fabric.sim.batch.timer(self._post_batch, label=f"{name}-pacer")
-            if getattr(fabric, "fast", False) else None
-        )
 
     def start(self) -> None:
         self._post_batch()
@@ -401,11 +393,7 @@ class StreamFlowRuntime(FlowRuntime):
             self._deferred = False
             if self._emit_ps < now_ps:
                 self._emit_ps = float(now_ps)
-            when = round(self._emit_ps)
-            if self._timer is not None:
-                self._timer.arm(when)
-            else:
-                self.fabric.sim.schedule_at(when, self._post_batch)
+            self.fabric.sim.schedule_at(round(self._emit_ps), self._post_batch)
 
     def _post_batch(self) -> None:
         if self._paused:
@@ -431,11 +419,7 @@ class StreamFlowRuntime(FlowRuntime):
             self._emit_ps += timing.frame_time_ps(frame.frame_bytes) / fraction
         # Open loop: the next batch posts at its own emission instant
         # regardless of what happened to this one.
-        when = round(self._emit_ps)
-        if self._timer is not None:
-            self._timer.arm(when)
-        else:
-            self.fabric.sim.schedule_at(when, self._post_batch)
+        self.fabric.sim.schedule_at(round(self._emit_ps), self._post_batch)
 
 
 def build_runtimes(fabric) -> "Dict[str, FlowRuntime]":

@@ -18,14 +18,14 @@ and RSS budgets; see ``tests/test_fabric_scale.py``) without asserting
 anything about NIC internals the small-fabric tests already pin.
 
 Everything is deterministic: flow endpoints come from a fixed
-arithmetic schedule, batches post on a chained timer, and the wire's
-ECMP draws are keyed hashes — two runs of the same ``ScaleFabric``
-produce identical counters.
+arithmetic schedule, batches post on a fixed-interval kernel event,
+and the wire's ECMP draws are keyed hashes — two runs of the same
+``ScaleFabric`` produce identical counters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.assists.mac import WireEvent
 from repro.fabric.flows import FabricFrame
@@ -160,7 +160,7 @@ class ScaleFabric:
 
     # -- driver ---------------------------------------------------------
     def run(self, flows: int) -> Dict[str, object]:
-        """Post ``flows`` one-frame flows on the batch timer, drain the
+        """Post ``flows`` one-frame flows in timed batches, drain the
         kernel, and report conservation-checkable totals."""
         if flows < 1:
             raise ValueError("need at least one flow")

@@ -162,7 +162,6 @@ class FabricSimulator:
         tracer=None,
         fault_plan: Optional[FaultPlan] = None,
         estimator: str = "streaming",
-        fast: bool = False,
         rss: Optional[RssSpec] = None,
     ) -> None:
         spec.flow_names()  # validates uniqueness early
@@ -172,11 +171,6 @@ class FabricSimulator:
             )
         self.config = config
         self.spec = spec
-        #: Batched hot path (CLI ``--fast``): every endpoint runs its rx
-        #: pump on a heap-free chained timer and the paced stream flows
-        #: arm one too.  Byte-identical to the reference path — the
-        #: golden corpus digests both (docs/observability.md).
-        self.fast = bool(fast)
         #: Latency-estimator mode: ``"streaming"`` keeps O(buckets)
         #: quantile sketches per flow (the default; docs/observability.md
         #: documents the 10^-3 relative-error bound), ``"exact"`` keeps
@@ -210,7 +204,6 @@ class FabricSimulator:
                     index=index,
                     tracer=endpoint_tracer,
                     fault_plan=endpoint_plan,
-                    fast=self.fast,
                     rss=rss,
                 )
             )

@@ -14,9 +14,8 @@ Routing is shortest-path with deterministic ECMP: a
 where several neighbors are equally close, picks the next hop with a
 keyed blake2b draw over the flow tuple — byte-for-byte the decision
 recipe of :meth:`repro.faults.FaultPlan.uniform` and
-:func:`repro.qos.red.red_decide`, so path selection is reproducible,
-independent of event interleaving, and identical on the batched
-``--fast`` path.  The same hash shards the
+:func:`repro.qos.red.red_decide`, so path selection is reproducible
+and independent of event interleaving.  The same hash shards the
 :class:`~repro.fabric.flowtable.FlowTable`.
 """
 

@@ -272,8 +272,8 @@ class FabricWire:
 
         # Admission and scheduling depend on queue state *at arrival*,
         # so the decision runs as its own event (the kernel orders
-        # same-instant arrivals by schedule ticket — deterministic, and
-        # identical on the --fast path).
+        # same-instant arrivals by schedule ticket, so it is
+        # deterministic).
         def arrive(frame=frame, ready_ps=ready_ps,
                    span_start_ps=span_start_ps) -> None:
             self._qos_arrive(frame, ready_ps, span_start_ps)

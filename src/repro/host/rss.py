@@ -27,11 +27,8 @@ hosts.  This module models the modern alternative the comparison needs:
   rings spread the same work over N cores.
 
 Determinism: the hash key is derived from ``hash_seed`` by a pure
-splitmix64 expansion, steering is memoized per flow tuple, and the
-host-core pump arms either a heap ``schedule_at`` (reference mode) or a
-:class:`~repro.sim.batch.ChainedTimer` (``--fast``) at the *same
-program points*, so fast/reference runs stay byte-identical (the same
-contract the MAC rx pump keeps, see ``docs/observability.md``).
+splitmix64 expansion, steering is memoized per flow tuple, and each
+host-core pump drains through an ordinary kernel ``schedule_at`` event.
 """
 
 from __future__ import annotations
@@ -239,7 +236,6 @@ class HostRing:
         #: ``(direction, count, cost_ps)``.
         self.pending: Deque[Tuple[str, int, int]] = deque()
         self.pump_busy = False
-        self.timer = None  # ChainedTimer in --fast mode
 
     @property
     def rx_in_flight(self) -> int:
@@ -294,13 +290,9 @@ class HostQueueModel:
         frame_bytes: int,
         send_ring_capacity: int = 512,
         recv_ring_capacity: int = 256,
-        fast: bool = False,
-        name: str = "rss",
     ) -> None:
         self.spec = spec
         self.sim = sim
-        self.fast = bool(fast)
-        self.name = name
         self.monitor = NULL_MONITOR
         self.frame_bytes = frame_bytes
         self._hash = ToeplitzHash(toeplitz_key(spec.hash_seed))
@@ -319,11 +311,6 @@ class HostQueueModel:
             )
             for i in range(spec.rings)
         ]
-        if self.fast:
-            for ring in self.rings:
-                ring.timer = sim.batch.timer(
-                    self._make_drain(ring), label=f"{name}-ring{ring.index}"
-                )
         # Initial fill: every ring advertises a full complement of
         # receive buffers; the NIC-facing replenish draws on this pool.
         for ring in self.rings:
@@ -489,13 +476,7 @@ class HostQueueModel:
         core.free_at_ps = done
         core.busy_ps += cost
         ring.pump_busy = True
-        # Same program point in both modes, so fast/reference event
-        # (time, priority, ticket) orders are identical — the contract
-        # the MAC rx pump established.
-        if ring.timer is not None:
-            ring.timer.arm(done)
-        else:
-            self.sim.schedule_at(done, self._make_drain(ring))
+        self.sim.schedule_at(done, self._make_drain(ring))
 
     def _ring_done(self, ring: HostRing) -> None:
         now = self.sim.now_ps

@@ -24,11 +24,6 @@ from repro.net.ethernet import (
     frame_bytes_for_udp_payload,
 )
 
-try:  # pragma: no cover - exercised via the fallback tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 class FrameSizeModel:
     """Deterministic per-sequence frame sizes for one direction.
@@ -47,46 +42,11 @@ class FrameSizeModel:
     after construction would be a bug, not a supported pattern.
     """
 
-    #: True when sizes are a pure function of ``seq % pattern_length``
-    #: (constant and pattern mixes), enabling the vectorized window
-    #: reads below.  Models that learn sizes on the fly — the fabric's
-    #: ``RecordedSizeModel`` only knows a frame's size once the wire
-    #: delivers it — must leave this False so batched consumers never
-    #: read a size that does not exist yet.
-    supports_batch = False
-
     def payload_bytes(self, seq: int) -> int:
         raise NotImplementedError
 
     def frame_bytes(self, seq: int) -> int:
         return frame_bytes_for_udp_payload(self.payload_bytes(seq))
-
-    def _pattern_cache(self, key: str, scalar) -> "list":
-        cached = self.__dict__.get(key)
-        if cached is None:
-            values = [scalar(i) for i in range(self.pattern_length)]
-            cached = (
-                _np.asarray(values, dtype=_np.int64)
-                if _np is not None else values
-            )
-            self.__dict__[key] = cached
-        return cached
-
-    def payload_bytes_array(self, start: int, count: int):
-        """Payload sizes for ``seq in [start, start + count)``.
-
-        Exact per-sequence values computed through the *same* scalar
-        functions (tiled by ``seq % pattern_length``), returned as a
-        numpy ``int64`` array when numpy is available and a list
-        otherwise.  Only meaningful when :attr:`supports_batch` is True.
-        """
-        pattern = self._pattern_cache("_payload_pattern", self.payload_bytes)
-        return _tile_pattern(pattern, self.pattern_length, start, count)
-
-    def frame_bytes_array(self, start: int, count: int):
-        """Frame sizes for ``seq in [start, start + count)`` (see above)."""
-        pattern = self._pattern_cache("_frame_pattern", self.frame_bytes)
-        return _tile_pattern(pattern, self.pattern_length, start, count)
 
     @property
     def pattern_length(self) -> int:
@@ -134,20 +94,8 @@ class FrameSizeModel:
         return timing.link_bits_per_second / (8 * self.mean_wire_bytes(timing))
 
 
-def _tile_pattern(pattern, length: int, start: int, count: int):
-    """Read ``count`` entries of a repeating pattern starting at ``start``."""
-    if _np is not None:
-        if length == 1:
-            return _np.full(count, int(pattern[0]), dtype=_np.int64)
-        indices = (start + _np.arange(count, dtype=_np.int64)) % length
-        return pattern[indices]
-    return [pattern[(start + k) % length] for k in range(count)]
-
-
 class ConstantSize(FrameSizeModel):
     """Every frame carries the same UDP payload (the paper's setup)."""
-
-    supports_batch = True
 
     def __init__(self, udp_payload_bytes: int) -> None:
         # Validate once via the conversion.
@@ -167,8 +115,6 @@ class ImixSize(FrameSizeModel):
     """
 
     DEFAULT_PATTERN = ((18, 7), (548, 4), (1472, 1))
-
-    supports_batch = True
 
     def __init__(self, pattern=DEFAULT_PATTERN) -> None:
         if not pattern:

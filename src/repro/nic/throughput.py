@@ -60,11 +60,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import StatRegistry
 from repro.units import ps_to_seconds, to_gbps
 
-try:  # pragma: no cover - exercised via the fallback tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 # The split of the Send/Receive Frame task between its initiation part
 # (claim frames, program the DMA assist) and its completion part
 # (process finished DMAs, produce descriptors, notify).
@@ -322,7 +317,6 @@ class ThroughputSimulator:
         fault_plan: Optional[FaultPlan] = None,
         sim: Optional[Simulator] = None,
         clock_prefix: str = "",
-        fast: bool = False,
         rss: Optional[RssSpec] = None,
     ) -> None:
         """``size_model`` (a :class:`repro.net.workload.FrameSizeModel`)
@@ -350,15 +344,6 @@ class ThroughputSimulator:
         clock domains inside a shared kernel (e.g. ``"nic0/"``).  Left
         at their defaults the simulator owns a private kernel exactly
         as before.
-
-        ``fast`` engages the batched hot path (CLI ``--fast``): the rx
-        pump chain runs on a heap-free
-        :class:`repro.sim.batch.ChainedTimer` and window claims /
-        firmware checksum walks read vectorized size arrays.  Every
-        fast-path substitution is integer-exact and ticket-faithful, so
-        results are byte-identical to the reference path (the golden
-        corpus pins both; see docs/observability.md, "Batched fast
-        path").
 
         ``rss`` (a :class:`repro.host.rss.RssSpec`) replaces the
         paper's single descriptor-ring pair with N independent host
@@ -442,12 +427,6 @@ class ThroughputSimulator:
             timing=self.timing,
             gap_fn=rx_gap,
         )
-        #: Batched hot path (see the constructor docstring).
-        self.fast = bool(fast)
-        self._rx_timer = (
-            self.sim.batch.timer(self._rx_pump, label="rx-pump")
-            if self.fast else None
-        )
         self.driver = DriverModel(
             self.udp_payload_bytes,
             self.sizes.max_frame_bytes,
@@ -467,8 +446,6 @@ class ThroughputSimulator:
                 frame_bytes=self.driver.frame_bytes,
                 send_ring_capacity=config.send_ring_capacity,
                 recv_ring_capacity=config.recv_ring_capacity,
-                fast=self.fast,
-                name=clock_prefix + "rss",
             )
             self.rss_host.on_rx_processed = self._rss_rx_processed
             self.rss_host.on_tx_processed = self._rss_tx_processed
@@ -732,17 +709,6 @@ class ThroughputSimulator:
         # instruction count as ~5 issue-slot equivalents per word.
         # These loads bypass the scratchpad, so they do not appear in
         # its contention accounting.
-        if (
-            self.fast and _np is not None and not skip and batch > 1
-            and sizes.supports_batch
-        ):
-            # Vectorized payload walk: elementwise IEEE ops are
-            # identical to the scalar expression per frame, and the
-            # left-fold ``sum`` matches the ``+=`` accumulation order,
-            # so the cost comes out bit-identical.
-            words = sizes.payload_bytes_array(first, batch) / 4.0
-            instructions = sum((12.0 + 7.0 * words).tolist(), 0.0)
-            return OpProfile(instructions=instructions, loads=0.0, stores=0.0)
         instructions = 0.0
         for seq in range(first, first + batch):
             if seq in skip:
@@ -938,29 +904,12 @@ class ThroughputSimulator:
         batch_limit = min(self._tx_bd_onboard, self.config.send_batch_max)
         batch = 0
         bytes_needed = 0
-        if (
-            self.fast and _np is not None and batch_limit > 1
-            and self.tx_sizes.supports_batch
-        ):
-            # Vectorized window claim: an integer cumsum over the exact
-            # per-sequence sizes, then one bisection for "how many fit".
-            # Claims while cumulative <= space, the same arithmetic as
-            # the scalar loop below, so the claim is bit-identical.
-            cumulative = _np.cumsum(
-                self.tx_sizes.frame_bytes_array(self._tx_claim_seq, batch_limit)
-            )
-            batch = int(
-                _np.searchsorted(cumulative, self._tx_space, side="right")
-            )
-            if batch:
-                bytes_needed = int(cumulative[batch - 1])
-        else:
-            while batch < batch_limit:
-                frame_size = self.tx_sizes.frame_bytes(self._tx_claim_seq + batch)
-                if bytes_needed + frame_size > self._tx_space:
-                    break
-                bytes_needed += frame_size
-                batch += 1
+        while batch < batch_limit:
+            frame_size = self.tx_sizes.frame_bytes(self._tx_claim_seq + batch)
+            if bytes_needed + frame_size > self._tx_space:
+                break
+            bytes_needed += frame_size
+            batch += 1
         cycles = self._charge("send_dispatch_ordering", fw.dispatch_per_event)
         if self.board_tx_mac.requires_lock:
             # The software dispatch loop "inspects the final-stage
@@ -1181,7 +1130,7 @@ class ThroughputSimulator:
             return
         arrival = self.mac_rx.next_arrival_ps()
         if arrival > now:
-            self._schedule_rx_pump(arrival)
+            self.sim.schedule_at(arrival, self._rx_pump)
             return
         self._rx_space -= frame_size
         wire = self.mac_rx.take_frame(now, frame_size)
@@ -1197,22 +1146,7 @@ class ThroughputSimulator:
         self.sim.schedule_at(wire.wire_end_ps, lambda s=wire.seq: self._rx_store(s))
         # Chain to the next arrival.
         next_arrival = self.mac_rx.next_arrival_ps()
-        self._schedule_rx_pump(max(now, next_arrival))
-
-    def _schedule_rx_pump(self, when_ps: int) -> None:
-        """Arm the next rx pump wake-up.
-
-        Reference path: an ordinary heap event, exactly as before.
-        Fast path: the single-slot :class:`~repro.sim.batch.ChainedTimer`
-        allocates its kernel ticket at this same program point, so
-        (time, priority, ticket) ordering — including the exact tie
-        where a frame's store event and the next arrival land on the
-        same picosecond — is byte-identical, with no heap traffic.
-        """
-        if self._rx_timer is not None:
-            self._rx_timer.arm(when_ps)
-        else:
-            self.sim.schedule_at(when_ps, self._rx_pump)
+        self.sim.schedule_at(max(now, next_arrival), self._rx_pump)
 
     def _rx_store(self, seq: int) -> None:
         if self.faults is not None and self.faults.rx_fcs_corrupt(seq, self.sim.now_ps):

@@ -14,8 +14,7 @@ The drop *decision* reuses the keyed fault-decision pattern of
 over ``(seed, axis, index)`` where the axis names the port and class
 and the index counts that stream's decisions.  Two runs with the same
 spec make identical drop decisions regardless of event interleaving —
-the property that makes seeded QoS runs byte-identical and lets the
-``--fast`` path share the reference path's drops exactly.
+the property that makes seeded QoS runs byte-identical.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ returns ``None`` against a non-empty backlog.
 Queue entries expose the frame's wire footprint via a ``frame_bytes``
 attribute (DRR is byte-fair, so it needs sizes; strict priority and
 WRR ignore them).  All three disciplines are pure integer state
-machines: deterministic, interleaving-independent, and byte-identical
-between the reference and ``--fast`` kernel paths.
+machines: deterministic and interleaving-independent.
 """
 
 from __future__ import annotations

@@ -7,24 +7,13 @@ module every cycle, the kernel here is event driven — a module is only
 activated when an event it scheduled (or a port it listens on) fires.
 That choice is what makes sustained 10 Gb/s traffic tractable in Python
 while preserving cycle-accurate ordering within each clock domain.
-
-``repro.sim.batch`` is the Python analogue of the paper's compiled
-Spinach/LSE modules: homogeneous event streams (frame quanta, paced
-injections) are precomputed into timestamp arrays and drained in
-vectorized chunks through the same :class:`Simulator` run loop, with a
-ticket-faithful chained-timer mode whose event order is provably
-byte-identical to the reference heap path.
 """
 
-from repro.sim.batch import BatchScheduler, BatchSource, ChainedTimer
 from repro.sim.kernel import ClockDomain, Event, Simulator
 from repro.sim.module import Port, SimModule
 from repro.sim.stats import Counter, Histogram, RateMeter, StatRegistry
 
 __all__ = [
-    "BatchScheduler",
-    "BatchSource",
-    "ChainedTimer",
     "ClockDomain",
     "Counter",
     "Event",

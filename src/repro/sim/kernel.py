@@ -84,9 +84,9 @@ class ClockDomain:
         even) is deliberately not used: it rounds half-cycle costs to
         the nearest even picosecond, so two otherwise-symmetric
         configurations whose costs straddle an odd/even boundary drift
-        apart by ±1 ps — an invisible asymmetry that a vectorized fast
-        path would have baked in.  Durations are non-negative, so
-        ``floor(x + 0.5)`` implements the policy exactly.
+        apart by ±1 ps — an invisible asymmetry.  Durations are
+        non-negative, so ``floor(x + 0.5)`` implements the policy
+        exactly.
         """
         return math.floor(cycles * self.period_ps + 0.5)
 
@@ -132,11 +132,6 @@ class Simulator:
         self._profiler = None  # duck-typed: .record(callback, wall_seconds)
         #: Invariant monitor (null by default; see ``repro.check``).
         self.monitor = NULL_MONITOR
-        # Active batched event sources (see ``repro.sim.batch``).  The
-        # run loop merges them with the heap by (time, priority, tie
-        # ticket); an empty list keeps the classic path branch-cheap.
-        self._batch_sources: List = []
-        self._batch_scheduler = None
 
     # ------------------------------------------------------------------
     # Clock management
@@ -248,33 +243,6 @@ class Simulator:
         self._stopped = True
 
     # ------------------------------------------------------------------
-    # Batched fast path
-    # ------------------------------------------------------------------
-    @property
-    def batch(self):
-        """The :class:`repro.sim.batch.BatchScheduler` for this kernel.
-
-        Factory for batched event sources (chained timers, periodic
-        chunk streams) that drain through this same run loop — see
-        ``repro.sim.batch`` for the conformance rules.
-        """
-        if self._batch_scheduler is None:
-            from repro.sim.batch import BatchScheduler
-
-            self._batch_scheduler = BatchScheduler(self)
-        return self._batch_scheduler
-
-    def _activate_source(self, source) -> None:
-        if source not in self._batch_sources:
-            self._batch_sources.append(source)
-
-    def _deactivate_source(self, source) -> None:
-        try:
-            self._batch_sources.remove(source)
-        except ValueError:
-            pass
-
-    # ------------------------------------------------------------------
     # Profiling
     # ------------------------------------------------------------------
     def attach_profiler(self, profiler) -> None:
@@ -303,60 +271,11 @@ class Simulator:
         profiler = self._profiler
         monitor = self.monitor
         queue = self._queue
-        while queue or self._batch_sources:
+        while queue:
             if self._stopped:
                 break
             if max_events is not None and processed >= max_events:
                 break
-            # Pick the next due dispatcher: the heap head or the
-            # earliest batch source, ordered by (time, priority, tie
-            # ticket).  ChainedTimer carries a real kernel ticket, so
-            # its ties resolve exactly as the heap chain it replaces;
-            # BatchSource carries an infinite tie rank, so same-instant
-            # heap events always run first.
-            source = None
-            if self._batch_sources:
-                sources = self._batch_sources
-                source = sources[0]
-                source_key = (
-                    source.next_time_ps, source.priority, source.tie_ticket
-                )
-                for other in sources[1:]:
-                    other_key = (
-                        other.next_time_ps, other.priority, other.tie_ticket
-                    )
-                    if other_key < source_key:
-                        source, source_key = other, other_key
-                limit_key = None
-                if queue:
-                    head = queue[0]
-                    head_key = (head[0], head[1], head[2])
-                    if head_key < source_key:
-                        source = None
-                    else:
-                        limit_key = head_key
-            if source is not None:
-                when = source.next_time_ps
-                if until_ps is not None and when > until_ps:
-                    self.now_ps = max(self.now_ps, until_ps)
-                    break
-                # The drain horizon is the next pending event anywhere
-                # else — heap head or a later batch source.
-                for other in self._batch_sources:
-                    if other is not source:
-                        other_key = (
-                            other.next_time_ps, other.priority,
-                            other.tie_ticket,
-                        )
-                        if limit_key is None or other_key < limit_key:
-                            limit_key = other_key
-                budget = (
-                    None if max_events is None else max_events - processed
-                )
-                fired = source.drain(limit_key, until_ps, budget)
-                processed += fired
-                self.events_processed += fired
-                continue
             when, _priority, ticket, callback = queue[0]
             if until_ps is not None and when > until_ps:
                 # Clamp instead of assigning unconditionally: a caller
@@ -384,7 +303,7 @@ class Simulator:
             processed += 1
             self.events_processed += 1
         else:
-            # Queue and batch sources drained completely.
+            # Queue drained completely.
             if until_ps is not None and self.now_ps < until_ps:
                 self.now_ps = until_ps
         return processed
@@ -397,12 +316,7 @@ class Simulator:
             self._cancelled.discard(ticket)
             if self.monitor.enabled:
                 self.monitor.event_discarded(ticket)
-        best = self._queue[0][0] if self._queue else None
-        for source in self._batch_sources:
-            when = source.next_time_ps
-            if best is None or when < best:
-                best = when
-        return best
+        return self._queue[0][0] if self._queue else None
 
     @property
     def pending_events(self) -> int:
@@ -415,9 +329,5 @@ class Simulator:
         records tickets still physically in the heap and every pop or
         compaction removes the ticket from both structures, so
         ``_cancelled`` is always a subset of the heap's tickets.
-        Active batch sources report their remaining quanta on top.
         """
-        pending = len(self._queue) - len(self._cancelled)
-        for source in self._batch_sources:
-            pending += source.pending
-        return pending
+        return len(self._queue) - len(self._cancelled)

@@ -15,11 +15,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.obs.hist import StreamingHistogram, rank_bucket
 from repro.units import ps_to_seconds
 
-try:  # pragma: no cover - exercised via the fallback tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 class Counter:
     """A monotonically increasing event counter."""
@@ -90,44 +85,6 @@ class Histogram:
         self.sum += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-
-    def record_many(self, values) -> None:
-        """Record a batch of samples in one call (fast-path ingest).
-
-        Equivalent to calling :meth:`record` once per value in order:
-        bucket indices replicate the linear scan exactly (``bounds`` is
-        sorted, so the scan is a left bisection) and the running ``sum``
-        is the same sequential left fold (``sum(..., start)``), so a
-        batched ingest is bit-identical to a scalar one.  Values are
-        coerced to float, which is what every existing caller records.
-        Vectorized with numpy for batches worth the conversion cost;
-        otherwise (or without numpy) it falls back to the scalar loop.
-        """
-        if _np is not None:
-            array = _np.asarray(values, dtype=float)
-            if array.size == 0:
-                return
-            if array.size >= 16:
-                bounds = self.__dict__.get("_bounds_array")
-                if bounds is None:
-                    bounds = _np.asarray(self.bounds, dtype=float)
-                    self.__dict__["_bounds_array"] = bounds
-                indices = _np.searchsorted(bounds, array, side="left")
-                for index, count in enumerate(
-                    _np.bincount(indices, minlength=len(self.counts))
-                ):
-                    if count:
-                        self.counts[index] += int(count)
-                self.total += int(array.size)
-                self.sum = sum(array.tolist(), self.sum)
-                lo = float(array.min())
-                hi = float(array.max())
-                self.min = lo if self.min is None else min(self.min, lo)
-                self.max = hi if self.max is None else max(self.max, hi)
-                return
-            values = array.tolist()
-        for value in values:
-            self.record(float(value))
 
     def reset(self) -> None:
         """Forget every recorded sample (end-of-warm-up support)."""

@@ -2,6 +2,10 @@
 package surface documented in the README exists."""
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -61,3 +65,43 @@ class TestPublicApi:
         """Everything imports with only the declared dependency set."""
         for package in PACKAGES:
             importlib.import_module(package)
+
+    def test_simulators_run_without_numpy(self):
+        """The simulator is stdlib-only: building and running both
+        simulators never imports numpy.  A fresh interpreter keeps the
+        check independent of what other tests (or plugins) loaded."""
+        import repro
+
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro.check.verify
+            import repro.fabric
+            import repro.host.rss
+            import repro.nic
+            import repro.qos
+            from repro.fabric import FabricSimulator, FabricSpec
+            from repro.nic import NicConfig, ThroughputSimulator
+
+            config = NicConfig(cores=2, core_frequency_hz=133e6)
+            rss = repro.host.rss.RssSpec(rings=2)
+            assert ThroughputSimulator(config, 1472, rss=rss).run(
+                50e-6, 100e-6
+            ).tx_frames > 0
+            assert FabricSimulator(config, FabricSpec.rpc_pair()).run(
+                50e-6, 100e-6
+            ).primary_flow.delivered > 0
+            assert "numpy" not in sys.modules, "numpy was imported"
+            """
+        )
+        env = dict(os.environ)
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src_dir, env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr

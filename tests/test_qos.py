@@ -4,9 +4,9 @@ Covers the ISSUE 9 acceptance surface: spec validation, the three
 scheduler disciplines, keyed RED decisions (deterministic, monotone,
 interleaving-independent), legacy cache-key/describe preservation with
 ``qos=None``, a monitored end-to-end incast run (invariants clean,
-conservation identities hold), byte-identical determinism and
-fast-vs-reference equality, mixed-criticality isolation, and PFC-style
-pause/backpressure reaching the stream pacers.
+conservation identities hold), byte-identical determinism,
+mixed-criticality isolation, and PFC-style pause/backpressure reaching
+the stream pacers.
 """
 
 import dataclasses
@@ -420,10 +420,10 @@ class TestLegacyKeyPreservation:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: monitored incast, determinism, fast path, isolation
+# End-to-end: monitored incast, determinism, isolation
 # ----------------------------------------------------------------------
-def _run(spec, fast=False, monitor=None):
-    simulator = FabricSimulator(_config(), spec, estimator="exact", fast=fast)
+def _run(spec, monitor=None):
+    simulator = FabricSimulator(_config(), spec, estimator="exact")
     if monitor is not None:
         attach_monitor(simulator, monitor)
     result = simulator.run(WARMUP_S, MEASURE_S)
@@ -486,19 +486,6 @@ class TestQosDeterminism:
         _s2, second = _run(_incast_spec(seed=21))
         assert (json.dumps(first.to_dict(), sort_keys=True)
                 == json.dumps(second.to_dict(), sort_keys=True))
-
-    def test_fast_path_byte_identical(self):
-        _s1, reference = _run(_incast_spec(seed=21))
-        _s2, fast = _run(_incast_spec(seed=21), fast=True)
-        assert (json.dumps(reference.to_dict(), sort_keys=True)
-                == json.dumps(fast.to_dict(), sort_keys=True))
-
-    def test_fast_path_byte_identical_under_pause(self):
-        spec = _incast_spec(red=False, pause=True, seed=9)
-        _s1, reference = _run(spec)
-        _s2, fast = _run(spec, fast=True)
-        assert (json.dumps(reference.to_dict(), sort_keys=True)
-                == json.dumps(fast.to_dict(), sort_keys=True))
 
 
 class TestPauseBackpressure:

@@ -2,9 +2,8 @@
 
 Covers the `repro.host.rss` layer end to end: the Toeplitz hash against
 the published Microsoft verification vector, deterministic steering,
-fast/reference byte-identity with the multi-queue model armed, the
-cache-key contract (absent config => legacy keys byte-identical), and
-the headline ablation behaviour — one ring serializes host completion
+same-instant host-core pump ordering, the cache-key contract (absent
+config => legacy keys byte-identical), and the headline ablation behaviour — one ring serializes host completion
 work on one core (host-limited), N rings spread it (wire-limited).
 """
 
@@ -162,38 +161,32 @@ class TestSteering:
 
 
 # ----------------------------------------------------------------------
-# Host-core contention pump: fast/reference event-order identity
+# Host-core contention pump
 # ----------------------------------------------------------------------
 class TestHostCorePump:
-    def _drive(self, fast):
+    def test_same_instant_timers_fire_in_arm_order(self):
         sim = Simulator()
         model = HostQueueModel(
             RssSpec(rings=2, completion_ps=100, interrupt_ps=50),
             sim=sim, frame_bytes=1514,
-            send_ring_capacity=8, recv_ring_capacity=8, fast=fast,
+            send_ring_capacity=8, recv_ring_capacity=8,
         )
         order = []
         model.on_rx_processed = lambda count: order.append(
             ("rx", sim.now_ps, count)
         )
         # Two rings complete batches at the same instant: both pumps arm
-        # timers for the same timestamp, and the drain order must be the
-        # arm order in both modes (the satellite-3 tie-break audit).
+        # for the same timestamp, and the drain order is the arm order.
         def kick():
             model.complete_rx(0, 3, sim.now_ps)
             model.complete_rx(1, 3, sim.now_ps)
             model.complete_rx(0, 2, sim.now_ps)
         sim.schedule_at(1_000, kick)
         sim.run()
-        return order
-
-    def test_same_instant_timers_fire_in_arm_order(self):
-        reference = self._drive(fast=False)
-        assert reference == self._drive(fast=True)
         # ring0's first batch and ring1's batch run on separate cores in
         # parallel, finishing at the same instant, ring0 armed first.
-        assert [entry[2] for entry in reference] == [3, 3, 2]
-        assert reference[0][1] == reference[1][1]
+        assert [entry[2] for entry in order] == [3, 3, 2]
+        assert order[0][1] == order[1][1]
 
     def test_single_core_serializes(self):
         sim = Simulator()
@@ -255,9 +248,9 @@ class TestCacheKeyContract:
 # ----------------------------------------------------------------------
 # Full-simulator integration
 # ----------------------------------------------------------------------
-def _run(rss, fast=False, payload=1472, offered=1.0):
+def _run(rss, payload=1472, offered=1.0):
     sim = ThroughputSimulator(
-        RMW_166MHZ, payload, offered_fraction=offered, fast=fast, rss=rss
+        RMW_166MHZ, payload, offered_fraction=offered, rss=rss
     )
     return sim.run(warmup_s=WARMUP, measure_s=MEASURE)
 
@@ -303,20 +296,6 @@ class TestThroughputIntegration:
         assert sum(recv) > 0
         assert sum(1 for count in recv if count > 0) >= 3
 
-    def test_fast_mode_byte_identical(self, four_ring):
-        fast = _run(RssSpec(rings=4), fast=True)
-        assert (
-            json.dumps(fast.to_dict(), sort_keys=True)
-            == json.dumps(four_ring.to_dict(), sort_keys=True)
-        )
-
-    def test_fast_mode_byte_identical_one_ring(self, one_ring):
-        fast = _run(RssSpec(rings=1), fast=True)
-        assert (
-            json.dumps(fast.to_dict(), sort_keys=True)
-            == json.dumps(one_ring.to_dict(), sort_keys=True)
-        )
-
     def test_runs_deterministic(self, four_ring):
         again = _run(RssSpec(rings=4))
         assert (
@@ -349,19 +328,16 @@ class TestFabricIntegration:
     def test_fabric_rss_deterministic(self):
         from repro.fabric import FabricSimulator, FabricSpec
 
-        def run(fast):
+        def run():
             fabric = FabricSimulator(
                 NicConfig(cores=6, core_frequency_hz=166_000_000),
                 FabricSpec.rpc_pair(concurrency=4),
                 rss=RssSpec(rings=2),
-                fast=fast,
             )
             result = fabric.run(warmup_s=0.1e-3, measure_s=0.2e-3)
             return json.dumps(result.to_dict(), sort_keys=True)
 
-        reference = run(False)
-        assert run(False) == reference
-        assert run(True) == reference
+        assert run() == run()
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.assists.mac import WireEvent
-from repro.check.golden import golden_digest, _run_fabric_topology
 from repro.check.monitor import InvariantMonitor
 from repro.check.verify import attach_monitor, verify_conservation
 from repro.exp.spec import describe
@@ -17,7 +16,6 @@ from repro.fabric import (
     FabricSimulator,
     FabricSpec,
     FlowTable,
-    RpcFlowSpec,
     StreamFlowSpec,
     TopologyRouter,
     TopologySpec,
@@ -338,11 +336,6 @@ class TestEndToEnd:
             warmup_s=0.1e-3, measure_s=0.2e-3
         )
         assert "topology" not in result.to_dict()
-
-    def test_golden_topology_run_fast_is_byte_identical(self):
-        assert golden_digest(_run_fabric_topology()) == golden_digest(
-            _run_fabric_topology(fast=True)
-        )
 
 
 # ----------------------------------------------------------------------
