@@ -164,6 +164,61 @@ def _run_fabric_topology():
     )
 
 
+def _run_fabric_topology_qos():
+    from repro.fabric import (
+        FabricSimulator,
+        FabricSpec,
+        RpcFlowSpec,
+        StreamFlowSpec,
+        TopologySpec,
+    )
+    from repro.nic.config import NicConfig
+    from repro.qos import QosSpec, RedSpec, TrafficClassSpec
+    from repro.units import mhz
+
+    # QoS ports on every egress link of a leaf-spine: a guaranteed RPC
+    # lane and two overloading best-effort streams converge on host 3,
+    # so per-hop DRR service, RED and tail drops keyed by link name,
+    # and XOFF/XON pausing pacers from a multi-hop route are pinned.
+    qos = QosSpec(
+        scheduler="drr",
+        seed=19,
+        classes=(
+            TrafficClassSpec(name="guaranteed", dscp=46, queue_frames=32,
+                             priority=0, weight=4),
+            TrafficClassSpec(
+                name="best-effort", queue_frames=32, priority=1, weight=1,
+                red=RedSpec(min_frames=8, max_frames=32,
+                            max_drop_probability=0.1),
+                pause_xoff_frames=20, pause_xon_frames=8,
+            ),
+        ),
+    )
+    spec = FabricSpec(
+        nics=4,
+        switch=True,
+        seed=19,
+        topology=TopologySpec.leaf_spine(
+            racks=2, hosts_per_rack=2, spines=2, ecmp_seed=19
+        ),
+        qos=qos,
+        rpc_flows=(
+            RpcFlowSpec(client=0, server=3, concurrency=4, name="mice",
+                        qos_class="guaranteed"),
+        ),
+        stream_flows=(
+            StreamFlowSpec(src=1, dst=3, offered_fraction=1.0, name="in1",
+                           qos_class="best-effort"),
+            StreamFlowSpec(src=2, dst=3, offered_fraction=1.0, imix=True,
+                           name="in2", qos_class="best-effort"),
+        ),
+    )
+    config = NicConfig(cores=4, core_frequency_hz=mhz(133))
+    return FabricSimulator(config, spec, estimator="exact").run(
+        WARMUP_S, MEASURE_S
+    )
+
+
 def golden_specs() -> Dict[str, Callable]:
     """Name → runner for every canonical run in the corpus."""
     return {
@@ -174,6 +229,7 @@ def golden_specs() -> Dict[str, Callable]:
         "fabric-rpc-switched": _run_fabric_switched,
         "fabric-qos-switched": _run_fabric_qos,
         "fabric-topology-incast": _run_fabric_topology,
+        "fabric-topology-qos": _run_fabric_topology_qos,
     }
 
 

@@ -232,8 +232,9 @@ class InvariantMonitor(NullInvariantMonitor):
         self._sdram_bus_free: Dict[int, int] = {}
         # Fabric wires, keyed by identity.
         # [injected, forwarded, dropped, queued] — queued is the shadow
-        # of frames parked in per-class QoS switch queues (always 0 on
-        # the legacy wire, whose ports resolve frames at transmit time).
+        # of frames in flight to a switch or parked in per-class QoS
+        # queues (always 0 on direct links and on the implicit FIFO
+        # switch, which resolves frames at transmit time).
         self._wire_counts: Dict[int, List[int]] = {}
         self._wire_delivery: Dict[Tuple[int, str, int], int] = {}
         self._wire_port_free: Dict[Tuple[int, int], int] = {}
@@ -241,8 +242,8 @@ class InvariantMonitor(NullInvariantMonitor):
         # [enqueued, forwarded, tail drops, red drops] and pause state.
         self._qos_counts: Dict[Tuple[int, int, int], List[int]] = {}
         self._qos_paused: Dict[Tuple[int, int, int], bool] = {}
-        # Composed-topology shadows: per-(wire, link) [entered,
-        # forwarded, dropped] counters and resolved-route records.
+        # Switch-port shadows: per-(wire, port) [entered, forwarded,
+        # dropped] counters and resolved topology routes.
         self._topo_links: Dict[Tuple[int, str], List[int]] = {}
         self._topo_routes: Dict[Tuple[int, str, int, int], Any] = {}
         # Multi-queue host rings: (host id, ring, direction) ->
@@ -753,15 +754,16 @@ class InvariantMonitor(NullInvariantMonitor):
                        port=port, backlog=backlog)
 
     # ------------------------------------------------------------------
-    # Composed topologies (multi-switch graph wire)
+    # Switch hops and composed-topology routes
     # ------------------------------------------------------------------
-    # A graph wire resolves frames hop by hop; ``topo_transit`` shadows
-    # the in-flight window between hops in the wire-level ``queued``
-    # slot so the global conservation identity (checked inside
-    # ``wire_forwarded``/``wire_dropped``) holds at every hook.
-    # Per-link shadows pin that no frame leaves an egress link it never
-    # entered, and every resolved route is checked loop-free and within
-    # the topology's shortest-path hop bound.
+    # A switched wire resolves frames hop by hop along their route of
+    # egress ports; ``topo_transit`` shadows each flight to the next
+    # switch in the wire-level ``queued`` slot so the global
+    # conservation identity (checked inside ``wire_forwarded``/
+    # ``wire_dropped``) holds at every hook.  Per-port shadows pin that
+    # no frame leaves an egress port it never entered, and every
+    # resolved topology route is checked loop-free and within the
+    # topology's shortest-path hop bound.
     def topo_route(self, wire: Any, flow: str, src: int, dst: int,
                    path: Any, hop_bound: int) -> None:
         self._count("topo.route")

@@ -85,10 +85,17 @@ class _Checker:
         self.check(name, lhs == rhs, f"{formula} ({lhs!r} != {rhs!r})")
 
 
-def _verify_throughput(simulator: Any, checker: _Checker) -> None:
+def _verify_throughput(
+    simulator: Any, checker: _Checker, numbered_drops: bool = True
+) -> None:
+    """``numbered_drops``: the MAC gives every tail-dropped frame a
+    sequence number, as the paper's analytic receiver does.  A fabric
+    endpoint's receiver drops expired frames before numbering them
+    (``FabricMacReceiver.skip_backlog``)."""
     board_rx = simulator.board_rx
     mac_rx = simulator.mac_rx
     config = simulator.config
+    seq_drops = simulator._rx_dropped if numbered_drops else 0
 
     # Receive-side frame conservation.
     checker.equal(
@@ -100,8 +107,8 @@ def _verify_throughput(simulator: Any, checker: _Checker) -> None:
     checker.equal(
         "rx.seq_conservation",
         mac_rx._next_seq,
-        mac_rx.frames_accepted + simulator._rx_dropped,
-        "next_seq == accepted + tail_dropped",
+        mac_rx.frames_accepted + seq_drops,
+        "next_seq == accepted + numbered tail drops",
     )
     # Accepted frames (holes included — FCS drops happen after the MAC
     # consumed the sequence) not yet committed are in flight.
@@ -119,9 +126,9 @@ def _verify_throughput(simulator: Any, checker: _Checker) -> None:
         mac_rx._next_seq,
         simulator._rx_done_frames
         + simulator._rx_hole_frames
-        + simulator._rx_dropped
+        + seq_drops
         + in_flight,
-        "injected == delivered + holes + drops + in_flight",
+        "injected == delivered + holes + numbered drops + in_flight",
     )
 
     # Transmit-side conservation.
@@ -236,13 +243,18 @@ def _verify_fabric(fabric: Any, checker: _Checker) -> None:
             f"delivered {flow.delivered} + lost {flow.lost} vs "
             f"posted {flow.posted}",
         )
+    checker.equal(
+        "fabric.mac_drops",
+        fabric.mac_drops,
+        sum(endpoint._rx_dropped for endpoint in fabric.endpoints),
+        "mac_drops == sum(endpoint rx tail drops)",
+    )
+    _verify_ports(wire, checker)
     if wire.qos is not None:
         _verify_qos(wire, checker)
-    if getattr(wire, "topology", None) is not None:
-        _verify_topology(wire, checker)
     for index, endpoint in enumerate(fabric.endpoints):
         sub = _Checker(f"{checker.label}nic{index}.")
-        _verify_throughput(endpoint, sub)
+        _verify_throughput(endpoint, sub, numbered_drops=False)
         checker.checked.update(
             {f"nic{index}.{k}": v for k, v in sub.checked.items()}
         )
@@ -259,7 +271,7 @@ def _verify_qos(wire: Any, checker: _Checker) -> None:
     the deadlock the PFC layer must never produce.
     """
     qos = wire.qos
-    for port in wire.qos_ports():
+    for port in wire.ports.values():
         for cls, tc in enumerate(qos.classes):
             label = f"qos.port{port.index}.{tc.name}"
             depth = len(port.queues[cls])
@@ -284,22 +296,18 @@ def _verify_qos(wire: Any, checker: _Checker) -> None:
                 )
 
 
-def _verify_topology(wire: Any, checker: _Checker) -> None:
-    """Per-link end-state identities of a composed topology.
+def _verify_ports(wire: Any, checker: _Checker) -> None:
+    """Per-port end-state identity of every switch egress port.
 
-    Every frame that entered a link's output port was forwarded on,
-    dropped, or (QoS ports only) is still parked in a class queue.
-    Analytic tail-drop ports resolve each frame at its hop instant, so
-    they carry no residual state at all.
+    Every frame that entered a port was forwarded on, dropped, or (QoS
+    ports only) is still parked in a class queue.  Analytic FIFO ports
+    resolve each frame when it enters, so they carry no backlog.
     """
-    for key in sorted(wire.link_counts):
-        entered, forwarded, dropped = wire.link_counts[key]
-        if wire.qos is not None:
-            backlog = wire._topo_qos_port(key).backlog()
-        else:
-            backlog = 0
+    for key, port in wire.ports.items():
+        entered, forwarded, dropped = port.counts
+        backlog = port.backlog() if wire.qos is not None else 0
         checker.equal(
-            f"topo.link.{key}.conservation",
+            f"wire.port.{key}.conservation",
             entered,
             forwarded + dropped + backlog,
             "entered == forwarded + dropped + queued",

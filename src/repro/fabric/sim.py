@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.fabric.endpoint import NicEndpoint
 from repro.fabric.flows import (
@@ -245,11 +245,11 @@ class FabricSimulator:
         if self.qos_runtime is not None:
             self.qos_runtime.on_delivered(frame, now_ps)
 
-    def qos_pause(self, port: int, cls: int, now_ps: int) -> None:
+    def qos_pause(self, port: Union[int, str], cls: int, now_ps: int) -> None:
         """Wire XOFF: the class queue on ``port`` crossed its watermark."""
         self.qos_runtime.pause(port, cls, now_ps)
 
-    def qos_resume(self, port: int, cls: int, now_ps: int) -> None:
+    def qos_resume(self, port: Union[int, str], cls: int, now_ps: int) -> None:
         """Wire XON: the class queue drained to its resume watermark."""
         self.qos_runtime.resume(port, cls, now_ps)
 
@@ -386,8 +386,9 @@ class FabricSimulator:
         """Measured-window per-link / per-switch / flow-table report."""
         topo = self.spec.topology
         per_link: Dict[str, Dict[str, int]] = {}
-        for key in sorted(self.wire.link_counts):
-            entered, forwarded, dropped = self.wire.link_counts[key]
+        for key, (entered, forwarded, dropped) in sorted(
+            self.wire.link_counts.items()
+        ):
             base = topo_snap.get(key, [0, 0, 0])
             per_link[key] = {
                 "entered": entered - base[0],

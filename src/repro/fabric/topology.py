@@ -322,9 +322,3 @@ class TopologyRouter:
         ) + (f"{path[-1]}->h{dst}",)
         self._ports[key] = ports
         return ports
-
-    def flow_shard(self, flow: str, src: int, dst: int, shards: int) -> int:
-        """Shard index of a flow tuple — the hop-0 ECMP draw reduced
-        modulo the shard count, so the flow table partitions by the
-        same keyed hash that routes."""
-        return ecmp_hash(self.topology.ecmp_seed, flow, src, dst) % shards

@@ -1,50 +1,65 @@
 """The deterministic wire/switch model connecting fabric endpoints.
 
-Two topologies, both pure integer-picosecond arithmetic (so two
-identically configured runs are byte-identical):
+Every frame follows a *route*: the tuple of egress-port keys
+:meth:`FabricWire.route_ports` returns for its ``(flow, src, dst)``
+tuple.
 
-* **Direct links** (``switch=False``): every source→destination pair
-  has a dedicated link.  A frame's first bit reaches the destination
-  MAC ``propagation_delay_ps`` after its first bit left the source
-  MAC (``wire_start_ps``); serialization happens once, modeled by the
+* ``()`` — **direct links** (``switch=False``): a dedicated link per
+  source→destination pair.  The first bit reaches the destination MAC
+  ``propagation_delay_ps`` after it left the source MAC
+  (``wire_start_ps``); serialization happens once, modeled by the
   receiving MAC.
-* **Store-and-forward switch** (``switch=True``): the full frame must
-  arrive at the switch (source ``wire_end_ps`` + propagation), pays
-  ``switch_latency_ps`` for the forwarding decision, then contends for
-  the destination's output port.  The port serializes frames
-  back-to-back at line rate; at most ``port_queue_frames`` frames may
-  be queued or in flight on a port — beyond that the newest arrival is
-  *tail-dropped*, counted in :attr:`drops` and (when the destination
-  NIC carries a fault injector) the ``switch_tail_drops`` fault
-  counter, and reported to its flow as a loss.
+* ``(dst,)`` — the **single implicit switch** (``switch=True``): one
+  output port per destination, named by the destination's index.
+* ``("leaf0->spine1", …, "leaf1->h3")`` — a **composed topology**
+  (:class:`~repro.fabric.topology.TopologySpec`): one port per switch
+  egress link on the flow's keyed-blake2b ECMP path
+  (:class:`~repro.fabric.topology.TopologyRouter`).
 
-With a :class:`~repro.qos.QosSpec` on the spec the switched ports grow
-per-traffic-class queues (:class:`_QosPort`): arrivals are classified
-by the DSCP-style tag their flow stamped on the frame, admitted
-against the *class* queue capacity (tail-drop) and its optional RED
-AQM (keyed, replayable drop decisions — see :mod:`repro.qos.red`),
-and drained one frame per serialization slot by the port's pluggable
-scheduler (strict priority / DRR / WRR, :mod:`repro.qos.sched`).
-Crossing a class's XOFF watermark pauses the transmitting stream
-pacers of that class PFC-style; draining to XON resumes them.  The
-legacy single-FIFO arithmetic is untouched when ``qos is None``.
+One hop loop serves every non-empty route, store-and-forward in full:
+a frame is in flight until its last bit reaches the next switch (the
+upstream serialization end plus one propagation — never a reused
+source ``wire_end_ps`` stamp), pays ``switch_latency_ps`` for the
+forwarding decision, then contends for its egress port.  The last
+port of a route delivers: the destination MAC re-serializes from the
+first bit leaving that port.  Any other port puts the frame in flight
+to the next switch.
 
-With a :class:`~repro.fabric.topology.TopologySpec` on the spec the
-single implicit switch generalizes to a **graph** of store-and-forward
-switches: every switch egress link owns its own serialization port
-(the same :class:`_SwitchPort` — or :class:`_QosPort` when a QoS config
-is present, so per-class queueing/RED/PFC compose per hop), frames
-follow the deterministic keyed-blake2b ECMP route of their flow tuple
-(:class:`~repro.fabric.topology.TopologyRouter`), and each hop pays
-store-and-forward in full: the downstream switch sees the frame one
-propagation after its serialization *end* on the upstream port — never
-a reused source ``wire_end_ps`` stamp.  ``topology=None`` keeps both
-legacy paths byte-identical.
+Ports live in one dict, created on first use (a 1024-endpoint
+leaf-spine declares thousands of links; only the ones traffic crosses
+pay for state), and each counts ``[entered, forwarded, dropped]``.
+Without a :class:`~repro.qos.QosSpec` a port is a :class:`_SwitchPort`:
+one FIFO serialized back-to-back at line rate, resolved analytically,
+holding at most ``port_queue_frames`` frames queued or in flight; the
+newest arrival beyond that is *tail-dropped*.  With one, a port is a
+:class:`_QosPort`: arrivals are classified by the DSCP-style tag their
+flow stamped, admitted against the *class* queue capacity (tail drop)
+and its optional RED AQM (keyed, replayable decisions drawn from the
+``red:<port>:<class>`` stream — see :mod:`repro.qos.red`), and drained
+one frame per serialization slot by the port's scheduler (strict
+priority / DRR / WRR, :mod:`repro.qos.sched`).  Crossing a class's
+XOFF watermark pauses, PFC-style, the stream pacers of that class
+whose route crosses the port; draining to XON resumes them.
+
+Every drop is counted in :attr:`FabricWire.drops` and in the
+destination NIC's ``switch_tail_drops`` fault counter (tail drops,
+when that NIC carries a fault injector), and is reported to its flow
+as a loss.
+
+One shim: the implicit FIFO switch resolves its single hop inside
+:meth:`FabricWire.transmit`, not at the frame's arrival at the switch.
+Its port contention order is therefore *transmit* order — a short
+frame that reaches the switch first still queues behind a long frame
+transmitted before it — where a one-switch topology serves arrival
+order.  The golden ``fabric-rpc-switched`` digest pins that order.
+
+All arithmetic is integer picoseconds, so two identically configured
+runs are byte-identical.
 """
 
 from __future__ import annotations
 
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Union
 from collections import deque
 
 from repro.assists.mac import WireEvent
@@ -55,13 +70,21 @@ from repro.fabric.topology import TopologyRouter
 from repro.qos.red import red_decide, red_drop_probability
 from repro.qos.sched import Scheduler, make_scheduler
 
+#: Per-class counters every :class:`_QosPort` keeps.
+_QOS_COUNTERS = (
+    "enqueued", "forwarded", "tail_drops", "red_drops",
+    "pause_events", "resume_events",
+)
+
 
 class _SwitchPort:
-    """Output-port state: serialization point plus occupancy queue."""
+    """FIFO egress port: serialization point plus occupancy queue."""
 
-    __slots__ = ("free_ps", "departures")
+    __slots__ = ("counts", "free_ps", "departures")
 
     def __init__(self) -> None:
+        #: Cumulative [entered, forwarded, dropped] frames.
+        self.counts = [0, 0, 0]
         self.free_ps = 0
         # Departure (end-of-serialization) times of frames that are
         # queued or currently serializing on this port.
@@ -75,35 +98,24 @@ class _SwitchPort:
 
 
 class _QueuedFrame:
-    """One frame parked in a class queue awaiting its serialization slot."""
+    """One frame parked in a class queue, with the rest of its route."""
 
-    __slots__ = ("frame", "frame_bytes", "span_start_ps")
+    __slots__ = ("frame", "frame_bytes", "route", "hop", "span_start_ps")
 
-    def __init__(self, frame: FabricFrame, span_start_ps: int) -> None:
+    def __init__(self, frame: FabricFrame, route: tuple, hop: int,
+                 span_start_ps: int) -> None:
         self.frame = frame
         self.frame_bytes = frame.frame_bytes
+        self.route = route
+        self.hop = hop
         self.span_start_ps = span_start_ps
 
 
-class _TopoQueuedFrame(_QueuedFrame):
-    """A parked frame that still knows the rest of its route: a QoS
-    port on a composed topology must forward a served frame to its next
-    hop rather than always delivering it."""
-
-    __slots__ = ("ports", "hop")
-
-    def __init__(self, frame: FabricFrame, span_start_ps: int,
-                 ports: tuple, hop: int) -> None:
-        super().__init__(frame, span_start_ps)
-        self.ports = ports
-        self.hop = hop
-
-
 class _QosPort:
-    """Per-class queues + scheduler replacing one port's single FIFO.
+    """Per-class queues + scheduler in place of one port's single FIFO.
 
-    Unlike :class:`_SwitchPort` (whose analytic arithmetic resolves a
-    frame's full port transit at transmit time), a QoS port is served
+    Unlike :class:`_SwitchPort` (whose analytic arithmetic fixes a
+    frame's serialization slot when it enters), a QoS port is served
     event-by-event: the scheduler's pick for a serialization slot
     depends on which classes are backlogged *at that instant*, so the
     port runs a service chain — one event per frame at its
@@ -111,24 +123,22 @@ class _QosPort:
     """
 
     __slots__ = (
-        "index", "scheduler", "queues", "paused", "busy", "free_ps",
-        "enqueued", "forwarded", "tail_drops", "red_drops",
-        "pause_events", "resume_events", "red_index",
-    )
+        "index", "scheduler", "queues", "paused", "busy", "counts",
+        "free_ps", "red_index",
+    ) + _QOS_COUNTERS
 
-    def __init__(self, index: int, scheduler: Scheduler, classes: int) -> None:
+    def __init__(self, index: Union[int, str], scheduler: Scheduler,
+                 classes: int) -> None:
+        #: The port's route key (names its RED decision streams).
         self.index = index
         self.scheduler = scheduler
         self.queues: List[Deque[_QueuedFrame]] = [deque() for _ in range(classes)]
         self.paused: List[bool] = [False] * classes
         self.busy = False
+        self.counts = [0, 0, 0]
         self.free_ps = 0
-        self.enqueued = [0] * classes
-        self.forwarded = [0] * classes
-        self.tail_drops = [0] * classes
-        self.red_drops = [0] * classes
-        self.pause_events = [0] * classes
-        self.resume_events = [0] * classes
+        for name in _QOS_COUNTERS:
+            setattr(self, name, [0] * classes)
         # Per-class RED decision indices: each (port, class) is an
         # independent keyed decision stream (repro.qos.red).
         self.red_index = [0] * classes
@@ -145,57 +155,259 @@ class FabricWire:
         self.spec = spec
         self.forwarded = 0
         self.drops = 0
-        self._ports: List[_SwitchPort] = [_SwitchPort() for _ in range(spec.nics)]
         #: Invariant monitor (null by default; see ``repro.check``).
         self.monitor = NULL_MONITOR
-        #: Per-class queue management (``None`` = legacy single FIFO).
+        #: Per-class queue management (``None`` = FIFO ports).
         self.qos = spec.qos
-        self._qos_ports: List[_QosPort] = []
-        self._class_index: Dict[str, int] = {}
-        #: Composed multi-switch graph (``None`` = the legacy single
-        #: implicit switch / direct links).
-        self.topology = spec.topology
+        self._class_index: Dict[str, int] = (
+            {tc.name: index for index, tc in enumerate(self.qos.classes)}
+            if self.qos is not None else {}
+        )
+        #: ECMP routing over a composed topology (``None`` = direct
+        #: links or the single implicit switch).
         self.router: Optional[TopologyRouter] = (
             TopologyRouter(spec.topology) if spec.topology is not None else None
         )
-        # Per-egress-link ports, created lazily (a 1024-endpoint
-        # leaf-spine declares thousands of access links; only the ones
-        # traffic crosses pay for state).  Keys are the router's
-        # ``"leaf0->spine1"`` / ``"leaf1->h7"`` port names.
-        self._topo_ports: Dict[str, _SwitchPort] = {}
-        self._topo_qos_ports: Dict[str, _QosPort] = {}
-        #: Cumulative per-link [entered, forwarded, dropped] counters
-        #: (topology mode only; the per-link conservation identity).
-        self.link_counts: Dict[str, List[int]] = {}
-        self._port_routes: Dict[tuple, tuple] = {}
-        if self.qos is not None:
-            classes = len(self.qos.classes)
-            if self.topology is None:
-                # One independent scheduler instance per output port.
-                self._qos_ports = [
-                    _QosPort(index, make_scheduler(self.qos), classes)
-                    for index in range(spec.nics)
-                ]
-            self._class_index = {
-                tc.name: index for index, tc in enumerate(self.qos.classes)
-            }
+        #: Egress ports by route key, created on first use.
+        self.ports: Dict[Union[int, str], Union[_SwitchPort, _QosPort]] = {}
 
     # ------------------------------------------------------------------
+    def route_ports(self, flow: str, src: int, dst: int) -> tuple:
+        """The egress-port keys a flow tuple traverses: ``()`` on direct
+        links, ``(dst,)`` on the implicit switch, the ECMP link names on
+        a topology.  The invariant monitor audits every topology route
+        it sees resolved: loop-free, within the shortest-path hop bound,
+        and never re-resolved differently."""
+        router = self.router
+        if router is None:
+            return (dst,) if self.spec.switch else ()
+        ports = router.route_ports(flow, src, dst)
+        if self.monitor.enabled:
+            self.monitor.topo_route(
+                self, flow, src, dst,
+                router.route(flow, src, dst), router.hop_bound(),
+            )
+        return ports
+
     def transmit(self, src: int, frame: FabricFrame, wire: WireEvent) -> None:
         """Source NIC ``src`` put ``frame`` on the wire (``wire`` is its
         MAC timing).  Routes, queues, possibly drops, and ultimately
         schedules the destination's :meth:`rx_arrive`."""
         if self.monitor.enabled:
             self.monitor.wire_injected(self, src, frame.dst)
-        if self.topology is not None:
-            self._transmit_topology(src, frame, wire)
-        elif self.spec.switch:
-            self._transmit_switched(src, frame, wire)
-        else:
-            self._deliver(frame, wire.wire_start_ps + self.spec.propagation_delay_ps,
+        route = self.route_ports(frame.flow, src, frame.dst)
+        spec = self.spec
+        if not route:
+            self._deliver(frame, wire.wire_start_ps + spec.propagation_delay_ps,
                           wire.wire_start_ps)
+        elif self.router is None and self.qos is None:
+            # The shim: the implicit FIFO switch resolves its one hop
+            # now, at transmit time, so its ports serve frames in
+            # transmit order rather than arrival order.  The golden
+            # ``fabric-rpc-switched`` digest pins that order.
+            ready_ps = (wire.wire_end_ps + spec.propagation_delay_ps
+                        + spec.switch_latency_ps)
+            self._fifo_hop(frame, route, 0, ready_ps, wire.wire_start_ps)
+        else:
+            self._fly(frame, route, 0, wire.wire_end_ps, wire.wire_start_ps)
 
-    # -- direct links ---------------------------------------------------
+    # -- the hop loop ---------------------------------------------------
+    def _add_port(self, key: Union[int, str]) -> Union[_SwitchPort, _QosPort]:
+        if self.qos is None:
+            port = _SwitchPort()
+        else:
+            port = _QosPort(key, make_scheduler(self.qos), len(self.qos.classes))
+        self.ports[key] = port
+        return port
+
+    def _fly(self, frame: FabricFrame, route: tuple, hop: int,
+             out_end_ps: int, span_start_ps: int) -> None:
+        """Put ``frame`` in flight to the switch owning ``route[hop]``.
+
+        Its last bit left the upstream serialization point at
+        ``out_end_ps``, so the switch holds the full frame one
+        propagation later and completes its forwarding decision
+        ``switch_latency_ps`` after that, at ``ready_ps``.  A QoS port
+        admits at ``ready_ps``, against its class queues as they stand
+        then.  A FIFO port's arithmetic needs only ``ready_ps``, so it
+        resolves the hop at the arrival instant; moving that event would
+        reorder same-instant events and move the golden
+        ``fabric-topology-incast`` digest.
+        """
+        if self.monitor.enabled:
+            self.monitor.topo_transit(self, 1)
+        spec = self.spec
+        arrive_ps = out_end_ps + spec.propagation_delay_ps
+        ready_ps = arrive_ps + spec.switch_latency_ps
+        if self.qos is None:
+            enter, when_ps = self._fifo_hop, arrive_ps
+        else:
+            enter, when_ps = self._qos_admit, ready_ps
+
+        def arrive() -> None:
+            if self.monitor.enabled:
+                self.monitor.topo_transit(self, -1)
+            enter(frame, route, hop, ready_ps, span_start_ps)
+
+        self.fabric.sim.schedule_at(when_ps, arrive)
+
+    def _fifo_hop(self, frame: FabricFrame, route: tuple, hop: int,
+                  ready_ps: int, span_start_ps: int) -> None:
+        """Enter the FIFO port ``route[hop]`` with the forwarding
+        decision done at ``ready_ps``: tail-drop a full port, else fix
+        the frame's serialization slot behind the port's backlog."""
+        key = route[hop]
+        port = self.ports.get(key) or self._add_port(key)
+        port.counts[0] += 1
+        if self.monitor.enabled:
+            self.monitor.topo_link_entered(self, key)
+        if port.occupancy(ready_ps) >= self.spec.port_queue_frames:
+            self._drop(port, key, frame, ready_ps, "switch_tail_drop")
+            return
+        out_start = max(ready_ps, port.free_ps)
+        out_end = out_start + self.fabric.timing.frame_time_ps(frame.frame_bytes)
+        port.departures.append(out_end)
+        self._forward(port, key, frame, route, hop, out_start, out_end,
+                      span_start_ps)
+
+    def _qos_admit(self, frame: FabricFrame, route: tuple, hop: int,
+                   ready_ps: int, span_start_ps: int) -> None:
+        """Classify and admit ``frame`` at the QoS port ``route[hop]``
+        (runs at ``ready_ps``): tail drop, then RED, else enqueue —
+        pausing the class at XOFF — and start an idle port's chain."""
+        key = route[hop]
+        port = self.ports.get(key) or self._add_port(key)
+        cls = self._class_index[frame.qos_class]
+        tc = self.qos.classes[cls]
+        port.counts[0] += 1
+        if self.monitor.enabled:
+            self.monitor.topo_link_entered(self, key)
+            self.monitor.qos_injected(self, key, cls)
+        queue = port.queues[cls]
+        occupancy = len(queue)
+        reason = None
+        if occupancy >= tc.queue_frames:
+            reason = "switch_tail_drop"
+            port.tail_drops[cls] += 1
+        elif tc.red is not None:
+            probability = red_drop_probability(occupancy, tc.red)
+            if probability > 0.0:
+                index = port.red_index[cls]
+                port.red_index[cls] = index + 1
+                if red_decide(self.qos.seed, key, tc.name, index, probability):
+                    reason = "switch_red_drop"
+                    port.red_drops[cls] += 1
+        if reason is not None:
+            if self.monitor.enabled:
+                self.monitor.qos_dropped(
+                    self, key, cls, "tail" if reason == "switch_tail_drop" else "red"
+                )
+            self._drop(port, key, frame, ready_ps, reason)
+            return
+        queue.append(_QueuedFrame(frame, route, hop, span_start_ps))
+        port.enqueued[cls] += 1
+        if self.monitor.enabled:
+            self.monitor.qos_enqueued(self, key, cls, len(queue))
+        # PFC-style XOFF (zero-delay control message — docs/qos.md
+        # documents the simplification).
+        if (tc.pause_xoff_frames and not port.paused[cls]
+                and len(queue) >= tc.pause_xoff_frames):
+            self._pause(port, cls, True, ready_ps)
+        if not port.busy:
+            port.busy = True
+            self._qos_service(port)
+
+    def _qos_service(self, port: _QosPort) -> None:
+        """Serve one serialization slot: the scheduler picks a class,
+        the port serializes its head frame, and the chain re-arms at
+        the frame's serialization end.  ``port.busy`` is True exactly
+        while a chain is in flight, so arrivals during service only
+        enqueue."""
+        sim = self.fabric.sim
+        now_ps = sim.now_ps
+        cls = port.scheduler.select(port.queues)
+        if cls is None:
+            if self.monitor.enabled:
+                # Work conservation: a scheduler may only go idle
+                # against an empty backlog.
+                self.monitor.qos_port_idle(self, port.index, port.backlog())
+            port.busy = False
+            return
+        queue = port.queues[cls]
+        entry = queue.popleft()
+        out_start = now_ps if now_ps >= port.free_ps else port.free_ps
+        out_end = out_start + self.fabric.timing.frame_time_ps(entry.frame_bytes)
+        port.forwarded[cls] += 1
+        if self.monitor.enabled:
+            self.monitor.qos_forwarded(self, port.index, cls, len(queue))
+        # PFC-style XON: drained to the low watermark — resume pacers.
+        if port.paused[cls] and len(queue) <= self.qos.classes[cls].pause_xon_frames:
+            self._pause(port, cls, False, now_ps)
+        self._forward(port, port.index, entry.frame, entry.route, entry.hop,
+                      out_start, out_end, entry.span_start_ps)
+
+        def serve_next(port=port) -> None:
+            self._qos_service(port)
+
+        sim.schedule_at(out_end, serve_next)
+
+    def _pause(self, port: _QosPort, cls: int, paused: bool, now_ps: int) -> None:
+        port.paused[cls] = paused
+        if paused:
+            port.pause_events[cls] += 1
+        else:
+            port.resume_events[cls] += 1
+        if self.monitor.enabled:
+            self.monitor.qos_pause(self, port.index, cls, paused)
+        notify = self.fabric.qos_pause if paused else self.fabric.qos_resume
+        notify(port.index, cls, now_ps)
+
+    def _forward(self, port, key, frame: FabricFrame, route: tuple, hop: int,
+                 out_start_ps: int, out_end_ps: int, span_start_ps: int) -> None:
+        """``frame`` serializes on ``key`` over [out_start, out_end): the
+        last port of its route delivers, any other flies on."""
+        if self.monitor.enabled:
+            self.monitor.wire_port_departure(
+                self, key, out_start_ps, out_end_ps, port.free_ps
+            )
+            self.monitor.topo_link_forwarded(self, key)
+        port.free_ps = out_end_ps
+        port.counts[1] += 1
+        if hop == len(route) - 1:
+            self._deliver(
+                frame, out_start_ps + self.spec.propagation_delay_ps, span_start_ps
+            )
+        else:
+            self._fly(frame, route, hop + 1, out_end_ps, span_start_ps)
+
+    def _drop(self, port, key, frame: FabricFrame, ready_ps: int,
+              reason: str) -> None:
+        """Count a drop at ``key`` and report the loss at ``ready_ps``.
+        A QoS port decides at that instant; an analytic FIFO hop decides
+        earlier, so it reports from an event at ``ready_ps``."""
+        port.counts[2] += 1
+        self.drops += 1
+        if self.monitor.enabled:
+            self.monitor.topo_link_dropped(self, key)
+            self.monitor.wire_dropped(self, frame.dst)
+        fabric = self.fabric
+
+        def lose() -> None:
+            faults = fabric.endpoints[frame.dst].faults
+            if reason == "switch_tail_drop" and faults is not None:
+                faults.note_switch_drop(ready_ps, port=frame.dst)
+            elif fabric.tracer.enabled:
+                fabric.tracer.instant(
+                    "fabric", reason, ready_ps,
+                    dst=frame.dst, flow=frame.flow, link=key,
+                )
+            fabric.frame_lost(frame, ready_ps, reason)
+
+        if self.qos is None:
+            fabric.sim.schedule_at(ready_ps, lose)
+        else:
+            lose()
+
     def _deliver(self, frame: FabricFrame, available_ps: int, span_start_ps: int) -> None:
         self.forwarded += 1
         if self.monitor.enabled:
@@ -220,448 +432,21 @@ class FabricWire:
                 bytes=frame.frame_bytes,
             )
 
-    # -- store-and-forward switch ---------------------------------------
-    def _transmit_switched(self, src: int, frame: FabricFrame, wire: WireEvent) -> None:
-        if self.qos is not None:
-            self._transmit_qos(frame, wire)
-            return
-        spec = self.spec
-        # Full frame at the switch, then the forwarding decision.
-        ready_ps = wire.wire_end_ps + spec.propagation_delay_ps + spec.switch_latency_ps
-        port = self._ports[frame.dst]
-        if port.occupancy(ready_ps) >= spec.port_queue_frames:
-            self.drops += 1
-            if self.monitor.enabled:
-                self.monitor.wire_dropped(self, frame.dst)
-            fabric = self.fabric
-            destination = fabric.endpoints[frame.dst]
-
-            def drop(frame=frame, ready_ps=ready_ps, dst=frame.dst) -> None:
-                if destination.faults is not None:
-                    destination.faults.note_switch_drop(ready_ps, port=dst)
-                elif fabric.tracer.enabled:
-                    fabric.tracer.instant(
-                        "fabric", "switch_tail_drop", ready_ps,
-                        dst=dst, flow=frame.flow,
-                    )
-                fabric.frame_lost(frame, ready_ps, "switch_tail_drop")
-
-            fabric.sim.schedule_at(ready_ps, drop)
-            return
-        out_start = max(ready_ps, port.free_ps)
-        out_end = out_start + self.fabric.timing.frame_time_ps(frame.frame_bytes)
-        if self.monitor.enabled:
-            self.monitor.wire_port_departure(
-                self, frame.dst, out_start, out_end, port.free_ps
-            )
-        port.free_ps = out_end
-        port.departures.append(out_end)
-        # The destination MAC re-serializes from the first bit leaving
-        # the switch port: first bit at out_start + propagation.
-        self._deliver(frame, out_start + spec.propagation_delay_ps, wire.wire_start_ps)
-
-    # -- per-class (QoS) switch ports -----------------------------------
-    def _transmit_qos(self, frame: FabricFrame, wire: WireEvent) -> None:
-        spec = self.spec
-        ready_ps = wire.wire_end_ps + spec.propagation_delay_ps + spec.switch_latency_ps
-        span_start_ps = wire.wire_start_ps
-        if self.monitor.enabled:
-            self.monitor.qos_injected(
-                self, frame.dst, self._class_index[frame.qos_class]
-            )
-
-        # Admission and scheduling depend on queue state *at arrival*,
-        # so the decision runs as its own event (the kernel orders
-        # same-instant arrivals by schedule ticket, so it is
-        # deterministic).
-        def arrive(frame=frame, ready_ps=ready_ps,
-                   span_start_ps=span_start_ps) -> None:
-            self._qos_arrive(frame, ready_ps, span_start_ps)
-
-        self.fabric.sim.schedule_at(ready_ps, arrive)
-
-    def _qos_arrive(self, frame: FabricFrame, now_ps: int,
-                    span_start_ps: int) -> None:
-        qos = self.qos
-        port = self._qos_ports[frame.dst]
-        cls = self._class_index[frame.qos_class]
-        tc = qos.classes[cls]
-        queue = port.queues[cls]
-        occupancy = len(queue)
-        if occupancy >= tc.queue_frames:
-            self._qos_drop(port, cls, frame, now_ps, "switch_tail_drop")
-            return
-        if tc.red is not None:
-            probability = red_drop_probability(occupancy, tc.red)
-            if probability > 0.0:
-                index = port.red_index[cls]
-                port.red_index[cls] = index + 1
-                if red_decide(qos.seed, port.index, tc.name, index, probability):
-                    self._qos_drop(port, cls, frame, now_ps, "switch_red_drop")
-                    return
-        queue.append(_QueuedFrame(frame, span_start_ps))
-        port.enqueued[cls] += 1
-        if self.monitor.enabled:
-            self.monitor.qos_enqueued(self, port.index, cls, len(queue))
-        # PFC-style XOFF: crossing the watermark pauses this class's
-        # transmitting stream pacers (zero-delay control message —
-        # docs/qos.md documents the simplification).
-        if (tc.pause_xoff_frames and not port.paused[cls]
-                and len(queue) >= tc.pause_xoff_frames):
-            port.paused[cls] = True
-            port.pause_events[cls] += 1
-            if self.monitor.enabled:
-                self.monitor.qos_pause(self, port.index, cls, True)
-            self.fabric.qos_pause(port.index, cls, now_ps)
-        if not port.busy:
-            port.busy = True
-            self._qos_service(port)
-
-    def _qos_drop(self, port: _QosPort, cls: int, frame: FabricFrame,
-                  now_ps: int, reason: str) -> None:
-        self.drops += 1
-        if reason == "switch_tail_drop":
-            port.tail_drops[cls] += 1
-        else:
-            port.red_drops[cls] += 1
-        if self.monitor.enabled:
-            self.monitor.qos_dropped(
-                self, port.index, cls,
-                "tail" if reason == "switch_tail_drop" else "red",
-            )
-            self.monitor.wire_dropped(self, frame.dst)
-        fabric = self.fabric
-        destination = fabric.endpoints[frame.dst]
-        if reason == "switch_tail_drop" and destination.faults is not None:
-            destination.faults.note_switch_drop(now_ps, port=frame.dst)
-        elif fabric.tracer.enabled:
-            fabric.tracer.instant(
-                "fabric", reason, now_ps, dst=frame.dst, flow=frame.flow,
-            )
-        fabric.frame_lost(frame, now_ps, reason)
-
-    def _qos_service(self, port: _QosPort) -> None:
-        """Serve one serialization slot: the scheduler picks a class,
-        the port serializes its head frame, and the chain re-arms at
-        the frame's serialization end.  ``port.busy`` is True exactly
-        while a chain is in flight, so arrivals during service only
-        enqueue."""
-        sim = self.fabric.sim
-        now_ps = sim.now_ps
-        cls = port.scheduler.select(port.queues)
-        if cls is None:
-            if self.monitor.enabled:
-                # Work conservation: a scheduler may only go idle
-                # against an empty backlog.
-                self.monitor.qos_port_idle(self, port.index, port.backlog())
-            port.busy = False
-            return
-        queue = port.queues[cls]
-        entry = queue.popleft()
-        out_start = now_ps if now_ps >= port.free_ps else port.free_ps
-        out_end = out_start + self.fabric.timing.frame_time_ps(entry.frame_bytes)
-        if self.monitor.enabled:
-            self.monitor.qos_forwarded(self, port.index, cls, len(queue))
-            self.monitor.wire_port_departure(
-                self, port.index, out_start, out_end, port.free_ps
-            )
-        port.free_ps = out_end
-        port.forwarded[cls] += 1
-        # PFC-style XON: drained to the low watermark — resume pacers.
-        tc = self.qos.classes[cls]
-        if port.paused[cls] and len(queue) <= tc.pause_xon_frames:
-            port.paused[cls] = False
-            port.resume_events[cls] += 1
-            if self.monitor.enabled:
-                self.monitor.qos_pause(self, port.index, cls, False)
-            self.fabric.qos_resume(port.index, cls, now_ps)
-        self._deliver(
-            entry.frame,
-            out_start + self.spec.propagation_delay_ps,
-            entry.span_start_ps,
-        )
-
-        def serve_next(port=port) -> None:
-            self._qos_service(port)
-
-        sim.schedule_at(out_end, serve_next)
-
-    # -- composed topologies (graph of switches) ------------------------
-    def route_ports(self, flow: str, src: int, dst: int) -> tuple:
-        """The egress ports a flow tuple traverses (memoized).  The
-        invariant monitor audits each route once, when first resolved:
-        loop-free, within the topology's shortest-path hop bound, and
-        never re-resolved differently."""
-        key = (flow, src, dst)
-        ports = self._port_routes.get(key)
-        if ports is None:
-            ports = self.router.route_ports(flow, src, dst)
-            if self.monitor.enabled:
-                self.monitor.topo_route(
-                    self, flow, src, dst,
-                    self.router.route(flow, src, dst),
-                    self.router.hop_bound(),
-                )
-            self._port_routes[key] = ports
-        return ports
-
-    def _topo_port(self, key: str) -> _SwitchPort:
-        port = self._topo_ports.get(key)
-        if port is None:
-            port = self._topo_ports[key] = _SwitchPort()
-        return port
-
-    def _topo_qos_port(self, key: str) -> _QosPort:
-        port = self._topo_qos_ports.get(key)
-        if port is None:
-            port = _QosPort(key, make_scheduler(self.qos), len(self.qos.classes))
-            self._topo_qos_ports[key] = port
-        return port
-
-    def _link(self, key: str) -> List[int]:
-        counts = self.link_counts.get(key)
-        if counts is None:
-            counts = self.link_counts[key] = [0, 0, 0]
-        return counts
-
-    def _transmit_topology(self, src: int, frame: FabricFrame,
-                           wire: WireEvent) -> None:
-        ports = self.route_ports(frame.flow, src, frame.dst)
-        # Store-and-forward at the access switch: the full frame is on
-        # the wire at the source MAC's wire_end_ps, and lands one
-        # propagation later.  Every subsequent hop re-derives its own
-        # serialization end — the source stamp is never reused.
-        self._topo_next(frame, ports, 0, wire.wire_end_ps, wire.wire_start_ps)
-
-    def _topo_next(self, frame: FabricFrame, ports: tuple, index: int,
-                   out_end_ps: int, span_start_ps: int) -> None:
-        """Put ``frame`` in flight toward the switch owning
-        ``ports[index]``: its last bit left the upstream serialization
-        point at ``out_end_ps``, so the downstream switch holds the full
-        frame one propagation later (store-and-forward per link)."""
-        if self.monitor.enabled:
-            self.monitor.topo_transit(self, 1)
-        arrive_ps = out_end_ps + self.spec.propagation_delay_ps
-        if self.qos is not None:
-            # Classification/admission sees queue state at the instant
-            # the forwarding decision completes, as on the single-switch
-            # QoS path.
-            when = arrive_ps + self.spec.switch_latency_ps
-
-            def admit(frame=frame, ports=ports, index=index,
-                      span_start_ps=span_start_ps) -> None:
-                self._topo_qos_admit(frame, ports, index, span_start_ps)
-
-            self.fabric.sim.schedule_at(when, admit)
-            return
-
-        def hop(frame=frame, ports=ports, index=index,
-                span_start_ps=span_start_ps) -> None:
-            self._topo_hop(frame, ports, index, span_start_ps)
-
-        self.fabric.sim.schedule_at(arrive_ps, hop)
-
-    def _topo_hop(self, frame: FabricFrame, ports: tuple, index: int,
-                  span_start_ps: int) -> None:
-        """One analytic store-and-forward hop, run at the frame's
-        arrival-end instant: pay the forwarding latency, contend for the
-        egress link's port, then deliver (last hop) or fly onward."""
-        spec = self.spec
-        key = ports[index]
-        ready_ps = self.fabric.sim.now_ps + spec.switch_latency_ps
-        port = self._topo_port(key)
-        counts = self._link(key)
-        counts[0] += 1
-        if self.monitor.enabled:
-            self.monitor.topo_transit(self, -1)
-            self.monitor.topo_link_entered(self, key)
-        if port.occupancy(ready_ps) >= spec.port_queue_frames:
-            counts[2] += 1
-            self.drops += 1
-            if self.monitor.enabled:
-                self.monitor.topo_link_dropped(self, key)
-                self.monitor.wire_dropped(self, frame.dst)
-            fabric = self.fabric
-            destination = fabric.endpoints[frame.dst]
-
-            def drop(frame=frame, ready_ps=ready_ps, key=key) -> None:
-                if destination.faults is not None:
-                    destination.faults.note_switch_drop(ready_ps, port=frame.dst)
-                elif fabric.tracer.enabled:
-                    fabric.tracer.instant(
-                        "fabric", "switch_tail_drop", ready_ps,
-                        dst=frame.dst, flow=frame.flow, link=key,
-                    )
-                fabric.frame_lost(frame, ready_ps, "switch_tail_drop")
-
-            fabric.sim.schedule_at(ready_ps, drop)
-            return
-        out_start = max(ready_ps, port.free_ps)
-        out_end = out_start + self.fabric.timing.frame_time_ps(frame.frame_bytes)
-        if self.monitor.enabled:
-            self.monitor.wire_port_departure(
-                self, key, out_start, out_end, port.free_ps
-            )
-        port.free_ps = out_end
-        port.departures.append(out_end)
-        counts[1] += 1
-        if self.monitor.enabled:
-            self.monitor.topo_link_forwarded(self, key)
-        if index == len(ports) - 1:
-            # Final (access) link: the destination MAC re-serializes
-            # from the first bit leaving the switch port, as on the
-            # single-switch path.
-            self._deliver(
-                frame, out_start + spec.propagation_delay_ps, span_start_ps
-            )
-            return
-        self._topo_next(frame, ports, index + 1, out_end, span_start_ps)
-
-    def _topo_qos_admit(self, frame: FabricFrame, ports: tuple, index: int,
-                        span_start_ps: int) -> None:
-        """Per-hop classification/admission on a QoS graph port —
-        the :meth:`_qos_arrive` logic keyed by egress link, with the
-        keyed RED decision stream named after the link."""
-        now_ps = self.fabric.sim.now_ps
-        qos = self.qos
-        key = ports[index]
-        port = self._topo_qos_port(key)
-        cls = self._class_index[frame.qos_class]
-        tc = qos.classes[cls]
-        counts = self._link(key)
-        counts[0] += 1
-        if self.monitor.enabled:
-            self.monitor.topo_transit(self, -1)
-            self.monitor.topo_link_entered(self, key)
-            self.monitor.qos_injected(self, key, cls)
-        queue = port.queues[cls]
-        occupancy = len(queue)
-        if occupancy >= tc.queue_frames:
-            self._topo_qos_drop(port, cls, frame, now_ps, "switch_tail_drop")
-            return
-        if tc.red is not None:
-            probability = red_drop_probability(occupancy, tc.red)
-            if probability > 0.0:
-                red_index = port.red_index[cls]
-                port.red_index[cls] = red_index + 1
-                if red_decide(qos.seed, port.index, tc.name, red_index,
-                              probability):
-                    self._topo_qos_drop(
-                        port, cls, frame, now_ps, "switch_red_drop"
-                    )
-                    return
-        queue.append(_TopoQueuedFrame(frame, span_start_ps, ports, index))
-        port.enqueued[cls] += 1
-        if self.monitor.enabled:
-            self.monitor.qos_enqueued(self, key, cls, len(queue))
-        if (tc.pause_xoff_frames and not port.paused[cls]
-                and len(queue) >= tc.pause_xoff_frames):
-            port.paused[cls] = True
-            port.pause_events[cls] += 1
-            if self.monitor.enabled:
-                self.monitor.qos_pause(self, key, cls, True)
-            self.fabric.qos_pause(port.index, cls, now_ps)
-        if not port.busy:
-            port.busy = True
-            self._topo_qos_service(port)
-
-    def _topo_qos_drop(self, port: _QosPort, cls: int, frame: FabricFrame,
-                       now_ps: int, reason: str) -> None:
-        key = port.index
-        self._link(key)[2] += 1
-        self.drops += 1
-        if reason == "switch_tail_drop":
-            port.tail_drops[cls] += 1
-        else:
-            port.red_drops[cls] += 1
-        if self.monitor.enabled:
-            self.monitor.topo_link_dropped(self, key)
-            self.monitor.qos_dropped(
-                self, key, cls,
-                "tail" if reason == "switch_tail_drop" else "red",
-            )
-            self.monitor.wire_dropped(self, frame.dst)
-        fabric = self.fabric
-        destination = fabric.endpoints[frame.dst]
-        if reason == "switch_tail_drop" and destination.faults is not None:
-            destination.faults.note_switch_drop(now_ps, port=frame.dst)
-        elif fabric.tracer.enabled:
-            fabric.tracer.instant(
-                "fabric", reason, now_ps, dst=frame.dst, flow=frame.flow,
-                link=key,
-            )
-        fabric.frame_lost(frame, now_ps, reason)
-
-    def _topo_qos_service(self, port: _QosPort) -> None:
-        """One serialization slot on a QoS graph port: identical
-        scheduler/pause arithmetic to :meth:`_qos_service`, but a served
-        frame continues along its route instead of always delivering."""
-        sim = self.fabric.sim
-        now_ps = sim.now_ps
-        cls = port.scheduler.select(port.queues)
-        if cls is None:
-            if self.monitor.enabled:
-                self.monitor.qos_port_idle(self, port.index, port.backlog())
-            port.busy = False
-            return
-        queue = port.queues[cls]
-        entry = queue.popleft()
-        out_start = now_ps if now_ps >= port.free_ps else port.free_ps
-        out_end = out_start + self.fabric.timing.frame_time_ps(entry.frame_bytes)
-        if self.monitor.enabled:
-            self.monitor.qos_forwarded(self, port.index, cls, len(queue))
-            self.monitor.wire_port_departure(
-                self, port.index, out_start, out_end, port.free_ps
-            )
-        port.free_ps = out_end
-        port.forwarded[cls] += 1
-        self._link(port.index)[1] += 1
-        if self.monitor.enabled:
-            self.monitor.topo_link_forwarded(self, port.index)
-        tc = self.qos.classes[cls]
-        if port.paused[cls] and len(queue) <= tc.pause_xon_frames:
-            port.paused[cls] = False
-            port.resume_events[cls] += 1
-            if self.monitor.enabled:
-                self.monitor.qos_pause(self, port.index, cls, False)
-            self.fabric.qos_resume(port.index, cls, now_ps)
-        if entry.hop == len(entry.ports) - 1:
-            self._deliver(
-                entry.frame,
-                out_start + self.spec.propagation_delay_ps,
-                entry.span_start_ps,
-            )
-        else:
-            self._topo_next(
-                entry.frame, entry.ports, entry.hop + 1, out_end,
-                entry.span_start_ps,
-            )
-
-        def serve_next(port=port) -> None:
-            self._topo_qos_service(port)
-
-        sim.schedule_at(out_end, serve_next)
-
     # ------------------------------------------------------------------
     def window_snapshot(self) -> Dict[str, int]:
         return {"forwarded": self.forwarded, "drops": self.drops}
 
-    def qos_ports(self) -> List[_QosPort]:
-        """Every live QoS port: the per-destination ports of the single
-        implicit switch, or the per-egress-link ports of a composed
-        topology (in deterministic link-name order)."""
-        if self.topology is None:
-            return self._qos_ports
-        return [self._topo_qos_ports[key]
-                for key in sorted(self._topo_qos_ports)]
+    @property
+    def link_counts(self) -> Dict[Union[int, str], List[int]]:
+        """Cumulative per-port [entered, forwarded, dropped] counters."""
+        return {key: port.counts for key, port in self.ports.items()}
 
     def topology_window_snapshot(self) -> Optional[Dict[str, List[int]]]:
-        """Cumulative per-link [entered, forwarded, dropped] counters
-        (``None`` without a topology); the measured window reports
-        deltas."""
-        if self.topology is None:
+        """Copy of :attr:`link_counts` (``None`` without a topology);
+        the measured window reports deltas."""
+        if self.router is None:
             return None
-        return {key: list(counts) for key, counts in self.link_counts.items()}
+        return {key: list(port.counts) for key, port in self.ports.items()}
 
     def qos_window_snapshot(self) -> Optional[Dict[str, List[int]]]:
         """Cumulative per-class counters summed across ports (``None``
@@ -669,17 +454,9 @@ class FabricWire:
         if self.qos is None:
             return None
         classes = len(self.qos.classes)
-        totals = {
-            key: [0] * classes
-            for key in ("enqueued", "forwarded", "tail_drops", "red_drops",
-                        "pause_events", "resume_events")
-        }
-        for port in self.qos_ports():
-            for cls in range(classes):
-                totals["enqueued"][cls] += port.enqueued[cls]
-                totals["forwarded"][cls] += port.forwarded[cls]
-                totals["tail_drops"][cls] += port.tail_drops[cls]
-                totals["red_drops"][cls] += port.red_drops[cls]
-                totals["pause_events"][cls] += port.pause_events[cls]
-                totals["resume_events"][cls] += port.resume_events[cls]
+        totals = {key: [0] * classes for key in _QOS_COUNTERS}
+        for port in self.ports.values():
+            for key, counts in totals.items():
+                for cls, value in enumerate(getattr(port, key)):
+                    counts[cls] += value
         return totals

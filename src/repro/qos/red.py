@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Union
 
 _TWO_64 = float(2**64)
 
@@ -78,9 +79,12 @@ def keyed_uniform(seed: int, axis: str, index: int) -> float:
 
 
 def red_decide(
-    seed: int, port: int, class_name: str, index: int, probability: float
+    seed: int, port: Union[int, str], class_name: str, index: int,
+    probability: float,
 ) -> bool:
-    """Does the ``index``-th RED opportunity on (port, class) drop?"""
+    """Does the ``index``-th RED opportunity on (port, class) drop?
+    ``port`` is the destination index on the implicit switch, the link
+    name on a composed topology."""
     if probability <= 0.0:
         return False
     if probability >= 1.0:

@@ -8,12 +8,12 @@ frames, keeps per-class delivery/latency statistics (streaming
 quantile sketches registered as ``qos.<class>.oneway_us``, or exact
 sample lists in the golden-corpus estimator mode), and routes the
 switch's PFC-style XOFF/XON notifications to the stream pacers of the
-paused class targeting the congested port.
+paused class whose route crosses the congested port.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from repro.fabric.flows import (
     LATENCY_SIGNIFICANT_DIGITS,
@@ -46,24 +46,22 @@ class QosRuntime:
             for tc in qos.classes
         ]
         # (port key, class index) -> stream pacers PFC pause can stop.
-        # The legacy single switch keys ports by destination endpoint;
-        # a composed topology keys them by link name, and a flow must
-        # react to XOFF from *any* link on its (deterministic, ECMP-
-        # resolved) route — congestion at a spine uplink pauses the
-        # sender just like congestion at the access link.
-        self._pacers: Dict[Tuple[object, int], List[StreamFlowRuntime]] = {}
+        # A flow reacts to XOFF from *any* port on its (deterministic,
+        # ECMP-resolved) route: the destination's port on the implicit
+        # switch, every link on a topology — congestion at a spine
+        # uplink pauses the sender just like congestion at the access
+        # link.
+        self._pacers: Dict[
+            Tuple[Union[int, str], int], List[StreamFlowRuntime]
+        ] = {}
         for runtime in fabric.flows.values():
             class_name = qos.resolve(runtime.spec.qos_class)
             cls = self._index[class_name]
             runtime._qos_tag = (class_name, qos.classes[cls].dscp)
             if isinstance(runtime, StreamFlowRuntime):
-                if fabric.spec.topology is not None:
-                    keys = fabric.wire.route_ports(
-                        runtime.name, runtime.spec.src, runtime.spec.dst
-                    )
-                else:
-                    keys = (runtime.spec.dst,)
-                for key in keys:
+                for key in fabric.wire.route_ports(
+                    runtime.name, runtime.spec.src, runtime.spec.dst
+                ):
                     self._pacers.setdefault((key, cls), []).append(runtime)
 
     # -- fabric callbacks -----------------------------------------------
@@ -77,11 +75,11 @@ class QosRuntime:
         else:
             self.oneway_samples_us[cls].append(oneway_us)
 
-    def pause(self, port: int, cls: int, now_ps: int) -> None:
+    def pause(self, port: Union[int, str], cls: int, now_ps: int) -> None:
         for runtime in self._pacers.get((port, cls), ()):
             runtime.qos_pause(now_ps)
 
-    def resume(self, port: int, cls: int, now_ps: int) -> None:
+    def resume(self, port: Union[int, str], cls: int, now_ps: int) -> None:
         for runtime in self._pacers.get((port, cls), ()):
             runtime.qos_resume(now_ps)
 
@@ -124,9 +122,8 @@ class QosRuntime:
                 "goodput_gbps": payload * 8 / measure_seconds / 1e9,
                 "oneway": summary.to_dict(),
             }
-            for key in ("enqueued", "forwarded", "tail_drops", "red_drops",
-                        "pause_events", "resume_events"):
-                entry[key] = wire_now[key][cls] - wire_then[key][cls]
+            for key, counts in wire_now.items():
+                entry[key] = counts[cls] - wire_then[key][cls]
             if tc.p999_bound_us:
                 entry["p999_bound_us"] = tc.p999_bound_us
             classes[tc.name] = entry

@@ -36,7 +36,7 @@ from repro.check.oracles import (
     run_loopback_oracle,
     run_ordering_oracle,
 )
-from repro.fabric import FabricSimulator, FabricSpec
+from repro.fabric import FabricSimulator, FabricSpec, RpcFlowSpec, StreamFlowSpec
 from repro.faults import FaultPlan
 from repro.firmware import ordering
 from repro.firmware.ordering import OrderingBoard, OrderingMode
@@ -184,6 +184,33 @@ class TestMonitoredRuns:
         attach_monitor(simulator, NULL_MONITOR)
         assert simulator.sim.monitor is NULL_MONITOR
         assert simulator.queue.monitor is NULL_MONITOR
+
+    def test_fabric_mac_drops_keep_receive_identities(self):
+        """A fabric NIC's MAC drops expired frames before numbering
+        them, so those drops must not count against its sequence space.
+        Regression: NIC 3 here drops 6 frames, and the identities used
+        to read ``next_seq == accepted + 6``."""
+        spec = FabricSpec(
+            nics=4, switch=True, port_queue_frames=6, seed=9,
+            rpc_flows=(
+                RpcFlowSpec(client=0, server=3, concurrency=8),
+                RpcFlowSpec(client=2, server=1, concurrency=2),
+            ),
+            stream_flows=(
+                StreamFlowSpec(src=1, dst=3, offered_fraction=0.7),
+                StreamFlowSpec(src=2, dst=3, offered_fraction=0.7, imix=True),
+                StreamFlowSpec(src=3, dst=0, offered_fraction=0.5,
+                               udp_payload_bytes=200),
+            ),
+        )
+        config = NicConfig(cores=4, core_frequency_hz=mhz(133))
+        simulator = FabricSimulator(config, spec)
+        simulator.run(0.1e-3, 0.4e-3)
+        assert simulator.endpoints[3]._rx_dropped > 0
+        checked = verify_conservation(simulator)
+        assert checked["fabric.mac_drops"]
+        assert checked["nic3.rx.seq_conservation"]
+        assert checked["nic3.rx.fault_identity"]
 
     def test_verify_reports_instead_of_raising_when_asked(self):
         simulator = ThroughputSimulator(_config(), 1472)

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.exp import RunSpec, Sweep, SweepRunner, execute_spec
+from repro.exp.spec import describe
 from repro.fabric import (
     FabricResult,
     FabricSimulator,
@@ -460,6 +461,15 @@ class TestEngineIntegration:
         inputs = spec.key_inputs()
         assert "fabric_spec" not in inputs
         assert "fault_plan" not in inputs
+
+    @pytest.mark.parametrize("field", ("qos", "topology"))
+    def test_absent_optional_field_keeps_legacy_fabric_keys(self, field):
+        """An absent qos/topology config is omitted from a fabric's
+        description and from its run's cache-key inputs, so legacy
+        fabric keys (and golden digests) stay byte-identical."""
+        assert field not in json.dumps(describe(FabricSpec.rpc_pair()))
+        spec = RunSpec(config=_config(), fabric_spec=FabricSpec.rpc_pair(seed=11))
+        assert field not in json.dumps(spec.key_inputs(), sort_keys=True)
 
     def test_fabric_spec_changes_key(self):
         base = RunSpec(config=_config(), warmup_s=WARMUP_S, measure_s=MEASURE_S)

@@ -270,7 +270,7 @@ def test_pause_resume_conserves_frames(case):
         ))
     fabric.sim.drain()
 
-    port = wire._qos_ports[2]
+    port = wire.ports[2]
     delivered = sum(len(ep.arrivals) for ep in fabric.endpoints)
     # Conservation: injected == forwarded + dropped + still-queued, and
     # after a full drain the backlog must be empty (work conservation).

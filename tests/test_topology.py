@@ -272,6 +272,55 @@ def test_two_hop_latency_matches_hand_computed_oracle():
     assert oracle - (a1 + lat + prop + lat + prop) == tf
 
 
+def _race_to_nic2(topology):
+    """Frame A (1472 B from NIC 0) is on the wire over [0, 1,230,400) ps
+    and frame B (18 B from NIC 1) over [100,000, 167,200) ps, both bound
+    for NIC 2 through one switch with default timing (1 us propagation,
+    0.5 us switch latency).  Returns NIC 2's (frame, first-bit) arrivals
+    in arrival order."""
+    spec = FabricSpec(
+        nics=3, switch=True, topology=topology,
+        stream_flows=(
+            StreamFlowSpec(src=0, dst=2, name="A"),
+            StreamFlowSpec(src=1, dst=2, name="B"),
+        ),
+    )
+    fabric = _KernelFabric(spec)
+    wire = FabricWire(fabric, spec)
+    for src, name, payload, start, end in (
+        (0, "A", 1472, 0, 1_230_400),
+        (1, "B", 18, 100_000, 167_200),
+    ):
+        frame = FabricFrame(
+            flow=name, src=src, dst=2, udp_payload_bytes=payload,
+            kind="stream", request_id=name, created_ps=start,
+        )
+        assert start + fabric.timing.frame_time_ps(frame.frame_bytes) == end
+        event = WireEvent(seq=0, wire_start_ps=start, wire_end_ps=end,
+                          sdram_done_ps=end)
+        fabric.sim.schedule_at(
+            start, lambda src=src, frame=frame, event=event:
+            wire.transmit(src, frame, event)
+        )
+    fabric.sim.run()
+    assert not fabric.lost
+    return fabric.endpoints[2].arrivals
+
+
+def test_implicit_switch_serves_transmit_order():
+    """The implicit FIFO switch resolves a frame's hop when it is
+    transmitted, so B (at the switch from 1,667,200 ps) queues behind A
+    (at the switch from 2,730,400 ps) and waits 2.29 us for a frame that
+    arrived after it did.  A one-switch topology serves arrival order.
+    The two therefore differ byte for byte wherever port contention
+    reorders, so a single switch is not a one-switch-topology oracle."""
+    assert _race_to_nic2(None) == [("A", 3_730_400), ("B", 4_960_800)]
+    one_switch = TopologySpec(
+        switches=("sw",), host_links=((0, "sw"), (1, "sw"), (2, "sw"))
+    )
+    assert _race_to_nic2(one_switch) == [("B", 2_667_200), ("A", 3_730_400)]
+
+
 # ----------------------------------------------------------------------
 # End-to-end: monitor, verify, reports, byte-identity
 # ----------------------------------------------------------------------
@@ -325,7 +374,7 @@ class TestEndToEnd:
         assert result.qos is not None and result.topology is not None
         # QoS ports are keyed by link name in topology mode.
         assert all(
-            "->" in port.index for port in simulator.wire.qos_ports()
+            "->" in port.index for port in simulator.wire.ports.values()
         )
 
     def test_result_dict_omits_topology_when_absent(self):
