@@ -9,12 +9,9 @@ saturates below duplex line rate), N >= 2 rings spread the completion
 work and restore wire-limited throughput, and per-core utilization
 falls roughly in proportion to the ring count."""
 
-from dataclasses import replace
-
 from benchmarks._helpers import emit, run_once, sweep_kwargs
 from repro.analysis import format_table
-from repro.exp import RunSpec, Sweep
-from repro.host.rss import RssSpec
+from repro.exp import Sweep
 from repro.nic import RMW_166MHZ
 
 RING_COUNTS = (1, 2, 4, 8)
@@ -25,24 +22,16 @@ MEASURE_S = 1.0e-3
 
 
 def _experiment():
-    # rss_grid maps rings <= 1 to the paper baseline (no host model);
-    # add an explicit single-ring RSS arm on the same task-level
-    # firmware as the multi-ring arms for the host-limited data point.
-    grid = Sweep.rss_grid(
+    # The paper baseline (no host model) plus one RSS arm per ring
+    # count; the 1-ring RSS arm on the task-level firmware is the
+    # host-limited data point.
+    sweep = Sweep.rss_grid(
         "bench-rss-scaling",
         RING_COUNTS,
         base_config=RMW_166MHZ,
         warmup_s=WARMUP_S,
         measure_s=MEASURE_S,
     )
-    one_ring = RunSpec(
-        config=replace(RMW_166MHZ, task_level_firmware=True),
-        warmup_s=WARMUP_S,
-        measure_s=MEASURE_S,
-        label="1ring-rss",
-        rss=RssSpec(rings=1),
-    )
-    sweep = Sweep("bench-rss-scaling", list(grid.specs) + [one_ring])
     outcome = sweep.run(**sweep_kwargs())
     return Sweep.rows(outcome)
 
@@ -67,8 +56,9 @@ def bench_rss_ring_scaling(benchmark):
         title="RSS scaling: paper 1-ring host vs multi-queue (1472 B, RMW 166 MHz)",
     ))
 
-    by_rings = {row["rss_rings"]: row for row in rows if "ring-rss" in row["label"]}
-    paper = next(row for row in rows if row["label"] == "1ring-paper")
+    paper, *arms = rows
+    assert paper["label"] == "paper-1ring"
+    by_rings = {row["rss_rings"]: row for row in arms}
 
     # The paper baseline itself is wire-limited (no host model).
     assert paper["udp_throughput_gbps"] > 18.5

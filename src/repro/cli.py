@@ -7,6 +7,8 @@ Subcommands::
     repro faults   throughput under injected faults (run or rate sweep)
     repro fabric   multi-NIC fabric: RPC/stream flows, latency percentiles
     repro qos      mixed-criticality QoS ablation: classes, schedulers, AQM
+    repro topology leaf-spine ablation: oversubscription incast, ECMP spread
+    repro rss      host-interface ablation: paper single ring vs multi-queue RSS
     repro report   regenerate the paper's whole evaluation
     repro check    conformance: oracles, golden corpus, fuzz, replay
     repro bench    benchmark observatory: run benches, emit/compare BENCH JSON
@@ -14,27 +16,76 @@ Subcommands::
     repro ilp      IPC-limit analysis of a firmware trace
 
 Installed as the ``repro`` console script, and reachable via
-``python -m repro <subcommand>``.
+``python -m repro <subcommand>``.  Flags that describe no valid
+configuration exit with status 2 and a one-line message; a failed
+ablation check exits with status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.firmware.ordering import OrderingMode
 from repro.units import mhz
 
 
+# ----------------------------------------------------------------------
+# Flag groups shared by several subcommands
+# ----------------------------------------------------------------------
+def _add_nic_flags(parser, default_cores: int = 6, default_mhz: float = 166,
+                   layout: bool = True, cores_help: Optional[str] = None) -> None:
+    """The NIC flags :func:`_nic_config` reads; ``layout`` adds
+    ``--banks/--ordering`` (without them the NicConfig defaults hold)."""
+    parser.add_argument("--cores", type=int, default=default_cores,
+                        help=cores_help)
+    parser.add_argument("--mhz", type=float, default=default_mhz)
+    if layout:
+        parser.add_argument("--banks", type=int, default=4)
+        parser.add_argument("--ordering", choices=["rmw", "software"],
+                            default="rmw")
+
+
+def _add_engine_flags(parser) -> None:
+    """Flags of the cached experiment engine :func:`_run_sweep` drives."""
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="worker processes (default: $REPRO_SWEEP_JOBS "
+                             "or 1 = serial)")
+    parser.add_argument("--cache-dir", type=str, default=None, metavar="DIR",
+                        help="content-addressed result cache directory "
+                             "(default: $REPRO_CACHE_DIR; unset = no cache)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="disable cache reads and writes even if a "
+                             "cache directory is configured")
+
+
+def _add_output_flags(parser, csv: bool = True) -> None:
+    parser.add_argument("--json", type=str, default="", metavar="PATH",
+                        dest="json_out", nargs="?", const="-",
+                        help="write results as JSON ('-' or no value = "
+                             "stdout)")
+    if csv:
+        parser.add_argument("--csv", type=str, default="", metavar="PATH",
+                            dest="csv_out",
+                            help="write per-point sweep rows as CSV "
+                                 "('-' = stdout)")
+
+
+def _add_estimator_flag(parser) -> None:
+    """``--estimator`` of the in-process ablations (:func:`_run_arms`)."""
+    parser.add_argument("--estimator", choices=["streaming", "exact"],
+                        default="exact",
+                        help="latency percentile estimator (default exact: "
+                             "the ablation's JSON is byte-compared in CI)")
+
+
 def _add_run_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "run", help="run one full-duplex throughput experiment"
     )
-    parser.add_argument("--cores", type=int, default=6)
-    parser.add_argument("--mhz", type=float, default=166)
-    parser.add_argument("--banks", type=int, default=4)
-    parser.add_argument("--ordering", choices=["rmw", "software"], default="rmw")
+    _add_nic_flags(parser)
     parser.add_argument("--payload", type=int, default=1472)
     parser.add_argument("--millis", type=float, default=1.0)
     parser.add_argument("--offered", type=float, default=1.0,
@@ -76,26 +127,8 @@ def _add_sweep_parser(subparsers) -> None:
     parser.add_argument("--millis", type=float, default=0.8,
                         help="measurement window per point in simulated "
                              "milliseconds (default: 0.8)")
-    # -- experiment engine -----------------------------------------------
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes (default: $REPRO_SWEEP_JOBS "
-                             "or 1 = serial)")
-    parser.add_argument("--cache-dir", type=str, default=None, metavar="DIR",
-                        help="content-addressed result cache directory "
-                             "(default: $REPRO_CACHE_DIR; unset = no cache)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable cache reads and writes even if a "
-                             "cache directory is configured")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep from the cache "
-                             "(requires a cache directory; cached points "
-                             "are skipped, missing points are executed)")
-    parser.add_argument("--json", type=str, default="", metavar="PATH",
-                        dest="json_out",
-                        help="write per-point results as JSON ('-' for stdout)")
-    parser.add_argument("--csv", type=str, default="", metavar="PATH",
-                        dest="csv_out",
-                        help="write per-point results as CSV ('-' for stdout)")
+    _add_engine_flags(parser)
+    _add_output_flags(parser)
 
 
 def _add_faults_parser(subparsers) -> None:
@@ -103,11 +136,7 @@ def _add_faults_parser(subparsers) -> None:
         "faults",
         help="throughput under injected faults (docs/faults.md)",
     )
-    # -- NIC configuration ------------------------------------------------
-    parser.add_argument("--cores", type=int, default=6)
-    parser.add_argument("--mhz", type=float, default=166)
-    parser.add_argument("--banks", type=int, default=4)
-    parser.add_argument("--ordering", choices=["rmw", "software"], default="rmw")
+    _add_nic_flags(parser)
     parser.add_argument("--payload", type=int, default=1472)
     parser.add_argument("--millis", type=float, default=0.8,
                         help="measurement window in simulated milliseconds")
@@ -134,17 +163,8 @@ def _add_faults_parser(subparsers) -> None:
     parser.add_argument("--rates", type=float, nargs="+",
                         default=[0.0, 1e-4, 1e-3, 1e-2, 0.05],
                         help="fault rates for --sweep-axis")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the sweep")
-    parser.add_argument("--cache-dir", type=str, default=None, metavar="DIR")
-    parser.add_argument("--no-cache", action="store_true")
-    # -- output -----------------------------------------------------------
-    parser.add_argument("--json", type=str, default="", metavar="PATH",
-                        dest="json_out", nargs="?", const="-",
-                        help="emit results as JSON ('-' or no value = stdout)")
-    parser.add_argument("--csv", type=str, default="", metavar="PATH",
-                        dest="csv_out",
-                        help="sweep mode: write per-point rows as CSV")
+    _add_engine_flags(parser)
+    _add_output_flags(parser)
 
 
 def _add_fabric_parser(subparsers) -> None:
@@ -152,11 +172,7 @@ def _add_fabric_parser(subparsers) -> None:
         "fabric",
         help="multi-NIC fabric with stateful flows (docs/fabric.md)",
     )
-    # -- NIC configuration ------------------------------------------------
-    parser.add_argument("--cores", type=int, default=6)
-    parser.add_argument("--mhz", type=float, default=166)
-    parser.add_argument("--banks", type=int, default=4)
-    parser.add_argument("--ordering", choices=["rmw", "software"], default="rmw")
+    _add_nic_flags(parser)
     # -- topology ---------------------------------------------------------
     parser.add_argument("--nics", type=int, default=2,
                         help="endpoints in the fabric (default: 2)")
@@ -197,20 +213,12 @@ def _add_fabric_parser(subparsers) -> None:
                         metavar="FRACTION",
                         help="sweep the stream offered load over these "
                              "fractions (engine path: parallel + cached)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for the sweep")
-    parser.add_argument("--cache-dir", type=str, default=None, metavar="DIR")
-    parser.add_argument("--no-cache", action="store_true")
+    _add_engine_flags(parser)
     # -- output -----------------------------------------------------------
     parser.add_argument("--trace", type=str, default="", metavar="OUT.json",
                         help="write a Perfetto/Chrome trace with per-NIC "
                              "tracks plus cross-NIC fabric spans")
-    parser.add_argument("--json", type=str, default="", metavar="PATH",
-                        dest="json_out", nargs="?", const="-",
-                        help="emit results as JSON ('-' or no value = stdout)")
-    parser.add_argument("--csv", type=str, default="", metavar="PATH",
-                        dest="csv_out",
-                        help="sweep mode: write per-point rows as CSV")
+    _add_output_flags(parser)
 
 
 def _add_qos_parser(subparsers) -> None:
@@ -219,12 +227,10 @@ def _add_qos_parser(subparsers) -> None:
         help="mixed-criticality QoS ablation: per-class queueing, "
              "pluggable schedulers, RED AQM, PFC pause (docs/qos.md)",
     )
-    # -- NIC configuration ------------------------------------------------
-    parser.add_argument("--cores", type=int, default=4,
-                        help="cores per NIC (default 4: each source can "
-                             "saturate the 10G switch port, so the "
-                             "best-effort lane can actually overload it)")
-    parser.add_argument("--mhz", type=float, default=133)
+    _add_nic_flags(parser, default_cores=4, default_mhz=133, layout=False,
+                   cores_help="cores per NIC (default 4: each source can "
+                              "saturate the 10G switch port, so the "
+                              "best-effort lane can actually overload it)")
     # -- QoS configuration ------------------------------------------------
     parser.add_argument("--scheduler", choices=["strict", "drr", "wrr"],
                         default="strict",
@@ -253,15 +259,8 @@ def _add_qos_parser(subparsers) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="keys the RED drop decisions (same seed => "
                              "byte-identical runs)")
-    parser.add_argument("--estimator", choices=["streaming", "exact"],
-                        default="exact",
-                        help="latency percentile estimator (default exact: "
-                             "the ablation's JSON is byte-compared in CI)")
-    # -- output -----------------------------------------------------------
-    parser.add_argument("--json", type=str, default="", metavar="PATH",
-                        dest="json_out", nargs="?", const="-",
-                        help="emit all arms as JSON ('-' or no value = "
-                             "stdout)")
+    _add_estimator_flag(parser)
+    _add_output_flags(parser, csv=False)
 
 
 def _add_topology_parser(subparsers) -> None:
@@ -270,9 +269,7 @@ def _add_topology_parser(subparsers) -> None:
         help="datacenter-fabric ablations: leaf-spine oversubscription "
              "incast + ECMP spreading (docs/fabric.md)",
     )
-    # -- NIC configuration ------------------------------------------------
-    parser.add_argument("--cores", type=int, default=2)
-    parser.add_argument("--mhz", type=float, default=133)
+    _add_nic_flags(parser, default_cores=2, default_mhz=133, layout=False)
     # -- topology ---------------------------------------------------------
     parser.add_argument("--racks", type=int, default=2)
     parser.add_argument("--hosts-per-rack", type=int, default=4,
@@ -306,15 +303,8 @@ def _add_topology_parser(subparsers) -> None:
     parser.add_argument("--seed", type=int, default=17,
                         help="keys the ECMP route draws (same seed => "
                              "byte-identical runs)")
-    parser.add_argument("--estimator", choices=["streaming", "exact"],
-                        default="exact",
-                        help="latency percentile estimator (default exact: "
-                             "the ablation's JSON is byte-compared in CI)")
-    # -- output -----------------------------------------------------------
-    parser.add_argument("--json", type=str, default="", metavar="PATH",
-                        dest="json_out", nargs="?", const="-",
-                        help="emit all arms as JSON ('-' or no value = "
-                             "stdout)")
+    _add_estimator_flag(parser)
+    _add_output_flags(parser, csv=False)
 
 
 def _add_rss_parser(subparsers) -> None:
@@ -323,11 +313,7 @@ def _add_rss_parser(subparsers) -> None:
         help="paper-vs-modern host-interface ablation: single ring vs "
              "multi-queue RSS (docs/fabric.md)",
     )
-    # -- NIC configuration ------------------------------------------------
-    parser.add_argument("--cores", type=int, default=6)
-    parser.add_argument("--mhz", type=float, default=166)
-    parser.add_argument("--banks", type=int, default=4)
-    parser.add_argument("--ordering", choices=["rmw", "software"], default="rmw")
+    _add_nic_flags(parser)
     # -- ablation arms ----------------------------------------------------
     parser.add_argument("--rings", type=int, nargs="+", default=[1, 2, 4, 8],
                         metavar="N",
@@ -357,15 +343,8 @@ def _add_rss_parser(subparsers) -> None:
     parser.add_argument("--millis", type=float, default=0.8,
                         help="measurement window in simulated milliseconds")
     parser.add_argument("--warmup-millis", type=float, default=0.4)
-    parser.add_argument("--jobs", type=int, default=None, metavar="N")
-    parser.add_argument("--cache-dir", type=str, default=None, metavar="DIR")
-    parser.add_argument("--no-cache", action="store_true")
-    # -- output -----------------------------------------------------------
-    parser.add_argument("--json", type=str, default="", metavar="PATH",
-                        dest="json_out", nargs="?", const="-",
-                        help="emit per-arm rows as JSON ('-' = stdout)")
-    parser.add_argument("--csv", type=str, default="", metavar="PATH",
-                        dest="csv_out")
+    _add_engine_flags(parser)
+    _add_output_flags(parser)
 
 
 def _add_report_parser(subparsers) -> None:
@@ -497,15 +476,117 @@ def _ordering(name: str) -> OrderingMode:
     return OrderingMode.RMW if name == "rmw" else OrderingMode.SOFTWARE
 
 
-def _cmd_run(args) -> int:
-    from repro.nic import NicConfig, ThroughputSimulator
+def _nic_config(args):
+    """The NicConfig the flags of :func:`_add_nic_flags` describe."""
+    from repro.nic import NicConfig
 
-    config = NicConfig(
-        cores=args.cores,
-        core_frequency_hz=mhz(args.mhz),
-        scratchpad_banks=args.banks,
-        ordering_mode=_ordering(args.ordering),
+    fields = {"cores": args.cores, "core_frequency_hz": mhz(args.mhz)}
+    if "banks" in args:
+        fields.update(scratchpad_banks=args.banks,
+                      ordering_mode=_ordering(args.ordering))
+    return NicConfig(**fields)
+
+
+class _InvalidFlags(Exception):
+    """The flags describe no valid configuration (exit status 2)."""
+
+
+@contextmanager
+def _validating():
+    """Scope a command's config and spec construction: a ``ValueError``
+    raised inside is bad input, which :func:`main` reports in one line
+    with exit status 2.  Never wrap a run, so simulator errors keep
+    their traceback."""
+    try:
+        yield
+    except ValueError as error:
+        raise _InvalidFlags(str(error)) from error
+
+
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path`` ('-' = stdout); True if it went to
+    stdout, where it replaces the human-readable table."""
+    if path == "-":
+        print(text, end="")
+        return True
+    with open(path, "w") as handle:
+        handle.write(text)
+    print(f"results written to {path}", file=sys.stderr)
+    return False
+
+
+def _write_json(path: str, payload, sort_keys: bool = False) -> bool:
+    import json
+
+    return _write(path, json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n")
+
+
+# ----------------------------------------------------------------------
+# The two ways a command runs a sweep
+# ----------------------------------------------------------------------
+def _run_sweep(args, sweep, render, **header) -> int:
+    """Run ``sweep`` through the cached experiment engine
+    (``--jobs/--cache-dir/--no-cache``), export its per-point rows
+    (``--json`` writes ``{"name", **header, "points"}``, ``--csv`` one
+    line per point) and print ``render(rows)`` unless an export went to
+    stdout."""
+    from repro.exp import Sweep, SweepRunner
+
+    runner = SweepRunner(
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+        progress=sys.stderr,
+        label=sweep.name,
     )
+    outcome = sweep.run(runner)
+    records = Sweep.rows(outcome)
+    to_stdout = False
+    if args.json_out:
+        payload = {"name": sweep.name, **header, "points": records}
+        to_stdout |= _write_json(args.json_out, payload)
+    if args.csv_out:
+        import csv
+        import io
+
+        buffer = io.StringIO()
+        writer = csv.DictWriter(
+            buffer, fieldnames=list(records[0].keys()), lineterminator="\n"
+        )
+        writer.writeheader()
+        writer.writerows(records)
+        to_stdout |= _write(args.csv_out, buffer.getvalue())
+    if not to_stdout:
+        print(render(records))
+    print(
+        f"{args.command}: {len(outcome)} points, {outcome.cache_hits} cache "
+        f"hits, {outcome.executed} executed in {outcome.elapsed_s:.1f}s",
+        file=sys.stderr,
+    )
+    return 0
+
+
+def _run_arms(sweep, estimator: str) -> list:
+    """Run a fabric sweep's points in this process, uncached, with the
+    chosen latency estimator.  The engine always runs the streaming
+    estimator; ``repro qos``/``topology`` default to exact so their
+    JSON is byte-stable across versions."""
+    from repro.fabric import FabricSimulator
+
+    return [
+        FabricSimulator(spec.config, spec.fabric_spec, estimator=estimator)
+        .run(warmup_s=spec.warmup_s, measure_s=spec.measure_s)
+        for spec in sweep
+    ]
+
+
+def _cmd_run(args) -> int:
+    from repro.nic import ThroughputSimulator
+
+    with _validating():
+        config = _nic_config(args)
+        if args.metrics_out and args.sample_interval <= 0:
+            raise ValueError("--sample-interval must be positive")
     tracer = None
     if args.trace:
         from repro.obs import Tracer
@@ -516,9 +597,6 @@ def _cmd_run(args) -> int:
     )
     sampler = None
     if args.metrics_out:
-        if args.sample_interval <= 0:
-            print("--sample-interval must be positive", file=sys.stderr)
-            return 2
         sampler = simulator.sample_metrics_every(round(args.sample_interval * 1e6))
     profiler = None
     if args.profile_sim:
@@ -541,12 +619,10 @@ def _cmd_run(args) -> int:
     if profiler is not None:
         print(profiler.report(), file=sys.stderr)
     if args.json:
-        import json
-
         payload = result.to_dict()
         if profiler is not None:
             payload["sim_profile"] = profiler.to_dict(top_n=25)
-        print(json.dumps(payload, indent=2))
+        _write_json("-", payload)
         return 0
     print(f"{config.label}  payload {args.payload} B")
     print(f"  throughput: {result.udp_throughput_gbps:.2f} Gb/s "
@@ -563,88 +639,29 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.analysis import format_table
-    from repro.exp import Sweep, SweepRunner, default_cache_dir
+    from repro.exp import Sweep
 
-    cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    if args.no_cache and args.resume:
-        print("--resume needs the cache; drop --no-cache", file=sys.stderr)
-        return 2
-    if args.resume and not cache_dir:
-        print("--resume requires --cache-dir (or $REPRO_CACHE_DIR)",
-              file=sys.stderr)
-        return 2
-
-    sweep = Sweep.grid(
-        "sweep",
-        core_counts=args.cores,
-        frequencies_mhz=args.mhz,
-        udp_payload_bytes=args.payload,
-        ordering=_ordering(args.ordering),
-        warmup_s=0.4e-3,
-        measure_s=args.millis * 1e-3,
-    )
-    runner = SweepRunner(
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        use_cache=not args.no_cache,
-        progress=sys.stderr,
-        label="sweep",
-    )
-    outcome = sweep.run(runner)
-
-    # Per-point records for downstream tooling.
-    records = Sweep.rows(outcome)
-    emitted_to_stdout = False
-    if args.json_out:
-        import json
-
-        text = json.dumps({"name": sweep.name, "points": records}, indent=2)
-        if args.json_out == "-":
-            print(text)
-            emitted_to_stdout = True
-        else:
-            with open(args.json_out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"results written to {args.json_out}", file=sys.stderr)
-    if args.csv_out:
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer, fieldnames=list(records[0].keys()), lineterminator="\n"
+    with _validating():
+        sweep = Sweep.grid(
+            "sweep",
+            core_counts=args.cores,
+            frequencies_mhz=args.mhz,
+            udp_payload_bytes=args.payload,
+            ordering=_ordering(args.ordering),
+            warmup_s=0.4e-3,
+            measure_s=args.millis * 1e-3,
         )
-        writer.writeheader()
-        writer.writerows(records)
-        if args.csv_out == "-":
-            print(buffer.getvalue(), end="")
-            emitted_to_stdout = True
-        else:
-            with open(args.csv_out, "w") as handle:
-                handle.write(buffer.getvalue())
-            print(f"results written to {args.csv_out}", file=sys.stderr)
 
-    if not emitted_to_stdout:
-        by_point = {
-            (spec.config.cores, spec.config.core_frequency_hz / 1e6): result
-            for spec, result in zip(outcome.specs, outcome.results)
-        }
-        rows = [
-            [cores] + [by_point[(cores, frequency)].udp_throughput_gbps
-                       for frequency in args.mhz]
-            for cores in args.cores
-        ]
-        print(format_table(
+    def render(records):
+        gbps = {(r["cores"], r["mhz"]): r["udp_throughput_gbps"] for r in records}
+        return format_table(
             ["cores \\ MHz"] + [str(f) for f in args.mhz],
-            rows,
+            [[cores] + [gbps[(cores, frequency)] for frequency in args.mhz]
+             for cores in args.cores],
             title=f"UDP Gb/s, {args.ordering} firmware, {args.payload} B payloads",
-        ))
-    print(
-        f"sweep: {len(outcome)} points, {outcome.cache_hits} cache hits, "
-        f"{outcome.executed} executed in {outcome.elapsed_s:.1f}s",
-        file=sys.stderr,
-    )
-    return 0
+        )
+
+    return _run_sweep(args, sweep, render)
 
 
 _FAULT_AXES = {
@@ -654,53 +671,35 @@ _FAULT_AXES = {
 }
 
 
-def _fault_plan_from_args(args):
+def _cmd_faults(args) -> int:
     from repro.faults import FaultPlan
 
-    return FaultPlan(
-        seed=args.seed,
-        rx_fcs_rate=args.fcs_rate,
-        sdram_error_rate=args.sdram_rate,
-        sdram_max_retries=args.sdram_max_retries,
-        pci_stall_rate=args.pci_stall_rate,
-        pci_stall_ps=round(args.pci_stall_us * 1e6),
-        event_queue_depth=args.queue_depth,
-    )
-
-
-def _cmd_faults(args) -> int:
-    from repro.nic import NicConfig
-
-    config = NicConfig(
-        cores=args.cores,
-        core_frequency_hz=mhz(args.mhz),
-        scratchpad_banks=args.banks,
-        ordering_mode=_ordering(args.ordering),
-    )
+    with _validating():
+        config = _nic_config(args)
+        plan = FaultPlan(
+            seed=args.seed,
+            rx_fcs_rate=args.fcs_rate,
+            sdram_error_rate=args.sdram_rate,
+            sdram_max_retries=args.sdram_max_retries,
+            pci_stall_rate=args.pci_stall_rate,
+            pci_stall_ps=round(args.pci_stall_us * 1e6),
+            event_queue_depth=args.queue_depth,
+        )
     if args.sweep_axis:
-        return _faults_sweep(args, config)
-    return _faults_single(args, config)
+        return _faults_sweep(args, config, plan)
+    return _faults_single(args, config, plan)
 
 
-def _faults_single(args, config) -> int:
+def _faults_single(args, config, plan) -> int:
     from repro.nic import ThroughputSimulator
 
-    plan = _fault_plan_from_args(args)
     simulator = ThroughputSimulator(
         config, args.payload, fault_plan=plan if plan.enabled else None
     )
     result = simulator.run(warmup_s=0.4e-3, measure_s=args.millis * 1e-3)
     report = result.fault_report()
     if args.json_out:
-        import json
-
-        text = json.dumps(result.to_dict(), indent=2)
-        if args.json_out == "-":
-            print(text)
-        else:
-            with open(args.json_out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"result written to {args.json_out}", file=sys.stderr)
+        _write_json(args.json_out, result.to_dict())
         return 0
     print(f"{config.label}  payload {args.payload} B  seed {plan.seed}"
           + ("" if plan.enabled else "  (no faults enabled)"))
@@ -718,65 +717,24 @@ def _faults_single(args, config) -> int:
     return 0
 
 
-def _faults_sweep(args, config) -> int:
+def _faults_sweep(args, config, plan) -> int:
     from repro.analysis import format_table
-    from repro.exp import Sweep, SweepRunner, default_cache_dir
+    from repro.exp import Sweep
 
     axis = _FAULT_AXES[args.sweep_axis]
-    plan = _fault_plan_from_args(args)
-    sweep = Sweep.fault_grid(
-        f"faults-{args.sweep_axis}",
-        axis=axis,
-        rates=args.rates,
-        base_config=config,
-        udp_payload_bytes=args.payload,
-        plan=plan,
-        warmup_s=0.4e-3,
-        measure_s=args.millis * 1e-3,
-    )
-    cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    runner = SweepRunner(
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        use_cache=not args.no_cache,
-        progress=sys.stderr,
-        label=sweep.name,
-    )
-    outcome = sweep.run(runner)
-    records = Sweep.rows(outcome)
-
-    emitted_to_stdout = False
-    if args.json_out:
-        import json
-
-        text = json.dumps({"name": sweep.name, "axis": axis,
-                           "points": records}, indent=2)
-        if args.json_out == "-":
-            print(text)
-            emitted_to_stdout = True
-        else:
-            with open(args.json_out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"results written to {args.json_out}", file=sys.stderr)
-    if args.csv_out:
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer, fieldnames=list(records[0].keys()), lineterminator="\n"
+    with _validating():
+        sweep = Sweep.fault_grid(
+            f"faults-{args.sweep_axis}",
+            axis=axis,
+            rates=args.rates,
+            base_config=config,
+            udp_payload_bytes=args.payload,
+            plan=plan,
+            warmup_s=0.4e-3,
+            measure_s=args.millis * 1e-3,
         )
-        writer.writeheader()
-        writer.writerows(records)
-        if args.csv_out == "-":
-            print(buffer.getvalue(), end="")
-            emitted_to_stdout = True
-        else:
-            with open(args.csv_out, "w") as handle:
-                handle.write(buffer.getvalue())
-            print(f"results written to {args.csv_out}", file=sys.stderr)
 
-    if not emitted_to_stdout:
+    def render(records):
         rows = [
             [f"{rate:g}",
              f"{record['udp_throughput_gbps']:.2f}",
@@ -786,19 +744,15 @@ def _faults_sweep(args, config) -> int:
              record["queue_drops"]]
             for rate, record in zip(args.rates, records)
         ]
-        print(format_table(
+        return format_table(
             [axis, "goodput Gb/s", "rx holes", "sdram retries",
              "pci stalls", "queue drops"],
             rows,
             title=f"goodput vs {axis}, {config.label}, "
                   f"{args.payload} B payloads, seed {args.seed}",
-        ))
-    print(
-        f"faults: {len(outcome)} points, {outcome.cache_hits} cache hits, "
-        f"{outcome.executed} executed in {outcome.elapsed_s:.1f}s",
-        file=sys.stderr,
-    )
-    return 0
+        )
+
+    return _run_sweep(args, sweep, render, axis=axis)
 
 
 def _fabric_spec_from_args(args):
@@ -841,19 +795,9 @@ def _fabric_spec_from_args(args):
 
 
 def _cmd_fabric(args) -> int:
-    from repro.nic import NicConfig
-
-    config = NicConfig(
-        cores=args.cores,
-        core_frequency_hz=mhz(args.mhz),
-        scratchpad_banks=args.banks,
-        ordering_mode=_ordering(args.ordering),
-    )
-    try:
+    with _validating():
+        config = _nic_config(args)
         spec = _fabric_spec_from_args(args)
-    except ValueError as error:
-        print(f"invalid fabric: {error}", file=sys.stderr)
-        return 2
     if args.sweep_loads:
         return _fabric_sweep(args, config, spec)
     return _fabric_single(args, config, spec)
@@ -881,15 +825,7 @@ def _fabric_single(args, config, spec) -> int:
         print(f"trace written to {args.trace} ({len(tracer.events)} events; "
               f"open in chrome://tracing or ui.perfetto.dev)", file=sys.stderr)
     if args.json_out:
-        import json
-
-        text = json.dumps(result.to_dict(), indent=2)
-        if args.json_out == "-":
-            print(text)
-        else:
-            with open(args.json_out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"result written to {args.json_out}", file=sys.stderr)
+        _write_json(args.json_out, result.to_dict())
         return 0
     topology = (
         f"switch (queue {spec.port_queue_frames})" if spec.switch
@@ -926,58 +862,19 @@ def _fabric_single(args, config, spec) -> int:
 
 def _fabric_sweep(args, config, spec) -> int:
     from repro.analysis import format_table
-    from repro.exp import Sweep, SweepRunner, default_cache_dir
+    from repro.exp import Sweep
 
-    sweep = Sweep.fabric_grid(
-        "fabric-load",
-        base_fabric=spec,
-        loads=args.sweep_loads,
-        base_config=config,
-        warmup_s=args.warmup_millis * 1e-3,
-        measure_s=args.millis * 1e-3,
-    )
-    cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    runner = SweepRunner(
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        use_cache=not args.no_cache,
-        progress=sys.stderr,
-        label=sweep.name,
-    )
-    outcome = sweep.run(runner)
-    records = Sweep.rows(outcome)
-
-    emitted_to_stdout = False
-    if args.json_out:
-        import json
-
-        text = json.dumps({"name": sweep.name, "points": records}, indent=2)
-        if args.json_out == "-":
-            print(text)
-            emitted_to_stdout = True
-        else:
-            with open(args.json_out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"results written to {args.json_out}", file=sys.stderr)
-    if args.csv_out:
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer, fieldnames=list(records[0].keys()), lineterminator="\n"
+    with _validating():
+        sweep = Sweep.fabric_grid(
+            "fabric-load",
+            base_fabric=spec,
+            loads=args.sweep_loads,
+            base_config=config,
+            warmup_s=args.warmup_millis * 1e-3,
+            measure_s=args.millis * 1e-3,
         )
-        writer.writeheader()
-        writer.writerows(records)
-        if args.csv_out == "-":
-            print(buffer.getvalue(), end="")
-            emitted_to_stdout = True
-        else:
-            with open(args.csv_out, "w") as handle:
-                handle.write(buffer.getvalue())
-            print(f"results written to {args.csv_out}", file=sys.stderr)
 
-    if not emitted_to_stdout:
+    def render(records):
         rows = [
             [f"{load:g}",
              f"{record['aggregate_goodput_gbps']:.2f}",
@@ -989,19 +886,15 @@ def _fabric_sweep(args, config, spec) -> int:
              else "-"]
             for load, record in zip(args.sweep_loads, records)
         ]
-        print(format_table(
+        return format_table(
             ["load", "goodput Gb/s", "switch drops", "lost",
              "ow p50 us", "ow p99 us", "rtt p99 us"],
             rows,
             title=f"latency vs offered load, {config.label}, "
                   f"{spec.nics} NICs" + (", switched" if spec.switch else ""),
-        ))
-    print(
-        f"fabric: {len(outcome)} points, {outcome.cache_hits} cache hits, "
-        f"{outcome.executed} executed in {outcome.elapsed_s:.1f}s",
-        file=sys.stderr,
-    )
-    return 0
+        )
+
+    return _run_sweep(args, sweep, render)
 
 
 def _cmd_qos(args) -> int:
@@ -1017,38 +910,40 @@ def _cmd_qos(args) -> int:
     deterministically for a given ``--seed``.
     """
     from repro.analysis import format_table
-    from repro.fabric import FabricSimulator, FabricSpec, StreamFlowSpec
-    from repro.nic import NicConfig
+    from repro.exp import Sweep
+    from repro.fabric import FabricSpec, StreamFlowSpec
     from repro.qos import QosSpec
 
-    qos = QosSpec.mixed_criticality(
-        scheduler=args.scheduler,
-        guaranteed_p999_bound_us=args.p999_bound_us,
-        red=args.red,
-        pause=args.pause,
-        seed=args.seed,
-    )
-    base = FabricSpec(
-        nics=3,
-        switch=True,
-        seed=args.seed,
-        qos=qos,
-        stream_flows=(
-            StreamFlowSpec(src=0, dst=2, offered_fraction=args.guaranteed_load,
-                           name="gold", qos_class="guaranteed"),
-            StreamFlowSpec(src=1, dst=2, offered_fraction=1.0,
-                           name="bulk", qos_class="best-effort"),
-        ),
-    )
-    config = NicConfig(cores=args.cores, core_frequency_hz=mhz(args.mhz))
-    arms = []
-    for load in args.loads:
-        spec = base.with_load(float(load), flows=["bulk"])
-        simulator = FabricSimulator(config, spec, estimator=args.estimator)
-        result = simulator.run(
-            warmup_s=args.warmup_millis * 1e-3, measure_s=args.millis * 1e-3
+    with _validating():
+        qos = QosSpec.mixed_criticality(
+            scheduler=args.scheduler,
+            guaranteed_p999_bound_us=args.p999_bound_us,
+            red=args.red,
+            pause=args.pause,
+            seed=args.seed,
         )
-        arms.append((float(load), result))
+        base = FabricSpec(
+            nics=3,
+            switch=True,
+            seed=args.seed,
+            qos=qos,
+            stream_flows=(
+                StreamFlowSpec(src=0, dst=2, offered_fraction=args.guaranteed_load,
+                               name="gold", qos_class="guaranteed"),
+                StreamFlowSpec(src=1, dst=2, offered_fraction=1.0,
+                               name="bulk", qos_class="best-effort"),
+            ),
+        )
+        sweep = Sweep.qos_grid(
+            "qos",
+            base_fabric=base,
+            loads=args.loads,
+            overload_flows=["bulk"],
+            base_config=_nic_config(args),
+            warmup_s=args.warmup_millis * 1e-3,
+            measure_s=args.millis * 1e-3,
+        )
+    arms = list(zip(args.loads, _run_arms(sweep, args.estimator)))
 
     bound_ok = True
     rows = []
@@ -1075,8 +970,6 @@ def _cmd_qos(args) -> int:
         ])
 
     if args.json_out:
-        import json
-
         payload = {
             "scheduler": args.scheduler,
             "seed": args.seed,
@@ -1087,13 +980,7 @@ def _cmd_qos(args) -> int:
                 for load, result in arms
             ],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json_out == "-":
-            print(text)
-        else:
-            with open(args.json_out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"results written to {args.json_out}", file=sys.stderr)
+        _write_json(args.json_out, payload, sort_keys=True)
     else:
         knobs = []
         if args.red:
@@ -1136,42 +1023,40 @@ def _cmd_topology(args) -> int:
     Deterministic for a given ``--seed``.
     """
     from repro.analysis import format_table
+    from repro.exp import Sweep
     from repro.fabric import (
-        FabricSimulator,
         FabricSpec,
         RpcFlowSpec,
         StreamFlowSpec,
         TopologyRouter,
         TopologySpec,
     )
-    from repro.nic import NicConfig
 
     racks, per_rack = args.racks, args.hosts_per_rack
     nics = racks * per_rack
-    if racks < 2 or per_rack < 1 or nics < 3:
-        print("topology: need >= 2 racks and >= 3 hosts", file=sys.stderr)
-        return 2
     victim = nics - 1
     mice_client = 0
-    elephants = tuple(
-        StreamFlowSpec(src=src, dst=victim, offered_fraction=args.load,
-                       name=f"ele{src}")
-        for src in range(nics - per_rack)  # every host outside the victim rack
-        if src != mice_client
-    )
-    config = NicConfig(cores=args.cores, core_frequency_hz=mhz(args.mhz))
-
-    arms = []
-    for spines in sorted(set(args.spines)):
-        topo = TopologySpec.leaf_spine(
-            racks=racks, hosts_per_rack=per_rack, spines=spines,
-            ecmp_seed=args.seed,
+    spine_counts = sorted(set(args.spines))
+    with _validating():
+        if racks < 2 or per_rack < 1 or nics < 3:
+            raise ValueError("need >= 2 racks and >= 3 hosts")
+        elephants = tuple(
+            StreamFlowSpec(src=src, dst=victim, offered_fraction=args.load,
+                           name=f"ele{src}")
+            for src in range(nics - per_rack)  # every host outside the victim rack
+            if src != mice_client
         )
-        spec = FabricSpec(
+        # The base carries the widest arm's topology: topology_grid
+        # takes its ECMP seed from it, and the spreading check routes
+        # on it.
+        base = FabricSpec(
             nics=nics,
             switch=True,
             seed=args.seed,
-            topology=topo,
+            topology=TopologySpec.leaf_spine(
+                racks=racks, hosts_per_rack=per_rack, spines=spine_counts[-1],
+                ecmp_seed=args.seed,
+            ),
             port_queue_frames=16,
             rpc_flows=(
                 RpcFlowSpec(client=mice_client, server=victim,
@@ -1179,11 +1064,17 @@ def _cmd_topology(args) -> int:
             ),
             stream_flows=elephants,
         )
-        simulator = FabricSimulator(config, spec, estimator=args.estimator)
-        result = simulator.run(
-            warmup_s=args.warmup_millis * 1e-3, measure_s=args.millis * 1e-3
+        sweep = Sweep.topology_grid(
+            "topology",
+            base,
+            spine_counts,
+            racks=racks,
+            hosts_per_rack=per_rack,
+            base_config=_nic_config(args),
+            warmup_s=args.warmup_millis * 1e-3,
+            measure_s=args.millis * 1e-3,
         )
-        arms.append((spines, result))
+    arms = list(zip(spine_counts, _run_arms(sweep, args.estimator)))
 
     ok = True
     rows = []
@@ -1220,14 +1111,10 @@ def _cmd_topology(args) -> int:
             ok = False
 
     # ECMP spreading, router-level, on the widest arm.
-    spines = max(sorted(set(args.spines)))
+    spines = spine_counts[-1]
     spread_row = None
     if spines > 1:
-        topo = TopologySpec.leaf_spine(
-            racks=racks, hosts_per_rack=per_rack, spines=spines,
-            ecmp_seed=args.seed,
-        )
-        router = TopologyRouter(topo)
+        router = TopologyRouter(base.topology)
         counts = {f"spine{index}": 0 for index in range(spines)}
         for index in range(args.ecmp_flows):
             path = router.route(f"spread{index}", 0, victim)
@@ -1243,8 +1130,6 @@ def _cmd_topology(args) -> int:
             ok = False
 
     if args.json_out:
-        import json
-
         payload = {
             "racks": racks,
             "hosts_per_rack": per_rack,
@@ -1263,13 +1148,7 @@ def _cmd_topology(args) -> int:
                 "first_hop_counts": spread_row[0],
                 "worst_relative_deviation": spread_row[1],
             }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json_out == "-":
-            print(text)
-        else:
-            with open(args.json_out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"results written to {args.json_out}", file=sys.stderr)
+        _write_json(args.json_out, payload, sort_keys=True)
     else:
         print(format_table(
             ["spines", "elephants", "agg Gb/s", "mice p999 us",
@@ -1302,124 +1181,52 @@ def _cmd_rss(args) -> int:
     run through the cached experiment engine, so re-running an ablation
     is free and seeded runs are reproducible byte-for-byte.
     """
-    from dataclasses import replace as dc_replace
-
     from repro.analysis import format_table
-    from repro.exp import (
-        RunSpec,
-        Sweep,
-        SweepRunner,
-        WorkloadSpec,
-        default_cache_dir,
-    )
+    from repro.exp import Sweep
     from repro.host.rss import RssSpec
-    from repro.nic import NicConfig
 
-    config = NicConfig(
-        cores=args.cores,
-        core_frequency_hz=mhz(args.mhz),
-        scratchpad_banks=args.banks,
-        ordering_mode=_ordering(args.ordering),
-    )
-    fabric_spec = None
-    if args.workload != "saturation":
-        from repro.fabric import FabricSpec, RpcFlowSpec, StreamFlowSpec
+    with _validating():
+        config = _nic_config(args)
+        fabric_spec = None
+        if args.workload != "saturation":
+            from repro.fabric import FabricSpec, RpcFlowSpec, StreamFlowSpec
 
-        peer = min(1, args.nics - 1)
-        if args.workload == "rpc":
-            flows = dict(
-                rpc_flows=(
-                    RpcFlowSpec(
-                        client=0,
-                        server=peer,
-                        concurrency=args.concurrency,
-                        name="rpc0",
+            peer = min(1, args.nics - 1)
+            if args.workload == "rpc":
+                flows = dict(
+                    rpc_flows=(
+                        RpcFlowSpec(
+                            client=0,
+                            server=peer,
+                            concurrency=args.concurrency,
+                            name="rpc0",
+                        ),
                     ),
-                ),
-            )
-        else:
-            flows = dict(
-                stream_flows=(
-                    StreamFlowSpec(src=0, dst=peer, imix=True,
-                                   offered_fraction=args.load, name="imix0"),
-                    StreamFlowSpec(src=peer, dst=0, imix=True,
-                                   offered_fraction=args.load, name="imix1"),
-                ),
-            )
-        fabric_spec = FabricSpec(nics=args.nics, seed=args.seed, **flows)
-
-    warmup_s = args.warmup_millis * 1e-3
-    measure_s = args.millis * 1e-3
-    template = RssSpec(
-        hash_seed=args.hash_seed,
-        interrupt_coalesce_frames=args.coalesce,
-    )
-    task_config = dc_replace(config, task_level_firmware=True)
-    specs = [
-        RunSpec(
-            config=config,
-            workload=WorkloadSpec(),
-            warmup_s=warmup_s,
-            measure_s=measure_s,
-            label="paper-1ring",
-            fabric_spec=fabric_spec,
+                )
+            else:
+                flows = dict(
+                    stream_flows=(
+                        StreamFlowSpec(src=0, dst=peer, imix=True,
+                                       offered_fraction=args.load, name="imix0"),
+                        StreamFlowSpec(src=peer, dst=0, imix=True,
+                                       offered_fraction=args.load, name="imix1"),
+                    ),
+                )
+            fabric_spec = FabricSpec(nics=args.nics, seed=args.seed, **flows)
+        sweep = Sweep.rss_grid(
+            f"rss-{args.workload}",
+            args.rings,
+            base_config=config,
+            base_rss=RssSpec(
+                hash_seed=args.hash_seed,
+                interrupt_coalesce_frames=args.coalesce,
+            ),
+            fabric=fabric_spec,
+            warmup_s=args.warmup_millis * 1e-3,
+            measure_s=args.millis * 1e-3,
         )
-    ]
-    for rings in args.rings:
-        specs.append(
-            RunSpec(
-                config=task_config,
-                workload=WorkloadSpec(),
-                warmup_s=warmup_s,
-                measure_s=measure_s,
-                label=f"rss-{rings}ring",
-                fabric_spec=fabric_spec,
-                rss=dc_replace(template, rings=int(rings)),
-            )
-        )
-    sweep = Sweep(f"rss-{args.workload}", specs)
-    cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    runner = SweepRunner(
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        use_cache=not args.no_cache,
-        progress=sys.stderr,
-        label=sweep.name,
-    )
-    outcome = sweep.run(runner)
-    records = Sweep.rows(outcome)
 
-    emitted_to_stdout = False
-    if args.json_out:
-        import json
-
-        text = json.dumps({"name": sweep.name, "points": records}, indent=2)
-        if args.json_out == "-":
-            print(text)
-            emitted_to_stdout = True
-        else:
-            with open(args.json_out, "w") as handle:
-                handle.write(text + "\n")
-            print(f"results written to {args.json_out}", file=sys.stderr)
-    if args.csv_out:
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer, fieldnames=list(records[0].keys()), lineterminator="\n"
-        )
-        writer.writeheader()
-        writer.writerows(records)
-        if args.csv_out == "-":
-            print(buffer.getvalue(), end="")
-            emitted_to_stdout = True
-        else:
-            with open(args.csv_out, "w") as handle:
-                handle.write(buffer.getvalue())
-            print(f"results written to {args.csv_out}", file=sys.stderr)
-
-    if not emitted_to_stdout:
+    def render(records):
         if fabric_spec is not None:
             goodput_key, goodput_head = "aggregate_goodput_gbps", "goodput Gb/s"
         else:
@@ -1437,19 +1244,15 @@ def _cmd_rss(args) -> int:
                 "yes" if record["cached"] else "no",
             ])
         firmware = "frame-level (paper) vs task-level (rss arms)"
-        print(format_table(
+        return format_table(
             ["arm", "rings", goodput_head, "host busy max",
              "host Mcompl/s", "cached"],
             rows,
             title=f"host-interface ablation, {config.label}, "
                   f"{args.workload} workload — {firmware}",
-        ))
-    print(
-        f"rss: {len(outcome)} points, {outcome.cache_hits} cache hits, "
-        f"{outcome.executed} executed in {outcome.elapsed_s:.1f}s",
-        file=sys.stderr,
-    )
-    return 0
+        )
+
+    return _run_sweep(args, sweep, render)
 
 
 def _cmd_report(args) -> int:
@@ -1681,7 +1484,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _InvalidFlags as error:
+        print(f"invalid {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -297,49 +297,43 @@ class Sweep:
         base_rss: Optional[RssSpec] = None,
         fabric: Optional[FabricSpec] = None,
         udp_payload_bytes: int = 1472,
-        task_level_rss: bool = True,
         warmup_s: float = 0.4e-3,
         measure_s: float = 0.8e-3,
     ) -> "Sweep":
         """Paper-vs-modern host-interface ablation over ring counts.
 
-        Points with ``rings <= 1`` are issued with ``rss=None`` — the
-        paper's single-ring host interface and frame-level parallel
-        firmware, sharing cache entries (and the exact simulation path)
-        with every pre-RSS result.  Multi-ring points carry an
-        :class:`~repro.host.rss.RssSpec` derived from ``base_rss`` and,
-        by default, the task-level firmware organization — the modern
-        multi-queue NIC the comparison targets.  Pass ``fabric`` to run
-        every point against a fabric topology (RPC/IMIX flows) instead
-        of the analytic single-NIC workload.
+        The first point, ``paper-1ring``, is the paper's host interface:
+        ``rss=None`` (one descriptor-ring pair) on ``base_config``'s
+        frame-level parallel firmware, sharing cache entries (and the
+        exact simulation path) with every pre-RSS result.  Then one
+        ``rss-<n>ring`` point per entry of ``ring_counts`` carries an
+        :class:`~repro.host.rss.RssSpec` derived from ``base_rss`` on
+        the task-level firmware — the modern multi-queue NIC the
+        comparison targets.  A count of 1 is a real single-ring RSS arm
+        (host-core contention armed), not the paper baseline.  Pass
+        ``fabric`` to run every point against a fabric topology
+        (RPC/IMIX flows) instead of the analytic single-NIC workload.
         """
         base = base_config if base_config is not None else NicConfig()
         template = base_rss if base_rss is not None else RssSpec()
-        specs = []
-        for rings in ring_counts:
-            if rings <= 1:
-                config = base
-                rss = None
-                label = "1ring-paper"
-            else:
-                config = (
-                    replace(base, task_level_firmware=True)
-                    if task_level_rss
-                    else base
-                )
-                rss = replace(template, rings=int(rings))
-                label = f"{rings}ring-rss"
-            specs.append(
-                RunSpec(
-                    config=config,
-                    workload=WorkloadSpec(udp_payload_bytes=udp_payload_bytes),
-                    warmup_s=warmup_s,
-                    measure_s=measure_s,
-                    label=label,
-                    fabric_spec=fabric,
-                    rss=rss,
-                )
+        task_config = replace(base, task_level_firmware=True)
+        workload = WorkloadSpec(udp_payload_bytes=udp_payload_bytes)
+        arms = [(base, None, "paper-1ring")] + [
+            (task_config, replace(template, rings=int(rings)), f"rss-{rings}ring")
+            for rings in ring_counts
+        ]
+        specs = [
+            RunSpec(
+                config=config,
+                workload=workload,
+                warmup_s=warmup_s,
+                measure_s=measure_s,
+                label=label,
+                fabric_spec=fabric,
+                rss=rss,
             )
+            for config, rss, label in arms
+        ]
         return cls(name, specs)
 
     # ------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Command-line interface."""
 
+import json
+
+import pytest
+
 from repro.cli import build_parser, main
 
 
@@ -125,6 +129,56 @@ class TestFaults:
         assert code == 0
         assert "sdram_error_rate" in out
         assert "goodput" in out
+
+
+class TestAblations:
+    """qos/topology/rss at windows where their checks hold: the JSON on
+    stdout is byte-for-byte the JSON file (and the CSV for rss)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["qos", "--loads", "0.3", "1.0", "--millis", "0.3",
+         "--warmup-millis", "0.1"],
+        ["topology"],
+        ["rss", "--rings", "2", "--millis", "0.2", "--warmup-millis", "0.1",
+         "--no-cache"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_export_equals_file_export(self, argv, tmp_path, capsys):
+        json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+        rss = argv[0] == "rss"
+        assert main(argv + ["--json", "-"]
+                    + (["--csv", str(csv_path)] if rss else [])) == 0
+        json_stdout = capsys.readouterr().out
+        assert main(argv + ["--json", str(json_path)]
+                    + (["--csv", "-"] if rss else [])) == 0
+        csv_stdout = capsys.readouterr().out
+        assert json_stdout == json_path.read_text()
+        data = json.loads(json_stdout)
+        if rss:
+            assert csv_stdout == csv_path.read_text()
+            assert [point["label"] for point in data["points"]] == [
+                "paper-1ring", "rss-2ring"
+            ]
+        else:
+            assert len(data["arms"]) == 2
+
+
+class TestInvalidFlags:
+    @pytest.mark.parametrize("argv", [
+        "qos --loads -0.5",
+        "topology --spines 0",
+        "rss --rings 0 --workload saturation",
+        "faults --sweep-axis fcs --rates 2",
+        "sweep --cores 0",
+        "fabric --sweep-loads 0.3 1.5",
+        "run --cores 0",
+    ])
+    def test_exit_2_with_one_line_message(self, argv, capsys):
+        command = argv.split()[0]
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"invalid {command}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestAsm:

@@ -388,18 +388,6 @@ class TestProgressReporter:
 
 
 class TestCliSweep:
-    def test_resume_conflicts_with_no_cache(self, capsys):
-        from repro.cli import main
-
-        assert main(["sweep", "--resume", "--no-cache",
-                     "--cache-dir", "x"]) == 2
-
-    def test_resume_requires_cache_dir(self, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert main(["sweep", "--resume"]) == 2
-
     def test_json_export_and_cache_hits(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -244,6 +244,35 @@ class TestCacheKeyContract:
         }
         assert len(keys) == 3
 
+    def test_absent_rss_runs_the_legacy_single_ring_path(self):
+        from repro.exp import execute_spec
+
+        spec = RunSpec(config=RMW_166MHZ, workload=WorkloadSpec(),
+                       warmup_s=0.2e-3, measure_s=0.4e-3)
+        assert "rss" not in spec.key_inputs()
+        engine = json.dumps(execute_spec(spec).to_dict(), sort_keys=True)
+        direct = ThroughputSimulator(RMW_166MHZ, 1472).run(0.2e-3, 0.4e-3)
+        assert engine == json.dumps(direct.to_dict(), sort_keys=True)
+
+
+class TestRssGrid:
+    def test_paper_arm_then_one_rss_arm_per_ring_count(self):
+        from dataclasses import replace
+
+        from repro.exp import Sweep
+
+        template = RssSpec(hash_seed=3, interrupt_coalesce_frames=4)
+        sweep = Sweep.rss_grid("g", [1, 4], base_config=RMW_166MHZ,
+                               base_rss=template)
+        assert [spec.label for spec in sweep] == [
+            "paper-1ring", "rss-1ring", "rss-4ring"
+        ]
+        paper, *arms = sweep
+        assert paper.rss is None and paper.config == RMW_166MHZ
+        for spec, rings in zip(arms, (1, 4)):
+            assert spec.config == replace(RMW_166MHZ, task_level_firmware=True)
+            assert spec.rss == replace(template, rings=rings)
+
 
 # ----------------------------------------------------------------------
 # Full-simulator integration
