@@ -144,12 +144,16 @@ class MacReceiver:
         buffer has been full across arrival slots — the wire does not
         wait, so those frames are gone (tail drop at the MAC).
         """
-        dropped = 0
-        while self._next_arrival_ps + self._gap(self._next_seq) < now_ps:
-            self._next_arrival_ps += self._gap(self._next_seq)
-            self._next_seq += 1
-            dropped += 1
-        return dropped
+        first = seq = self._next_seq
+        arrival = self._next_arrival_ps
+        gap = self._gap(seq)
+        while arrival + gap < now_ps:
+            arrival += gap
+            seq += 1
+            gap = self._gap(seq)
+        self._next_seq = seq
+        self._next_arrival_ps = arrival
+        return seq - first
 
     def offered_frames(self, start_ps: int, end_ps: int) -> int:
         """How many frames the wire offered during a window (constant

@@ -13,8 +13,27 @@ simulator's IPC breakdown is directly comparable to the paper's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, Tuple
+
+#: The five Table 3 terms of one charge, in cycles:
+#: ``(execution, imiss, load, conflict, pipeline)``.
+CostTerms = Tuple[float, float, float, float, float]
+
+
+def check_op_counts(instructions: float, loads: float, stores: float) -> None:
+    """Reject an operation mix no handler can have.
+
+    Counts must be non-negative, and a non-empty mix cannot issue more
+    memory operations than instructions.
+    """
+    if instructions < 0 or loads < 0 or stores < 0:
+        raise ValueError("operation counts must be non-negative")
+    if loads + stores > instructions and instructions > 0:
+        raise ValueError(
+            f"memory operations ({loads + stores}) exceed "
+            f"instruction count ({instructions})"
+        )
 
 
 @dataclass(frozen=True)
@@ -29,13 +48,7 @@ class OpProfile:
     #                                        cause load-to-use dependences"
 
     def __post_init__(self) -> None:
-        if self.instructions < 0 or self.loads < 0 or self.stores < 0:
-            raise ValueError("operation counts must be non-negative")
-        if self.loads + self.stores > self.instructions and self.instructions > 0:
-            raise ValueError(
-                f"memory operations ({self.loads + self.stores}) exceed "
-                f"instruction count ({self.instructions})"
-            )
+        check_op_counts(self.instructions, self.loads, self.stores)
 
     @property
     def accesses(self) -> float:
@@ -43,12 +56,22 @@ class OpProfile:
 
     def scaled(self, factor: float) -> "OpProfile":
         """Uniformly scale the counts (e.g., per-frame -> per-batch)."""
-        return replace(
-            self,
-            instructions=self.instructions * factor,
-            loads=self.loads * factor,
-            stores=self.stores * factor,
-        )
+        instructions = self.instructions * factor
+        loads = self.loads * factor
+        stores = self.stores * factor
+        check_op_counts(instructions, loads, stores)
+        # Handlers scale a profile several times per invocation, so fill
+        # the frozen instance's fields directly: the generated __init__
+        # pays one object.__setattr__ per field and re-runs the checks
+        # made just above.
+        result = object.__new__(type(self))
+        fields = result.__dict__
+        fields["instructions"] = instructions
+        fields["loads"] = loads
+        fields["stores"] = stores
+        fields["taken_branch_fraction"] = self.taken_branch_fraction
+        fields["load_use_fraction"] = self.load_use_fraction
+        return result
 
     def plus(self, other: "OpProfile") -> "OpProfile":
         total = self.instructions + other.instructions
@@ -157,28 +180,30 @@ class CoreCostModel:
     # it as remote_fraction x (remote_latency - 1).
     load_stall_cycles: float = 1.0
 
-    def cost(self, profile: OpProfile, conflict_wait_per_access: float) -> HandlerCost:
+    def cost(self, profile: OpProfile, conflict_wait_per_access: float) -> CostTerms:
+        """Cycles of one handler invocation, by Table 3 category.
+
+        Returns plain floats, ``(execution, imiss, load, conflict,
+        pipeline)``: the throughput simulator charges every handler
+        through here, thousands of times per simulated millisecond.
+        Their sum in that order is the invocation's total, as
+        :attr:`HandlerCost.total_cycles` adds them.  ``profile`` may be
+        any object with an :class:`OpProfile`'s five attributes.
+        """
         if conflict_wait_per_access < 0:
             raise ValueError("conflict wait must be non-negative")
-        execution = profile.instructions
-        imiss = profile.instructions * self.imiss_rate * self.imiss_penalty_cycles
-        load = profile.loads * self.load_stall_cycles
-        conflict = (
-            profile.loads * conflict_wait_per_access
-            + profile.stores * conflict_wait_per_access * self.store_buffer_pressure
-        )
-        pipeline = (
-            profile.loads * profile.load_use_fraction
-            + profile.instructions * profile.taken_branch_fraction
-        )
-        return HandlerCost(
-            instructions=profile.instructions,
-            execution_cycles=execution,
-            imiss_cycles=imiss,
-            load_cycles=load,
-            conflict_cycles=conflict,
-            pipeline_cycles=pipeline,
+        instructions = profile.instructions
+        loads = profile.loads
+        return (
+            instructions,
+            instructions * self.imiss_rate * self.imiss_penalty_cycles,
+            loads * self.load_stall_cycles,
+            loads * conflict_wait_per_access
+            + profile.stores * conflict_wait_per_access * self.store_buffer_pressure,
+            loads * profile.load_use_fraction
+            + instructions * profile.taken_branch_fraction,
         )
 
     def cycles(self, profile: OpProfile, conflict_wait_per_access: float) -> float:
-        return self.cost(profile, conflict_wait_per_access).total_cycles
+        terms = self.cost(profile, conflict_wait_per_access)
+        return HandlerCost(profile.instructions, *terms).total_cycles

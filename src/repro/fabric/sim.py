@@ -164,7 +164,6 @@ class FabricSimulator:
         estimator: str = "streaming",
         rss: Optional[RssSpec] = None,
     ) -> None:
-        spec.flow_names()  # validates uniqueness early
         if estimator not in ESTIMATORS:
             raise ValueError(
                 f"estimator must be one of {ESTIMATORS}, got {estimator!r}"

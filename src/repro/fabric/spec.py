@@ -166,6 +166,7 @@ class FabricSpec:
         for flow in self.stream_flows:
             for endpoint in (flow.src, flow.dst):
                 self._check_endpoint(endpoint, flow)
+        self.flow_names()  # raises on duplicate names
         self._check_qos()
         self._check_topology()
 

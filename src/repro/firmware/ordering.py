@@ -35,6 +35,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.check.monitor import NULL_MONITOR
+from repro.cpu.costmodel import OpProfile
 from repro.isa.machine import Memory, apply_setb, apply_update
 
 
@@ -50,6 +51,12 @@ class OrderingCost:
     instructions: float
     loads: float
     stores: float
+
+    # Ordering code has the firmware's default branch and load-use mix.
+    # With these two, an OrderingCost carries every attribute
+    # CoreCostModel.cost reads from an OpProfile, so it is charged as is.
+    taken_branch_fraction = OpProfile.taken_branch_fraction
+    load_use_fraction = OpProfile.load_use_fraction
 
     def __add__(self, other: "OrderingCost") -> "OrderingCost":
         return OrderingCost(

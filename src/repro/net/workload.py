@@ -98,12 +98,16 @@ class ConstantSize(FrameSizeModel):
     """Every frame carries the same UDP payload (the paper's setup)."""
 
     def __init__(self, udp_payload_bytes: int) -> None:
-        # Validate once via the conversion.
-        frame_bytes_for_udp_payload(udp_payload_bytes)
+        # Validate once via the conversion, and keep its result: the
+        # simulators ask for the frame size several times per frame.
+        self._frame_bytes = frame_bytes_for_udp_payload(udp_payload_bytes)
         self._payload = udp_payload_bytes
 
     def payload_bytes(self, seq: int) -> int:
         return self._payload
+
+    def frame_bytes(self, seq: int) -> int:
+        return self._frame_bytes
 
 
 class ImixSize(FrameSizeModel):

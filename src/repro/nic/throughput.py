@@ -34,7 +34,7 @@ from repro.assists.dma import DmaAssist
 from repro.assists.mac import MacReceiver, MacTransmitter
 from repro.assists.pci import PciInterface
 from repro.check.monitor import NULL_MONITOR
-from repro.cpu.costmodel import ContentionModel, HandlerCost, OpProfile
+from repro.cpu.costmodel import ContentionModel, HandlerCost, OpProfile, check_op_counts
 from repro.faults import FaultInjector, FaultPlan
 from repro.firmware.events import DistributedEventQueue, EventKind, FrameEvent
 from repro.firmware.ordering import OrderingBoard, OrderingCost
@@ -471,6 +471,14 @@ class ThroughputSimulator:
             name: FunctionStats() for name in FUNCTION_NAMES
         }
         self.contention = ContentionModel(config.scratchpad_banks)
+        # Each handler's ideal per-frame profile plus the re-entrancy
+        # overhead of the frame-parallel firmware; fixed per config.
+        self._reentrant_per_frame: Dict[str, OpProfile] = {
+            name: IDEAL_PROFILES[name].per_frame.plus(
+                config.firmware.reentrancy_per_frame
+            )
+            for name in ("fetch_send_bd", "send_frame", "fetch_recv_bd", "recv_frame")
+        }
         # Initial contention estimate: the line-rate control-data access
         # budget (Section 2.1's ~185 accesses/frame-pair, plus ~60%
         # parallelization overhead) spread over the core clock.  The
@@ -596,38 +604,45 @@ class ThroughputSimulator:
     # Cost charging
     # ==================================================================
     def _charge(self, fn_name: str, profile: OpProfile, frames: int = 0) -> float:
-        """Charge a profile to a function; returns its cycle cost."""
-        cost = self.config.cost_model.cost(profile, self._conflict_wait)
+        """Charge a profile to a function; returns its cycle cost.
+
+        ``profile`` is an :class:`OpProfile`, or an ordering board's
+        :class:`OrderingCost` (see :meth:`_charge_ordering`).  Every sum
+        below keeps its order: the per-function stats and the run
+        totals each accumulate the same terms, so neither is derived
+        from the other.
+        """
+        execution, imiss, load, conflict, pipeline = self.config.cost_model.cost(
+            profile, self._conflict_wait
+        )
+        total = execution + imiss + load + conflict + pipeline
         stats = self.fn[fn_name]
         stats.instructions += profile.instructions
         stats.loads += profile.loads
         stats.stores += profile.stores
-        stats.cycles += cost.total_cycles
-        stats.imiss_cycles += cost.imiss_cycles
-        stats.load_cycles += cost.load_cycles
-        stats.conflict_cycles += cost.conflict_cycles
-        stats.pipeline_cycles += cost.pipeline_cycles
+        stats.cycles += total
+        stats.imiss_cycles += imiss
+        stats.load_cycles += load
+        stats.conflict_cycles += conflict
+        stats.pipeline_cycles += pipeline
         stats.frames += frames
         totals = self._cost_totals
-        totals.instructions += cost.instructions
-        totals.execution_cycles += cost.execution_cycles
-        totals.imiss_cycles += cost.imiss_cycles
-        totals.load_cycles += cost.load_cycles
-        totals.conflict_cycles += cost.conflict_cycles
-        totals.pipeline_cycles += cost.pipeline_cycles
-        self._core_accesses += profile.accesses
-        self._contention_window_accesses += profile.accesses
-        return cost.total_cycles
+        totals.instructions += execution
+        totals.execution_cycles += execution
+        totals.imiss_cycles += imiss
+        totals.load_cycles += load
+        totals.conflict_cycles += conflict
+        totals.pipeline_cycles += pipeline
+        accesses = profile.loads + profile.stores
+        self._core_accesses += accesses
+        self._contention_window_accesses += accesses
+        return total
 
     def _charge_ordering(self, fn_name: str, cost: OrderingCost) -> float:
-        return self._charge(
-            fn_name,
-            OpProfile(
-                instructions=cost.instructions,
-                loads=cost.loads,
-                stores=cost.stores,
-            ),
-        )
+        # An OrderingCost has the attributes the cost model reads; it
+        # gets the same checks an OpProfile gets when it is built.
+        check_op_counts(cost.instructions, cost.loads, cost.stores)
+        return self._charge(fn_name, cost)
 
     def _acquire_lock(
         self,
@@ -862,9 +877,7 @@ class ThroughputSimulator:
         frames = event.count or SEND_FRAMES_PER_BD_FETCH
         cycles = self._charge("send_dispatch_ordering", fw.dispatch_per_event)
         cycles += self._acquire_lock("txq", now, _HOLD_TXQ, "send_locking", cycles)
-        profile = IDEAL_PROFILES["fetch_send_bd"].per_frame.plus(
-            fw.reentrancy_per_frame
-        ).scaled(frames)
+        profile = self._reentrant_per_frame["fetch_send_bd"].scaled(frames)
         cycles += self._charge("fetch_send_bd", profile, frames=frames)
         transfer = self.dma_read.descriptor_transfer(
             now + self.core_clock.cycles_to_ps(cycles),
@@ -928,9 +941,9 @@ class ThroughputSimulator:
         cycles += self._charge(
             "send_dispatch_ordering", fw.dispatch_per_frame.scaled(batch)
         )
-        start_profile = IDEAL_PROFILES["send_frame"].per_frame.plus(
-            fw.reentrancy_per_frame
-        ).scaled(batch * _START_FRACTION)
+        start_profile = self._reentrant_per_frame["send_frame"].scaled(
+            batch * _START_FRACTION
+        )
         cycles += self._charge("send_frame", start_profile, frames=batch)
         checksum = self._checksum_profile(first, batch, sizes=self.tx_sizes)
         if checksum is not None:
@@ -1280,9 +1293,9 @@ class ThroughputSimulator:
         cycles += self._charge(
             "recv_dispatch_ordering", fw.dispatch_per_frame.scaled(real)
         )
-        start_profile = IDEAL_PROFILES["recv_frame"].per_frame.plus(
-            fw.reentrancy_per_frame
-        ).scaled(real * _START_FRACTION)
+        start_profile = self._reentrant_per_frame["recv_frame"].scaled(
+            real * _START_FRACTION
+        )
         cycles += self._charge("recv_frame", start_profile, frames=real)
         checksum = self._checksum_profile(
             first, batch, skip=set(holes), sizes=self.rx_sizes
@@ -1472,9 +1485,7 @@ class ThroughputSimulator:
         frames = event.count or RECV_BDS_PER_FETCH
         cycles = self._charge("recv_dispatch_ordering", fw.dispatch_per_event)
         cycles += self._acquire_lock("rxpool", now, _HOLD_RXPOOL, "recv_locking", cycles)
-        profile = IDEAL_PROFILES["fetch_recv_bd"].per_frame.plus(
-            fw.reentrancy_per_frame
-        ).scaled(frames)
+        profile = self._reentrant_per_frame["fetch_recv_bd"].scaled(frames)
         cycles += self._charge("fetch_recv_bd", profile, frames=frames)
         transfer = self.dma_read.descriptor_transfer(
             now + self.core_clock.cycles_to_ps(cycles),

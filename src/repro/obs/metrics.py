@@ -27,7 +27,7 @@ import json
 import re
 from typing import IO, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.sim.kernel import Event, Simulator
+from repro.sim.kernel import Simulator
 
 Sample = Tuple[int, Dict[str, float]]
 
@@ -50,7 +50,7 @@ class MetricsSampler:
         self.max_samples = max_samples
         self.samples: List[Sample] = []
         self._running = False
-        self._pending: Optional[Event] = None
+        self._pending: Optional[list] = None  # the queued tick's entry
 
     def start(self) -> "MetricsSampler":
         """Schedule the first sample one interval from now."""

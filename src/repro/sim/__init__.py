@@ -9,14 +9,13 @@ That choice is what makes sustained 10 Gb/s traffic tractable in Python
 while preserving cycle-accurate ordering within each clock domain.
 """
 
-from repro.sim.kernel import ClockDomain, Event, Simulator
+from repro.sim.kernel import ClockDomain, Simulator
 from repro.sim.module import Port, SimModule
 from repro.sim.stats import Counter, Histogram, RateMeter, StatRegistry
 
 __all__ = [
     "ClockDomain",
     "Counter",
-    "Event",
     "Histogram",
     "Port",
     "RateMeter",

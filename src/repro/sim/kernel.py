@@ -16,7 +16,6 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
@@ -47,20 +46,6 @@ def _coerce_delay(value, what: str = "delay_ps"):
             f"{what} must be an integer picosecond count, got "
             f"{type(value).__name__} {value!r}"
         ) from None
-
-
-@dataclass(frozen=True)
-class Event:
-    """Handle for a scheduled callback.
-
-    The kernel hands one back from :meth:`Simulator.schedule`; holding on
-    to it allows cancellation.  Equality is identity-based on the ticket
-    number so duplicate (time, callback) pairs stay distinct.
-    """
-
-    time_ps: int
-    priority: int
-    ticket: int
 
 
 class ClockDomain:
@@ -118,15 +103,22 @@ class Simulator:
         core_clk = sim.add_clock("core", mhz(166))
         sim.schedule(core_clk.cycles_to_ps(10), lambda: ...)
         sim.run(until_ps=seconds_to_ps(1e-3))
+
+    The queue is a heap of ``[when_ps, priority, ticket, callback]``
+    entries.  Tickets are unique, so entries order by (time, priority,
+    insertion) and the callback is never compared.  Each entry doubles
+    as its event's cancel handle, after the lazy-deletion recipe in the
+    :mod:`heapq` documentation: cancelling (or firing) an event sets its
+    callback to ``None``, and a cancelled entry stays in the heap as a
+    *ghost* until it is popped or compacted away.
     """
 
     def __init__(self) -> None:
         self.now_ps: int = 0
         self.clocks: Dict[str, ClockDomain] = {}
-        self._queue: List[tuple] = []
+        self._queue: List[list] = []
         self._tickets = itertools.count()
-        self._cancelled: set = set()
-        self._live: set = set()  # tickets physically present in the heap
+        self._ghosts = 0  # cancelled entries still in the heap
         self._stopped = False
         self.events_processed = 0
         self._profiler = None  # duck-typed: .record(callback, wall_seconds)
@@ -158,7 +150,7 @@ class Simulator:
         delay_ps: int,
         callback: Callable[[], None],
         priority: int = 0,
-    ) -> Event:
+    ) -> list:
         """Run ``callback`` after ``delay_ps`` picoseconds.
 
         Lower ``priority`` runs first among events at the same instant.
@@ -166,25 +158,33 @@ class Simulator:
         floats and ``__index__``-able integers (e.g. ``numpy.int64``)
         are normalized to ``int`` at this boundary, fractional values
         raise ``TypeError`` (see :func:`_coerce_delay`).
+
+        Returns the event's heap entry, the handle :meth:`cancel`
+        takes.  Treat it as opaque: the kernel mutates it when the
+        event fires or is cancelled.
         """
         if type(delay_ps) is not int:
             delay_ps = _coerce_delay(delay_ps)
         if delay_ps < 0:
             raise ValueError(f"cannot schedule in the past (delay {delay_ps})")
+        if callback is None:
+            # ``None`` marks a dead entry; queueing it would corrupt the
+            # ghost count behind ``pending_events``.
+            raise TypeError("callback must be callable, got None")
         ticket = next(self._tickets)
         when = self.now_ps + delay_ps
-        heapq.heappush(self._queue, (when, priority, ticket, callback))
-        self._live.add(ticket)
+        entry = [when, priority, ticket, callback]
+        heapq.heappush(self._queue, entry)
         if self.monitor.enabled:
             self.monitor.event_scheduled(ticket, when, self.now_ps)
-        return Event(when, priority, ticket)
+        return entry
 
     def schedule_at(
         self,
         time_ps: int,
         callback: Callable[[], None],
         priority: int = 0,
-    ) -> Event:
+    ) -> list:
         """Run ``callback`` at absolute global time ``time_ps``."""
         return self.schedule(time_ps - self.now_ps, callback, priority)
 
@@ -194,32 +194,34 @@ class Simulator:
         cycles: float,
         callback: Callable[[], None],
         priority: int = 0,
-    ) -> Event:
+    ) -> list:
         """Run ``callback`` after ``cycles`` cycles of ``clock``."""
         return self.schedule(clock.cycles_to_ps(cycles), callback, priority)
 
-    def cancel(self, event: Event) -> None:
+    def cancel(self, event: list) -> None:
         """Cancel a pending event.  Cancelling a fired event is a no-op.
 
-        Only tickets still physically present in the heap are recorded:
-        a fired (or already-cancelled-and-popped) ticket never re-enters
-        the queue, so adding it to ``_cancelled`` would leak the entry
-        forever and silently degrade :attr:`pending_events` from O(1) to
-        O(n) for the rest of the simulation.
+        ``event`` is the entry :meth:`schedule` returned.  Cancelling
+        sets its callback to ``None`` and leaves it in the heap as a
+        ghost, which costs O(1); :meth:`run` and :meth:`peek_next_time`
+        drop ghosts when they reach the head.  A fired entry's callback
+        is ``None`` too, so cancelling it again, or after it fired, does
+        nothing.
         """
-        if event.ticket in self._live:
-            if self.monitor.enabled:
-                self.monitor.event_cancelled(event.ticket)
-            self._cancelled.add(event.ticket)
-            # Opportunistic ghost compaction: once cancelled entries
-            # dominate the heap, one O(n) rebuild reclaims them all —
-            # the same work ``peek_next_time``'s pruning loop does at
-            # the head, applied to the whole queue.  Amortized O(1) per
-            # cancel, and it keeps cancel-heavy runs from dragging a
-            # heap full of dead weight through every push and pop.
-            if len(self._cancelled) > 64 and \
-                    2 * len(self._cancelled) > len(self._queue):
-                self._compact_ghosts()
+        if event[3] is None:
+            return
+        event[3] = None
+        self._ghosts += 1
+        if self.monitor.enabled:
+            self.monitor.event_cancelled(event[2])
+        # Opportunistic ghost compaction: once cancelled entries
+        # dominate the heap, one O(n) rebuild reclaims them all — the
+        # same work ``peek_next_time``'s pruning loop does at the head,
+        # applied to the whole queue.  Amortized O(1) per cancel, and it
+        # keeps cancel-heavy runs from dragging a heap full of dead
+        # weight through every push and pop.
+        if self._ghosts > 64 and 2 * self._ghosts > len(self._queue):
+            self._compact_ghosts()
 
     def _compact_ghosts(self) -> None:
         """Drop every cancelled entry from the heap in one pass.
@@ -227,16 +229,14 @@ class Simulator:
         Mutates ``_queue`` in place (slice assignment) so any local
         alias held by a running ``run()`` loop stays valid.
         """
-        cancelled = self._cancelled
+        queue = self._queue
         if self.monitor.enabled:
-            for ticket in cancelled:
-                self.monitor.event_discarded(ticket)
-        self._queue[:] = [
-            entry for entry in self._queue if entry[2] not in cancelled
-        ]
-        heapq.heapify(self._queue)
-        self._live.difference_update(cancelled)
-        cancelled.clear()
+            for entry in queue:
+                if entry[3] is None:
+                    self.monitor.event_discarded(entry[2])
+        queue[:] = [entry for entry in queue if entry[3] is not None]
+        heapq.heapify(queue)
+        self._ghosts = 0
 
     def stop(self) -> None:
         """Stop the event loop after the current callback returns."""
@@ -271,12 +271,14 @@ class Simulator:
         profiler = self._profiler
         monitor = self.monitor
         queue = self._queue
+        heappop = heapq.heappop
         while queue:
             if self._stopped:
                 break
             if max_events is not None and processed >= max_events:
                 break
-            when, _priority, ticket, callback = queue[0]
+            entry = queue[0]
+            when = entry[0]
             if until_ps is not None and when > until_ps:
                 # Clamp instead of assigning unconditionally: a caller
                 # passing ``until_ps < now_ps`` must not move simulated
@@ -284,15 +286,16 @@ class Simulator:
                 # guards the same way).
                 self.now_ps = max(self.now_ps, until_ps)
                 break
-            heapq.heappop(queue)
-            self._live.discard(ticket)
-            if ticket in self._cancelled:
-                self._cancelled.discard(ticket)
+            heappop(queue)
+            callback = entry[3]
+            if callback is None:
+                self._ghosts -= 1
                 if monitor.enabled:
-                    monitor.event_discarded(ticket)
+                    monitor.event_discarded(entry[2])
                 continue
+            entry[3] = None  # fired: a later cancel() is a no-op
             if monitor.enabled:
-                monitor.event_fired(ticket, when, self.now_ps)
+                monitor.event_fired(entry[2], when, self.now_ps)
             self.now_ps = when
             if profiler is None:
                 callback()
@@ -310,13 +313,13 @@ class Simulator:
 
     def peek_next_time(self) -> Optional[int]:
         """Global time of the next pending event, or None if idle."""
-        while self._queue and self._queue[0][2] in self._cancelled:
-            _, _, ticket, _ = heapq.heappop(self._queue)
-            self._live.discard(ticket)
-            self._cancelled.discard(ticket)
+        queue = self._queue
+        while queue and queue[0][3] is None:
+            ghost = heapq.heappop(queue)
+            self._ghosts -= 1
             if self.monitor.enabled:
-                self.monitor.event_discarded(ticket)
-        return self._queue[0][0] if self._queue else None
+                self.monitor.event_discarded(ghost[2])
+        return queue[0][0] if queue else None
 
     @property
     def pending_events(self) -> int:
@@ -325,9 +328,9 @@ class Simulator:
         Cancelled events linger in the heap as ghosts until their pop
         (or a compaction); counting them would make observability
         reports overstate queue depth, so they are excluded.  The count
-        is an exact subtraction rather than a scan: ``cancel()`` only
-        records tickets still physically in the heap and every pop or
-        compaction removes the ticket from both structures, so
-        ``_cancelled`` is always a subset of the heap's tickets.
+        is an exact subtraction rather than a scan: an entry's callback
+        is ``None`` exactly when it was cancelled or has fired, a fired
+        entry is never in the heap, and ``_ghosts`` moves with every
+        cancel, ghost pop and compaction.
         """
-        return len(self._queue) - len(self._cancelled)
+        return len(self._queue) - self._ghosts

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu import ContentionModel, CoreCostModel
+from repro.cpu import ContentionModel, CoreCostModel, HandlerCost
 from repro.cpu.costmodel import OpProfile
 
 
@@ -25,6 +25,11 @@ class TestOpProfile:
         assert doubled.instructions == 20
         assert doubled.loads == 4
         assert doubled.taken_branch_fraction == profile.taken_branch_fraction
+        assert doubled == OpProfile(instructions=20, loads=4, stores=2)
+
+    def test_scaled_negative_rejected(self):
+        with pytest.raises(ValueError):
+            OpProfile(10, 2, 1).scaled(-1)
 
     def test_plus_combines_counts(self):
         a = OpProfile(instructions=10, loads=2, stores=1)
@@ -81,8 +86,7 @@ class TestCoreCostModel:
             instructions=100, loads=0, stores=0,
             taken_branch_fraction=0.0, load_use_fraction=0.0,
         )
-        cost = model.cost(profile, 0.0)
-        assert cost.total_cycles == pytest.approx(100)
+        assert model.cycles(profile, 0.0) == pytest.approx(100)
 
     def test_loads_add_stall_each(self):
         model = CoreCostModel(imiss_rate=0.0)
@@ -90,7 +94,8 @@ class TestCoreCostModel:
             instructions=100, loads=20, stores=0,
             taken_branch_fraction=0.0, load_use_fraction=0.0,
         )
-        assert model.cost(profile, 0.0).load_cycles == pytest.approx(20)
+        _execution, _imiss, load, _conflict, _pipeline = model.cost(profile, 0.0)
+        assert load == pytest.approx(20)
 
     def test_load_use_pipeline_charge(self):
         model = CoreCostModel(imiss_rate=0.0)
@@ -98,7 +103,8 @@ class TestCoreCostModel:
             instructions=100, loads=20, stores=0,
             taken_branch_fraction=0.0, load_use_fraction=0.5,
         )
-        assert model.cost(profile, 0.0).pipeline_cycles == pytest.approx(10)
+        _execution, _imiss, _load, _conflict, pipeline = model.cost(profile, 0.0)
+        assert pipeline == pytest.approx(10)
 
     def test_conflict_charge(self):
         model = CoreCostModel(imiss_rate=0.0, store_buffer_pressure=0.5)
@@ -106,20 +112,21 @@ class TestCoreCostModel:
             instructions=100, loads=10, stores=10,
             taken_branch_fraction=0.0, load_use_fraction=0.0,
         )
-        cost = model.cost(profile, 0.4)
-        assert cost.conflict_cycles == pytest.approx(10 * 0.4 + 10 * 0.4 * 0.5)
+        _execution, _imiss, _load, conflict, _pipeline = model.cost(profile, 0.4)
+        assert conflict == pytest.approx(10 * 0.4 + 10 * 0.4 * 0.5)
 
     def test_imiss_charge(self):
         model = CoreCostModel(imiss_rate=0.001, imiss_penalty_cycles=8)
         profile = OpProfile(instructions=1000, loads=0, stores=0,
                             taken_branch_fraction=0.0, load_use_fraction=0.0)
-        assert model.cost(profile, 0.0).imiss_cycles == pytest.approx(8)
+        _execution, imiss, _load, _conflict, _pipeline = model.cost(profile, 0.0)
+        assert imiss == pytest.approx(8)
 
     def test_breakdown_sums_to_one(self):
         model = CoreCostModel()
         profile = OpProfile(instructions=500, loads=80, stores=60)
-        breakdown = model.cost(profile, 0.3).breakdown()
-        assert sum(breakdown.values()) == pytest.approx(1.0)
+        cost = HandlerCost(profile.instructions, *model.cost(profile, 0.3))
+        assert sum(cost.breakdown().values()) == pytest.approx(1.0)
 
     def test_negative_wait_rejected(self):
         with pytest.raises(ValueError):
@@ -131,7 +138,8 @@ class TestCoreCostModel:
         pipeline ~0.1, imiss ~0.01."""
         model = CoreCostModel()
         profile = OpProfile(instructions=1000, loads=167, stores=125)
-        breakdown = model.cost(profile, 0.29).breakdown()
+        cost = HandlerCost(profile.instructions, *model.cost(profile, 0.29))
+        breakdown = cost.breakdown()
         assert 0.6 < breakdown["execution"] < 0.8
         assert 0.08 < breakdown["load"] < 0.18
         assert 0.02 < breakdown["conflict"] < 0.09

@@ -129,13 +129,21 @@ class TestFabricSpec:
             FabricSpec(nics=2, rpc_flows=(RpcFlowSpec(client=0, server=2),))
 
     def test_duplicate_flow_names_rejected(self):
-        spec = FabricSpec(
-            nics=2,
-            rpc_flows=(RpcFlowSpec(name="f"),),
-            stream_flows=(StreamFlowSpec(name="f"),),
-        )
+        # Rejected when the spec is built, before a RunSpec can hash it
+        # and hand it to a sweep worker.
         with pytest.raises(ValueError, match="unique"):
-            spec.flow_names()
+            FabricSpec(
+                nics=2,
+                rpc_flows=(RpcFlowSpec(name="f"),),
+                stream_flows=(StreamFlowSpec(name="f"),),
+            )
+        # An explicit name can also collide with a defaulted one.
+        with pytest.raises(ValueError, match="unique"):
+            FabricSpec(
+                nics=2,
+                rpc_flows=(RpcFlowSpec(name="stream0"),),
+                stream_flows=(StreamFlowSpec(),),
+            )
 
     def test_default_flow_names(self):
         spec = FabricSpec(

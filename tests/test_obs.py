@@ -235,6 +235,25 @@ class TestMetricsSampler:
         assert sim.now_ps == 25_000  # time did not advance to 30_000
         assert len(sampler.samples) == 2
 
+    def test_stop_mid_run_under_armed_monitor(self):
+        """A sampler stopped by a callback inside ``run()`` leaves no
+        live tick behind, and the monitor sees its cancel and discard."""
+        from repro.check.monitor import InvariantMonitor
+
+        sim = Simulator()
+        sim.monitor = InvariantMonitor()
+        sampler = MetricsSampler(sim, lambda: {"v": 1.0}, 10_000)
+        sampler.start()
+        sim.schedule(25_000, sampler.stop)
+        sim.run()
+        assert sim.pending_events == 0
+        assert sim.now_ps == 25_000  # the cancelled tick at 30_000 never fired
+        assert len(sampler.samples) == 2
+        sim.monitor.check_ticket_conservation()
+        assert sim.monitor.ok
+        assert sim.monitor.events_cancelled == 1
+        assert sim.monitor.events_discarded == 1
+
     def test_stop_before_start_is_noop(self):
         sim = Simulator()
         sampler = MetricsSampler(sim, lambda: {"v": 1.0}, 10_000)

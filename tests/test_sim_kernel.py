@@ -190,57 +190,90 @@ class TestScheduling:
 class TestCancelAfterFire:
     """Regression: cancelling fired events must not pollute the kernel.
 
-    A fired ticket never re-enters the heap; recording it in
-    ``_cancelled`` leaked the entry forever and silently degraded
-    ``pending_events`` from O(1) to O(n) for the rest of the run.
+    A fired entry never re-enters the heap.  Counting a cancel of it as
+    a ghost would leave ``pending_events`` short for the rest of the
+    run, and reporting it to the monitor would cancel a ticket that is
+    no longer live.  Every test runs under an armed monitor, which
+    raises on such a cancel and checks ticket conservation.
     """
 
-    def test_cancel_after_fire_leaves_no_residue(self):
+    @staticmethod
+    def _sim():
+        from repro.check.monitor import InvariantMonitor
+
         sim = Simulator()
+        sim.monitor = InvariantMonitor()
+        return sim
+
+    def test_cancel_after_fire_leaves_no_residue(self):
+        sim = self._sim()
         event = sim.schedule(10, lambda: None)
         sim.run()
         sim.cancel(event)
-        assert sim._cancelled == set()
+        assert sim.pending_events == 0
+        assert len(sim._queue) == 0
+        sim.monitor.check_ticket_conservation()
+        assert sim.monitor.ok
 
     def test_cancel_after_fire_does_not_accumulate(self):
-        sim = Simulator()
+        sim = self._sim()
         events = [sim.schedule(i + 1, lambda: None) for i in range(100)]
         sim.run()
         for event in events:
             sim.cancel(event)
-        assert sim._cancelled == set()
-        # pending_events stays on the O(1) fast path (no ghosts).
+        assert sim.pending_events == 0
+        # The live count stays an exact O(1) subtraction (no ghosts).
         sim.schedule(5, lambda: None)
         assert sim.pending_events == 1
+        assert len(sim._queue) == 1
+        sim.monitor.check_ticket_conservation()
+        assert sim.monitor.ok
 
     def test_cancel_twice_then_pop_leaves_no_residue(self):
-        sim = Simulator()
+        sim = self._sim()
         event = sim.schedule(10, lambda: None)
         sim.cancel(event)
         sim.cancel(event)  # idempotent while still queued
+        assert sim.pending_events == 0
+        assert len(sim._queue) == 1  # one ghost, counted once
         sim.run()
-        assert sim._cancelled == set()
+        assert sim.events_processed == 0
+        assert len(sim._queue) == 0
+        assert sim.pending_events == 0
         # Cancelling again after the ghost was popped is a no-op too.
         sim.cancel(event)
-        assert sim._cancelled == set()
+        assert sim.pending_events == 0
+        sim.monitor.check_ticket_conservation()
+        assert sim.monitor.ok
 
     def test_cancel_after_peek_pops_ghost(self):
-        sim = Simulator()
+        sim = self._sim()
         ghost = sim.schedule(10, lambda: None)
         sim.cancel(ghost)
         assert sim.peek_next_time() is None
+        assert len(sim._queue) == 0  # the peek popped the ghost
         sim.cancel(ghost)  # ghost already physically removed
-        assert sim._cancelled == set()
+        assert sim.pending_events == 0
+        sim.monitor.check_ticket_conservation()
+        assert sim.monitor.ok
 
     def test_live_set_tracks_heap(self):
-        sim = Simulator()
+        sim = self._sim()
         sim.schedule(10, lambda: None)
-        keep = sim.schedule(20, lambda: None)
-        assert len(sim._live) == 2
+        sim.schedule(20, lambda: None)
+        assert sim.pending_events == 2
         sim.run(until_ps=15)
-        assert sim._live == {keep.ticket}
+        assert sim.events_processed == 1
+        assert sim.pending_events == 1
+        assert len(sim._queue) == 1
+        assert sim.peek_next_time() == 20
+        sim.monitor.check_ticket_conservation()
         sim.run()
-        assert sim._live == set()
+        assert sim.events_processed == 2
+        assert sim.pending_events == 0
+        assert len(sim._queue) == 0
+        sim.monitor.check_ticket_conservation()
+        assert sim.monitor.ok
 
 
 class TestRunUntilClamping:
@@ -383,6 +416,13 @@ class TestDelayNormalization:
         with pytest.raises(TypeError):
             sim.schedule("10", lambda: None)
 
+    def test_none_callback_rejected(self):
+        # A None callback is the kernel's mark of a dead entry.
+        sim = Simulator()
+        with pytest.raises(TypeError):
+            sim.schedule(10, None)
+        assert sim.pending_events == 0
+
 
 class TestGhostCompaction:
     """``pending_events`` is O(1) and mass cancellation physically
@@ -403,7 +443,7 @@ class TestGhostCompaction:
         # Compaction is amortized (it runs when ghosts outnumber half
         # the heap), so at least one sweep must have fired by now.
         assert len(sim._queue) < 150
-        assert len(sim._cancelled) < 64
+        assert len(sim._queue) - sim.pending_events < 64  # ghosts left
         seen = []
         sim.schedule(500, lambda: seen.append(sim.now_ps))
         sim.run()
