@@ -25,16 +25,14 @@ the partitioned-memory design).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Tuple
+from typing import Callable, Deque, NamedTuple, Tuple
 
 from repro.assists.pci import PciInterface
 from repro.mem.sdram import GddrSdram
 from repro.sim.kernel import ClockDomain, Simulator
 
 
-@dataclass(frozen=True)
-class DmaTransfer:
+class DmaTransfer(NamedTuple):
     """Timing of one completed (synchronous) DMA."""
 
     issue_ps: int
@@ -194,13 +192,7 @@ class DmaAssist:
         complete = self.pci.host_phase(now_ps, nbytes)
         self.transfers += 1
         self.bytes_moved += nbytes
-        return DmaTransfer(
-            issue_ps=now_ps,
-            host_done_ps=complete,
-            complete_ps=complete,
-            nbytes=nbytes,
-            touched_sdram=False,
-        )
+        return DmaTransfer(now_ps, complete, complete, nbytes, False)
 
     def note_scratchpad_accesses(self, count: int) -> None:
         """Track the assist's own control-data traffic (Table 4)."""

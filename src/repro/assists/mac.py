@@ -13,16 +13,14 @@ SDRAM access of frame *n+1* overlaps the wire time of frame *n*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from repro.mem.sdram import GddrSdram
 from repro.net.ethernet import EthernetTiming
 from repro.sim.kernel import ClockDomain
 
 
-@dataclass(frozen=True)
-class WireEvent:
+class WireEvent(NamedTuple):
     """One frame's trip through a MAC engine."""
 
     seq: int
@@ -67,11 +65,12 @@ class MacTransmitter:
 class MacReceiver:
     """Accepts arriving frames into the rx buffer at line pace.
 
-    Arrivals are generated analytically (the offered stream is strictly
-    periodic), so the receiver produces one simulation event per
-    *accepted* frame, never per offered frame: when the NIC falls
-    behind, the backlogged frames are implicitly dropped and accounted
-    at the end via :meth:`offered_frames`.
+    Arrivals follow one precomputed period of gaps (Section 5's wire
+    model makes the offered stream periodic): frame ``seq`` is followed
+    by ``gaps[seq % len(gaps)]`` ps.  The receiver produces one
+    simulation event per *accepted* frame, never per offered frame:
+    when the NIC falls behind, :meth:`skip_backlog` drops the expired
+    frames in O(one period), however many there are.
     """
 
     def __init__(
@@ -81,28 +80,33 @@ class MacReceiver:
         interarrival_ps: int = 0,
         start_ps: int = 0,
         timing: Optional[EthernetTiming] = None,
-        gap_fn=None,
+        gaps: Optional[Sequence[int]] = None,
     ) -> None:
-        """Either a constant ``interarrival_ps`` or a per-frame
-        ``gap_fn(seq) -> ps`` (mixed-size workloads) paces arrivals."""
-        if gap_fn is None and interarrival_ps <= 0:
-            raise ValueError("interarrival time must be positive")
+        """``gaps``, when given, is one period of per-frame gaps in ps
+        (mixed sizes or bursty arrivals); otherwise the constant
+        ``interarrival_ps`` is the one-entry period.  Every gap must be
+        positive."""
+        gaps = (interarrival_ps,) if gaps is None else tuple(gaps)
+        if not gaps or min(gaps) <= 0:
+            raise ValueError("interarrival gaps must be positive")
         self.sdram = sdram
         self.sdram_clock = sdram_clock
-        self.interarrival_ps = interarrival_ps
+        self.gaps = gaps
+        self.period_ps = sum(gaps)
         self.start_ps = start_ps
         self.timing = timing if timing is not None else EthernetTiming()
-        self._gap_fn = gap_fn
         self.frames_accepted = 0
         self.bytes_accepted = 0
         self.scratchpad_accesses = 0
         self._next_seq = 0
         self._next_arrival_ps = start_ps
 
-    def _gap(self, seq: int) -> int:
-        if self._gap_fn is not None:
-            return self._gap_fn(seq)
-        return self.interarrival_ps
+    @property
+    def interarrival_ps(self) -> int:
+        """The gap of a one-entry (constant) period."""
+        if len(self.gaps) != 1:
+            raise ValueError("interarrival_ps requires constant pacing")
+        return self.gaps[0]
 
     def next_arrival_ps(self) -> int:
         """Earliest time the next frame can be taken off the wire."""
@@ -124,7 +128,7 @@ class MacReceiver:
             )
         wire_end = max(now_ps, arrival) + self.timing.frame_time_ps(frame_bytes)
         seq = self._next_seq
-        self._next_arrival_ps += self._gap(seq)
+        self._next_arrival_ps += self.gaps[seq % len(self.gaps)]
         self._next_seq += 1
         self.frames_accepted += 1
         self.bytes_accepted += frame_bytes
@@ -142,23 +146,34 @@ class MacReceiver:
 
         Returns the number of frames dropped.  Called when the receive
         buffer has been full across arrival slots — the wire does not
-        wait, so those frames are gone (tail drop at the MAC).
+        wait, so those frames are gone (tail drop at the MAC).  Frame
+        ``seq`` is dropped when frame ``seq + 1`` arrived before
+        ``now_ps``.
         """
         first = seq = self._next_seq
         arrival = self._next_arrival_ps
-        gap = self._gap(seq)
+        gaps = self.gaps
+        # Whole periods first: from any phase a period spans period_ps,
+        # and arrivals only grow, so when the frame one period ahead
+        # arrived before now, every frame it skips has expired too.
+        periods = (now_ps - arrival - 1) // self.period_ps
+        if periods > 0:
+            seq += periods * len(gaps)
+            arrival += periods * self.period_ps
+        # Then the rest of a period, frame by frame.
+        gap = gaps[seq % len(gaps)]
         while arrival + gap < now_ps:
             arrival += gap
             seq += 1
-            gap = self._gap(seq)
+            gap = gaps[seq % len(gaps)]
         self._next_seq = seq
         self._next_arrival_ps = arrival
         return seq - first
 
     def offered_frames(self, start_ps: int, end_ps: int) -> int:
         """How many frames the wire offered during a window (constant
-        interarrival pacing only)."""
-        if self._gap_fn is not None:
+        pacing only)."""
+        if len(self.gaps) != 1:
             raise ValueError("offered_frames requires constant pacing")
         if end_ps <= start_ps:
             return 0

@@ -66,6 +66,20 @@ def _run_throughput_software():
     return ThroughputSimulator(config, 1472).run(WARMUP_S, MEASURE_S)
 
 
+def _run_throughput_imix_bursty():
+    from repro.net.workload import ImixSize
+    from repro.nic.throughput import ThroughputSimulator
+
+    # Mixed sizes arriving in bursts of 8 at 80% load: the receive gaps
+    # follow a 24-entry period (lcm of 12 sizes and 8 frames), and the run
+    # tail-drops whole backlogs at the MAC, so the periodic-pacing path
+    # is pinned alongside the constant-gap runs above.
+    return ThroughputSimulator(
+        _config(), size_model=ImixSize(), offered_fraction=0.8,
+        rx_burst_frames=8,
+    ).run(WARMUP_S, MEASURE_S)
+
+
 def _run_faulted():
     from repro.faults import FaultPlan
     from repro.nic.throughput import ThroughputSimulator
@@ -224,6 +238,7 @@ def golden_specs() -> Dict[str, Callable]:
     return {
         "throughput-rmw": _run_throughput,
         "throughput-software": _run_throughput_software,
+        "throughput-imix-bursty": _run_throughput_imix_bursty,
         "throughput-faulted": _run_faulted,
         "fabric-rpc": _run_fabric,
         "fabric-rpc-switched": _run_fabric_switched,

@@ -90,8 +90,7 @@ def _add_run_parser(subparsers) -> None:
     parser.add_argument("--millis", type=float, default=1.0)
     parser.add_argument("--offered", type=float, default=1.0,
                         help="offered receive load as a fraction of line rate")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the full result as JSON")
+    _add_output_flags(parser, csv=False)
     # -- observability ---------------------------------------------------
     parser.add_argument("--trace", type=str, default="", metavar="OUT.json",
                         help="record frame-lifecycle spans and write a "
@@ -583,18 +582,20 @@ def _run_arms(sweep, estimator: str) -> list:
 def _cmd_run(args) -> int:
     from repro.nic import ThroughputSimulator
 
-    with _validating():
-        config = _nic_config(args)
-        if args.metrics_out and args.sample_interval <= 0:
-            raise ValueError("--sample-interval must be positive")
     tracer = None
     if args.trace:
         from repro.obs import Tracer
 
         tracer = Tracer()
-    simulator = ThroughputSimulator(
-        config, args.payload, offered_fraction=args.offered, tracer=tracer
-    )
+    with _validating():
+        config = _nic_config(args)
+        if args.metrics_out and args.sample_interval <= 0:
+            raise ValueError("--sample-interval must be positive")
+        if not args.millis > 0:
+            raise ValueError("--millis must be positive")
+        simulator = ThroughputSimulator(
+            config, args.payload, offered_fraction=args.offered, tracer=tracer
+        )
     sampler = None
     if args.metrics_out:
         sampler = simulator.sample_metrics_every(round(args.sample_interval * 1e6))
@@ -618,12 +619,12 @@ def _cmd_run(args) -> int:
               f"{args.metrics_out} ({args.metrics_format})", file=sys.stderr)
     if profiler is not None:
         print(profiler.report(), file=sys.stderr)
-    if args.json:
+    if args.json_out:
         payload = result.to_dict()
         if profiler is not None:
             payload["sim_profile"] = profiler.to_dict(top_n=25)
-        _write_json("-", payload)
-        return 0
+        if _write_json(args.json_out, payload):
+            return 0
     print(f"{config.label}  payload {args.payload} B")
     print(f"  throughput: {result.udp_throughput_gbps:.2f} Gb/s "
           f"({result.line_rate_fraction():.1%} of duplex line rate)")

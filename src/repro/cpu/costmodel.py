@@ -77,7 +77,10 @@ class OpProfile:
         total = self.instructions + other.instructions
         if total == 0:
             return self
-        blend = lambda a, b: (a * self.instructions + b * other.instructions) / total
+
+        def blend(a: float, b: float) -> float:
+            return (a * self.instructions + b * other.instructions) / total
+
         return OpProfile(
             instructions=total,
             loads=self.loads + other.loads,

@@ -135,6 +135,14 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "imix"):
             raise ValueError(f"workload kind must be constant/imix, got {self.kind!r}")
+        # The simulator checks these too; checking here rejects a bad
+        # RunSpec before it is hashed and sent to a worker.
+        if not 0.0 < self.offered_fraction <= 1.0:
+            raise ValueError(
+                f"offered_fraction must be in (0, 1], got {self.offered_fraction}"
+            )
+        if self.rx_burst_frames < 1:
+            raise ValueError("rx_burst_frames must be >= 1")
 
     def build_size_model(self) -> Optional[FrameSizeModel]:
         """Live size model, or ``None`` for the simulator's built-in

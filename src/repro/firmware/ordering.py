@@ -91,6 +91,21 @@ _RMW_COMMIT_PER_WORD = OrderingCost(instructions=3.0, loads=1.0, stores=0.0)
 _POINTER_UPDATE = OrderingCost(instructions=3.0, loads=0.0, stores=1.0)
 
 
+def _commit_cost(
+    base: OrderingCost, step: OrderingCost, steps: int, committed: bool
+) -> OrderingCost:
+    """``base`` plus ``steps`` loop trips of ``step``, plus the pointer
+    update when anything committed, built as one record.  Every term is
+    a small whole number, so each product equals the repeated sum bit
+    for bit."""
+    pointer = _POINTER_UPDATE if committed else ZERO_COST
+    return OrderingCost(
+        base.instructions + steps * step.instructions + pointer.instructions,
+        base.loads + steps * step.loads + pointer.loads,
+        base.stores + steps * step.stores + pointer.stores,
+    )
+
+
 class OrderingBoard:
     """One direction's status bitmap + commit pointer."""
 
@@ -179,13 +194,13 @@ class OrderingBoard:
         return result
 
     def _commit_rmw(self) -> tuple:
-        cost = _RMW_COMMIT_BASE
+        words = 0
         total = 0
         while True:
             index = self.commit_seq % self.ring_size
             last = index - 1  # -1 at a ring boundary starts at bit 0
             new_last = apply_update(self._bitmap, 0, last)
-            cost = cost + _RMW_COMMIT_PER_WORD
+            words += 1
             progress = new_last - last
             if progress <= 0:
                 break
@@ -193,13 +208,12 @@ class OrderingBoard:
             total += progress
             # `update` stops at an aligned word boundary; loop to let the
             # run continue into the next word (or wrap the ring).
-        if total:
-            cost = cost + _POINTER_UPDATE
         self.committed += total
-        return total, cost
+        return total, _commit_cost(
+            _RMW_COMMIT_BASE, _RMW_COMMIT_PER_WORD, words, total > 0
+        )
 
     def _commit_software(self) -> tuple:
-        cost = _SW_COMMIT_BASE
         per_frame = _SW_COMMIT_PER_FRAME_HW if self.hw_pointer else _SW_COMMIT_PER_FRAME
         total = 0
         while self.is_marked(self.commit_seq):
@@ -209,11 +223,8 @@ class OrderingBoard:
             self._bitmap.store_word(word_addr, word & ~(1 << (index % 32)))
             self.commit_seq += 1
             total += 1
-            cost = cost + per_frame
-        if total:
-            cost = cost + _POINTER_UPDATE
         self.committed += total
-        return total, cost
+        return total, _commit_cost(_SW_COMMIT_BASE, per_frame, total, total > 0)
 
     # ------------------------------------------------------------------
     @property

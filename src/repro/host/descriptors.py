@@ -10,8 +10,7 @@ region + payload region); receive buffers use one descriptor each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 # Flag bits (Tigon-style).
 FLAG_END_OF_FRAME = 0x1
@@ -21,20 +20,31 @@ FLAG_RECV_BUFFER = 0x4
 DESCRIPTOR_BYTES = 16  # address, length, flags, cookie — 4 words
 
 
-@dataclass(frozen=True)
-class BufferDescriptor:
-    """One host-memory region, as the driver describes it to the NIC."""
-
+class _DescriptorFields(NamedTuple):
     address: int
     length: int
     flags: int = 0
     cookie: int = 0  # driver-private tag (frame sequence number here)
 
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise ValueError(f"descriptor address must be non-negative")
-        if self.length <= 0:
-            raise ValueError(f"descriptor length must be positive, got {self.length}")
+
+class BufferDescriptor(_DescriptorFields):
+    """One host-memory region, as the driver describes it to the NIC."""
+
+    # typing.NamedTuple forbids overriding __new__, so the checks live
+    # on this subclass; empty slots keep it an immutable tuple.
+    __slots__ = ()
+
+    def __new__(cls, address: int, length: int, flags: int = 0, cookie: int = 0):
+        if address < 0:
+            raise ValueError("descriptor address must be non-negative")
+        if length <= 0:
+            raise ValueError(f"descriptor length must be positive, got {length}")
+        return tuple.__new__(cls, (address, length, flags, cookie))
+
+    @classmethod
+    def _make(cls, iterable) -> "BufferDescriptor":
+        # _replace builds through _make: route it through the checks.
+        return cls(*iterable)
 
     @property
     def is_end_of_frame(self) -> bool:

@@ -153,16 +153,16 @@ class DriverModel:
                 break
             seq = self._next_send_seq
             header = BufferDescriptor(
-                address=self.layout.tx_header_address(seq),
-                length=TX_HEADER_REGION_BYTES,
-                flags=FLAG_HEADER_REGION,
-                cookie=seq,
+                self.layout.tx_header_address(seq),
+                TX_HEADER_REGION_BYTES,
+                FLAG_HEADER_REGION,
+                seq,
             )
             payload = BufferDescriptor(
-                address=self.layout.tx_payload_address(seq),
-                length=self._payload_bytes,
-                flags=FLAG_END_OF_FRAME,
-                cookie=seq,
+                self.layout.tx_payload_address(seq),
+                self._payload_bytes,
+                FLAG_END_OF_FRAME,
+                seq,
             )
             self.send_ring.push_many([header, payload])
             self._next_send_seq += 1
@@ -190,10 +190,10 @@ class DriverModel:
                 break
             index = self._next_recv_buffer
             descriptor = BufferDescriptor(
-                address=self.layout.rx_buffer_address(index),
-                length=self.frame_bytes,
-                flags=FLAG_RECV_BUFFER,
-                cookie=index,
+                self.layout.rx_buffer_address(index),
+                self.frame_bytes,
+                FLAG_RECV_BUFFER,
+                index,
             )
             self.recv_ring.push(descriptor)
             self._next_recv_buffer += 1

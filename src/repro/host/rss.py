@@ -251,11 +251,11 @@ class HostRing:
             self._next_rx_cookie += 1
             self.recv_ring.push(
                 BufferDescriptor(
-                    address=(self.index + 1) * 0x1000_0000
+                    (self.index + 1) * 0x1000_0000
                     + (cookie % self.recv_ring.capacity) * self.frame_bytes,
-                    length=self.frame_bytes,
-                    flags=FLAG_RECV_BUFFER,
-                    cookie=cookie,
+                    self.frame_bytes,
+                    FLAG_RECV_BUFFER,
+                    cookie,
                 )
             )
         self.rx_posted += count
@@ -368,16 +368,16 @@ class HostQueueModel:
             ring.send_ring.push_many(
                 [
                     BufferDescriptor(
-                        address=(ring.index + 1) * 0x2000_0000 + seq * 2,
-                        length=1,
-                        flags=FLAG_HEADER_REGION,
-                        cookie=seq,
+                        (ring.index + 1) * 0x2000_0000 + seq * 2,
+                        1,
+                        FLAG_HEADER_REGION,
+                        seq,
                     ),
                     BufferDescriptor(
-                        address=(ring.index + 1) * 0x2000_0000 + seq * 2 + 1,
-                        length=max(1, self.frame_bytes - 1),
-                        flags=FLAG_END_OF_FRAME,
-                        cookie=seq,
+                        (ring.index + 1) * 0x2000_0000 + seq * 2 + 1,
+                        max(1, self.frame_bytes - 1),
+                        FLAG_END_OF_FRAME,
+                        seq,
                     ),
                 ]
             )

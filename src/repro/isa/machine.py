@@ -49,14 +49,19 @@ class Memory:
             raise MachineError(f"access at {address:#x} outside memory")
 
     # -- word access -----------------------------------------------------
+    # The word accessors test alignment and bounds inline (they run on
+    # every ordering-bitmap access) and call _check only for its error.
     def load_word(self, address: int) -> int:
-        self._check(address, 4)
+        if address % 4 or not 0 <= address <= self.size_bytes - 4:
+            self._check(address, 4)
         return int.from_bytes(self.data[address : address + 4], "little")
 
     def store_word(self, address: int, value: int) -> None:
-        self._check(address, 4)
+        if address % 4 or not 0 <= address <= self.size_bytes - 4:
+            self._check(address, 4)
         self.data[address : address + 4] = (value & WORD_MASK).to_bytes(4, "little")
-        self._invalidate_reservations(address)
+        if self._reservations:
+            self._invalidate_reservations(address)
 
     def load_half(self, address: int, signed: bool) -> int:
         self._check(address, 2)

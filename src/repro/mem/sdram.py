@@ -19,14 +19,13 @@ Two second-order effects from Section 6.2 are modeled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.check.monitor import NULL_MONITOR
 from repro.units import align_down, align_up
 
 
-@dataclass(frozen=True)
-class SdramRequest:
+class SdramRequest(NamedTuple):
     """Completed-transfer timing for one burst."""
 
     start_cycle: int
@@ -120,13 +119,7 @@ class GddrSdram:
             self.wasted_retry_bytes += nbytes
         self.transferred_bytes += padded
         self.requests += 1
-        request = SdramRequest(
-            start_cycle=start,
-            finish_cycle=finish,
-            useful_bytes=nbytes,
-            transferred_bytes=padded,
-            row_activated=activated,
-        )
+        request = SdramRequest(start, finish, nbytes, padded, activated)
         if self.monitor.enabled:
             self.monitor.sdram_transfer(self, request, cycle, nbytes)
         return request

@@ -40,6 +40,12 @@ class FrameSizeModel:
     ``mean_wire_bytes`` memoizes per :class:`EthernetTiming` (frozen,
     hashable); subclasses overriding the underlying ``payload_bytes``
     after construction would be a bug, not a supported pattern.
+
+    ``pattern_length`` is the size period: ``payload_bytes(seq)`` equals
+    ``payload_bytes(seq % pattern_length)``.  The mean properties average
+    over one period, and the throughput simulator builds its receive-gap
+    table over lcm(``pattern_length``, burst length) frames, so a model
+    whose sizes do not repeat with that period is mistimed.
     """
 
     def payload_bytes(self, seq: int) -> int:

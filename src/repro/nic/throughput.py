@@ -27,6 +27,7 @@ contention estimate reach steady state.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -353,6 +354,12 @@ class ThroughputSimulator:
         byte-identical results and cache keys."""
         from repro.net.workload import ConstantSize
 
+        if not 0.0 < offered_fraction <= 1.0:
+            raise ValueError(
+                f"offered_fraction must be in (0, 1], got {offered_fraction}"
+            )
+        if rx_burst_frames < 1:
+            raise ValueError("rx_burst_frames must be >= 1")
         self.config = config
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Invariant monitor (null by default).  Attach an armed monitor
@@ -406,26 +413,26 @@ class ThroughputSimulator:
             self.dma_read.injector = self.faults
             self.dma_write.injector = self.faults
 
-        if rx_burst_frames < 1:
-            raise ValueError("rx_burst_frames must be >= 1")
-
-        def rx_gap(seq: int) -> int:
+        # One period of receive gaps: the size pattern and the burst
+        # cycle both repeat within lcm(pattern length, burst) frames.
+        # Within a burst: back-to-back (one wire time).  The last frame
+        # of each burst carries the whole idle gap, sized so the average
+        # rate equals offered_fraction of line rate.
+        gaps = []
+        for seq in range(math.lcm(self.rx_sizes.pattern_length, rx_burst_frames)):
             wire = self.timing.frame_time_ps(self.rx_sizes.frame_bytes(seq))
             if rx_burst_frames == 1:
-                return round(wire / offered_fraction)
-            # Within a burst: back-to-back (one wire time).  The last
-            # frame of each burst carries the whole idle gap, sized so
-            # the average rate equals offered_fraction of line rate.
-            if (seq + 1) % rx_burst_frames:
-                return wire
-            idle = wire * (rx_burst_frames / offered_fraction - rx_burst_frames + 1)
-            return round(idle)
-
+                gaps.append(round(wire / offered_fraction))
+            elif (seq + 1) % rx_burst_frames:
+                gaps.append(wire)
+            else:
+                idle = wire * (rx_burst_frames / offered_fraction - rx_burst_frames + 1)
+                gaps.append(round(idle))
         self.mac_rx = MacReceiver(
             self.sdram,
             self.sdram_clock,
             timing=self.timing,
-            gap_fn=rx_gap,
+            gaps=gaps,
         )
         self.driver = DriverModel(
             self.udp_payload_bytes,

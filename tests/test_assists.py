@@ -1,6 +1,8 @@
 """Hardware assists: PCI latency model, DMA engines, MAC timing."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.assists import DmaAssist, MacReceiver, MacTransmitter, PciInterface
 from repro.mem import GddrSdram
@@ -180,3 +182,51 @@ class TestMacReceiver:
         sim, clock, sdram, pci = _rig()
         with pytest.raises(ValueError):
             MacReceiver(sdram, clock, interarrival_ps=0)
+
+    @pytest.mark.parametrize("gaps", [(), (0,), (5, -1, 7), (3, 0)])
+    def test_gap_period_entries_must_be_positive(self, gaps):
+        sim, clock, sdram, pci = _rig()
+        with pytest.raises(ValueError):
+            MacReceiver(sdram, clock, gaps=gaps)
+
+    def test_gap_period_paces_arrivals(self):
+        sim, clock, sdram, pci = _rig()
+        mac = MacReceiver(sdram, clock, start_ps=10, gaps=(3, 5, 100))
+        arrivals = []
+        for _ in range(7):
+            arrivals.append(mac.next_arrival_ps())
+            mac.take_frame(arrivals[-1], 64)
+        assert arrivals == [10, 13, 18, 118, 121, 126, 226]
+        assert mac.period_ps == 108
+        with pytest.raises(ValueError, match="constant pacing"):
+            mac.offered_frames(0, 1000)
+
+    @staticmethod
+    def _reference_skip(gaps, seq, arrival, now_ps):
+        """The frame-by-frame walk: frame ``seq`` is dropped when frame
+        ``seq + 1`` arrived before ``now_ps``."""
+        first = seq
+        while arrival + gaps[seq % len(gaps)] < now_ps:
+            arrival += gaps[seq % len(gaps)]
+            seq += 1
+        return seq - first, seq, arrival
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gaps=st.lists(st.integers(1, 5000), min_size=1, max_size=24),
+        start_ps=st.integers(0, 10_000),
+        taken=st.integers(0, 60),
+        data=st.data(),
+    )
+    def test_skip_backlog_matches_frame_walk(self, gaps, start_ps, taken, data):
+        sim, clock, sdram, pci = _rig()
+        mac = MacReceiver(sdram, clock, start_ps=start_ps, gaps=gaps)
+        for _ in range(taken):
+            mac.take_frame(mac.next_arrival_ps(), 64)
+        arrival = mac.next_arrival_ps()
+        period = sum(gaps)
+        now_ps = arrival + data.draw(st.integers(-period, 50 * period + 1))
+        expected = self._reference_skip(gaps, taken, arrival, now_ps)
+        dropped = mac.skip_backlog(now_ps)
+        assert (dropped, mac._next_seq, mac.next_arrival_ps()) == expected
+        assert mac.skip_backlog(now_ps) == 0

@@ -61,6 +61,18 @@ class TestRun:
         assert code == 0
         assert "repro_counter_tx_wire_frames" in metrics_path.read_text()
 
+    def test_run_json_to_stdout_or_path(self, tmp_path, capsys):
+        argv = ["run", "--cores", "2", "--mhz", "133", "--millis", "0.1"]
+        assert main(argv + ["--json"]) == 0
+        stdout = capsys.readouterr().out
+        path = tmp_path / "run.json"
+        assert main(argv + ["--json", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert path.read_text() == stdout
+        assert json.loads(stdout)["rx_dropped"] >= 0
+        assert "Gb/s" in captured.out
+        assert "results written to" in captured.err
+
     def test_run_rejects_bad_sample_interval(self, tmp_path, capsys):
         code = main([
             "run", "--millis", "0.1",
@@ -171,6 +183,10 @@ class TestInvalidFlags:
         "sweep --cores 0",
         "fabric --sweep-loads 0.3 1.5",
         "run --cores 0",
+        "run --offered 0",
+        "run --offered 1.5",
+        "run --millis 0",
+        "run --payload 100000",
     ])
     def test_exit_2_with_one_line_message(self, argv, capsys):
         command = argv.split()[0]

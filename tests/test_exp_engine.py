@@ -98,6 +98,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             WorkloadSpec(kind="random")
 
+    @pytest.mark.parametrize("fields", [
+        {"offered_fraction": 0.0},
+        {"offered_fraction": -1.0},
+        {"offered_fraction": 1.5},
+        {"offered_fraction": float("nan")},
+        {"rx_burst_frames": 0},
+    ])
+    def test_receive_load_checked(self, fields):
+        with pytest.raises(ValueError):
+            WorkloadSpec(**fields)
+        with pytest.raises(ValueError):
+            WorkloadSpec.imix(**fields)
+
     def test_windows_checked(self):
         with pytest.raises(ValueError):
             RunSpec(config=NicConfig(), warmup_s=-1.0)

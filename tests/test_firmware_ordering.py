@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.firmware import OrderingBoard, OrderingMode
+from repro.firmware import OrderingBoard, OrderingMode, ordering
 
 SW = OrderingMode.SOFTWARE
 RMW = OrderingMode.RMW
@@ -313,3 +313,42 @@ class TestCostAsymmetry:
         _c, plain_cost = plain.commit()
         _c, hw_cost = hw.commit()
         assert hw_cost.instructions > plain_cost.instructions
+
+
+class TestCommitCost:
+    """A commit's cost is the base, one per-step term per loop trip
+    (per frame in software, per examined word with RMW) and the pointer
+    update when anything committed: the repeated ``+`` of the module's
+    constants, equal bit for bit."""
+
+    RING = 64
+
+    @pytest.mark.parametrize("mode", [SW, RMW])
+    @pytest.mark.parametrize("hw_pointer", [False, True])
+    @pytest.mark.parametrize("start", [0, 7])
+    def test_cost_equals_repeated_sum(self, mode, hw_pointer, start):
+        for frames in range(self.RING + 1):
+            board = OrderingBoard(self.RING, mode, hw_pointer=hw_pointer)
+            for seq in range(start):
+                board.mark_done(seq)
+            board.commit()
+            for seq in range(start, start + frames):
+                board.mark_done(seq)
+            count, cost = board.commit()
+            assert count == frames
+            if mode is RMW:
+                base, step = ordering._RMW_COMMIT_BASE, ordering._RMW_COMMIT_PER_WORD
+                # Every word the run touches, then the word whose next
+                # bit is clear.
+                steps = len({seq // 32 for seq in range(start, start + frames)}) + 1
+            else:
+                base = ordering._SW_COMMIT_BASE
+                step = (ordering._SW_COMMIT_PER_FRAME_HW if hw_pointer
+                        else ordering._SW_COMMIT_PER_FRAME)
+                steps = frames
+            expected = base
+            for _ in range(steps):
+                expected = expected + step
+            if frames:
+                expected = expected + ordering._POINTER_UPDATE
+            assert cost == expected, (frames, cost, expected)

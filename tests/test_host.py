@@ -17,6 +17,20 @@ class TestBufferDescriptor:
         with pytest.raises(ValueError):
             BufferDescriptor(address=0, length=0)
 
+    def test_positional_fields_and_defaults(self):
+        descriptor = BufferDescriptor(0x1000, 42)
+        assert (descriptor.address, descriptor.length) == (0x1000, 42)
+        assert (descriptor.flags, descriptor.cookie) == (0, 0)
+        assert BufferDescriptor(1, 2, FLAG_HEADER_REGION, 9) == BufferDescriptor(
+            address=1, length=2, flags=FLAG_HEADER_REGION, cookie=9
+        )
+
+    def test_replace_keeps_the_checks(self):
+        descriptor = BufferDescriptor(address=1, length=1)
+        assert descriptor._replace(length=5).length == 5
+        with pytest.raises(ValueError):
+            descriptor._replace(length=0)
+
 
 class TestDescriptorRing:
     def test_fifo_order(self):

@@ -202,3 +202,10 @@ class TestBurstyArrivals:
     def test_burst_size_validated(self):
         with pytest.raises(ValueError):
             ThroughputSimulator(RMW_166MHZ, 1472, rx_burst_frames=0)
+
+    @pytest.mark.parametrize("offered", [0.0, -1.0, 1.5, float("nan")])
+    def test_offered_fraction_validated(self, offered):
+        # A negative load used to build negative receive gaps, and the
+        # first tail drop then never returned: reject it when built.
+        with pytest.raises(ValueError, match="offered_fraction"):
+            ThroughputSimulator(RMW_166MHZ, 1472, offered_fraction=offered)

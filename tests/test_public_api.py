@@ -48,6 +48,21 @@ class TestPublicApi:
         assert len(parts) == 3
         assert all(part.isdigit() for part in parts)
 
+    @pytest.mark.parametrize("record, values, field", [
+        ("repro.mem:SdramRequest", (0, 5, 64, 64, True), "finish_cycle"),
+        ("repro.assists:DmaTransfer", (0, 10, 10, 64, False), "complete_ps"),
+        ("repro.assists.mac:WireEvent", (1, 0, 10, 10), "wire_end_ps"),
+        ("repro.host:BufferDescriptor", (0x1000, 64, 0, 1), "length"),
+    ])
+    def test_hot_path_records_are_immutable(self, record, values, field):
+        module, name = record.split(":")
+        instance = getattr(importlib.import_module(module), name)(*values)
+        with pytest.raises(AttributeError):
+            setattr(instance, field, 7)
+        with pytest.raises(AttributeError):
+            instance.not_a_field = 7
+        assert getattr(instance, field) != 7
+
     def test_cli_entry_point_importable(self):
         from repro.cli import main
 
