@@ -580,7 +580,7 @@ def _run_arms(sweep, estimator: str) -> list:
 
 
 def _cmd_run(args) -> int:
-    from repro.nic import ThroughputSimulator
+    from repro.nic.throughput import ThroughputSimulator, check_window
 
     tracer = None
     if args.trace:
@@ -591,8 +591,7 @@ def _cmd_run(args) -> int:
         config = _nic_config(args)
         if args.metrics_out and args.sample_interval <= 0:
             raise ValueError("--sample-interval must be positive")
-        if not args.millis > 0:
-            raise ValueError("--millis must be positive")
+        check_window(0.4e-3, args.millis * 1e-3)
         simulator = ThroughputSimulator(
             config, args.payload, offered_fraction=args.offered, tracer=tracer
         )
@@ -692,11 +691,13 @@ def _cmd_faults(args) -> int:
 
 
 def _faults_single(args, config, plan) -> int:
-    from repro.nic import ThroughputSimulator
+    from repro.nic.throughput import ThroughputSimulator, check_window
 
-    simulator = ThroughputSimulator(
-        config, args.payload, fault_plan=plan if plan.enabled else None
-    )
+    with _validating():
+        check_window(0.4e-3, args.millis * 1e-3)
+        simulator = ThroughputSimulator(
+            config, args.payload, fault_plan=plan if plan.enabled else None
+        )
     result = simulator.run(warmup_s=0.4e-3, measure_s=args.millis * 1e-3)
     report = result.fault_report()
     if args.json_out:
@@ -807,14 +808,17 @@ def _cmd_fabric(args) -> int:
 def _fabric_single(args, config, spec) -> int:
     from repro.analysis import format_table
     from repro.fabric import FabricSimulator
+    from repro.nic.throughput import check_window
 
     tracer = None
     if args.trace:
         from repro.obs import Tracer
 
         tracer = Tracer()
-    fabric = FabricSimulator(config, spec, tracer=tracer,
-                             estimator=args.estimator)
+    with _validating():
+        check_window(args.warmup_millis * 1e-3, args.millis * 1e-3)
+        fabric = FabricSimulator(config, spec, tracer=tracer,
+                                 estimator=args.estimator)
     result = fabric.run(
         warmup_s=args.warmup_millis * 1e-3, measure_s=args.millis * 1e-3
     )

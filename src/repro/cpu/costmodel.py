@@ -14,11 +14,17 @@ simulator's IPC breakdown is directly comparable to the paper's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: The five Table 3 terms of one charge, in cycles:
 #: ``(execution, imiss, load, conflict, pipeline)``.
 CostTerms = Tuple[float, float, float, float, float]
+
+#: One :class:`ChargeTable` entry: ``(instructions, loads, stores,
+#: accesses, execution, imiss, load, conflict, pipeline, total)``.
+#: ``accesses`` is ``loads + stores``; ``total`` is the five Table 3
+#: terms summed in that order.
+ChargeEntry = Tuple[float, float, float, float, float, float, float, float, float, float]
 
 
 def check_op_counts(instructions: float, loads: float, stores: float) -> None:
@@ -60,10 +66,10 @@ class OpProfile:
         loads = self.loads * factor
         stores = self.stores * factor
         check_op_counts(instructions, loads, stores)
-        # Handlers scale a profile several times per invocation, so fill
-        # the frozen instance's fields directly: the generated __init__
-        # pays one object.__setattr__ per field and re-runs the checks
-        # made just above.
+        # Every contended lock acquire scales the spin-loop profile, so
+        # fill the frozen instance's fields directly: the generated
+        # __init__ pays one object.__setattr__ per field and re-runs the
+        # checks made just above.
         result = object.__new__(type(self))
         fields = result.__dict__
         fields["instructions"] = instructions
@@ -187,8 +193,8 @@ class CoreCostModel:
         """Cycles of one handler invocation, by Table 3 category.
 
         Returns plain floats, ``(execution, imiss, load, conflict,
-        pipeline)``: the throughput simulator charges every handler
-        through here, thousands of times per simulated millisecond.
+        pipeline)``; the throughput simulator reads them through a
+        :class:`ChargeTable`, which calls here once per profile and wait.
         Their sum in that order is the invocation's total, as
         :attr:`HandlerCost.total_cycles` adds them.  ``profile`` may be
         any object with an :class:`OpProfile`'s five attributes.
@@ -210,3 +216,87 @@ class CoreCostModel:
     def cycles(self, profile: OpProfile, conflict_wait_per_access: float) -> float:
         terms = self.cost(profile, conflict_wait_per_access)
         return HandlerCost(profile.instructions, *terms).total_cycles
+
+
+class ChargeTable:
+    """Charge terms of every profile charged at the current conflict wait.
+
+    A handler invocation's cost depends on its operation profile and on
+    the scratchpad conflict wait.  The throughput simulator charges
+    thousands of profiles per simulated millisecond but moves the wait
+    only once per contention epoch, so the first charge of a profile in
+    an epoch computes its terms through :meth:`CoreCostModel.cost` and
+    later charges look them up.  :meth:`set_wait` is the only writer of the
+    wait and empties the table in the same call, so an entry never
+    outlives the wait it was computed at.
+
+    Entries are keyed by object identity.  Hashing a profile by value
+    would run a frozen dataclass's generated ``__hash__``, Python code
+    costing most of what the table saves.  The table holds a reference
+    to every key object until it is emptied, so no other object can
+    reuse an id while its entry lives.
+    """
+
+    def __init__(self, model: CoreCostModel, wait: float) -> None:
+        self.model = model
+        self._wait = wait
+        self._entries: Dict[object, ChargeEntry] = {}
+        self._keys: List[object] = []
+
+    @property
+    def wait(self) -> float:
+        """Conflict wait per access that every entry is computed at."""
+        return self._wait
+
+    def set_wait(self, wait: float) -> None:
+        """Move the conflict wait and empty the table."""
+        self._wait = wait
+        self._entries.clear()
+        self._keys.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, profile, factor: Optional[float] = None) -> ChargeEntry:
+        """Entry of ``profile``, or of ``profile.scaled(factor)``.
+
+        ``profile`` is an :class:`OpProfile` or any object with its five
+        attributes, such as an ordering board's ``OrderingCost``.  The
+        first lookup of a scaled charge builds the scaled profile, so
+        :meth:`OpProfile.scaled` checks every distinct count once.
+        """
+        key = id(profile) if factor is None else (id(profile), factor)
+        entry = self._entries.get(key)
+        if entry is None:
+            if factor is None:
+                # OpProfiles are checked when built; OrderingCosts are not.
+                check_op_counts(profile.instructions, profile.loads, profile.stores)
+                entry = self.compute(profile)
+            else:
+                entry = self.compute(profile.scaled(factor))
+            self._entries[key] = entry
+            self._keys.append(profile)
+        return entry
+
+    def compute(self, profile) -> ChargeEntry:
+        """Entry of ``profile`` at the current wait, not kept.
+
+        Charges of transient profiles come straight here: a lock spin's
+        length is continuous and a checksum profile is built per batch,
+        so their entries would never be looked up again.
+        """
+        execution, imiss, load, conflict, pipeline = self.model.cost(profile, self._wait)
+        loads = profile.loads
+        stores = profile.stores
+        return (
+            profile.instructions,
+            loads,
+            stores,
+            loads + stores,
+            execution,
+            imiss,
+            load,
+            conflict,
+            pipeline,
+            execution + imiss + load + conflict + pipeline,
+        )

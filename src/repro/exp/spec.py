@@ -29,6 +29,7 @@ from repro.faults import FaultPlan
 from repro.host.rss import RssSpec
 from repro.net.workload import ConstantSize, FrameSizeModel, ImixSize
 from repro.nic.config import NicConfig
+from repro.nic.throughput import check_window
 
 #: Bump when the meaning of cached results changes in a way the
 #: automatic constant-hashing below cannot see (e.g. a simulator
@@ -194,8 +195,7 @@ class RunSpec:
     rss: Optional[RssSpec] = None
 
     def __post_init__(self) -> None:
-        if self.warmup_s < 0 or self.measure_s <= 0:
-            raise ValueError("need non-negative warmup and positive measure window")
+        check_window(self.warmup_s, self.measure_s)
 
     def key_inputs(self) -> Dict[str, Any]:
         """Everything that feeds the content hash (label excluded)."""

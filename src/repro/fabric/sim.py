@@ -36,7 +36,7 @@ from repro.faults import FaultPlan
 from repro.host.rss import RssSpec
 from repro.net.ethernet import EthernetTiming
 from repro.nic.config import NicConfig
-from repro.nic.throughput import ThroughputResult
+from repro.nic.throughput import ThroughputResult, check_window
 from repro.obs import NULL_TRACER, PrefixedTracer
 from repro.qos.runtime import QosRuntime
 from repro.sim.kernel import Simulator
@@ -283,8 +283,7 @@ class FabricSimulator:
 
     # ------------------------------------------------------------------
     def run(self, warmup_s: float = 0.2e-3, measure_s: float = 0.5e-3) -> FabricResult:
-        if warmup_s < 0 or measure_s <= 0:
-            raise ValueError("need non-negative warmup and positive measure window")
+        check_window(warmup_s, measure_s)
         warmup_ps = round(warmup_s * 1e12)
         measure_ps = round(measure_s * 1e12)
         self.start()

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.check.monitor import NULL_MONITOR
 from repro.cpu.costmodel import OpProfile
@@ -132,6 +133,15 @@ class OrderingBoard:
         self.committed = 0
         self.commit_calls = 0
         self.skipped = 0             # holes resequenced past (fault recovery)
+        if mode is OrderingMode.RMW:
+            self._commit_base, self._commit_step = _RMW_COMMIT_BASE, _RMW_COMMIT_PER_WORD
+        else:
+            self._commit_base = _SW_COMMIT_BASE
+            self._commit_step = _SW_COMMIT_PER_FRAME_HW if hw_pointer else _SW_COMMIT_PER_FRAME
+        # One record per commit shape (loop trips, committed), built on
+        # first use: a commit builds no record, and the simulator's
+        # charge table finds the same object again.
+        self._commit_costs: Dict[Tuple[int, bool], OrderingCost] = {}
 
     @property
     def requires_lock(self) -> bool:
@@ -209,12 +219,9 @@ class OrderingBoard:
             # `update` stops at an aligned word boundary; loop to let the
             # run continue into the next word (or wrap the ring).
         self.committed += total
-        return total, _commit_cost(
-            _RMW_COMMIT_BASE, _RMW_COMMIT_PER_WORD, words, total > 0
-        )
+        return total, self._commit_record(words, total > 0)
 
     def _commit_software(self) -> tuple:
-        per_frame = _SW_COMMIT_PER_FRAME_HW if self.hw_pointer else _SW_COMMIT_PER_FRAME
         total = 0
         while self.is_marked(self.commit_seq):
             index = self.commit_seq % self.ring_size
@@ -224,7 +231,16 @@ class OrderingBoard:
             self.commit_seq += 1
             total += 1
         self.committed += total
-        return total, _commit_cost(_SW_COMMIT_BASE, per_frame, total, total > 0)
+        return total, self._commit_record(total, total > 0)
+
+    def _commit_record(self, steps: int, committed: bool) -> OrderingCost:
+        key = (steps, committed)
+        cost = self._commit_costs.get(key)
+        if cost is None:
+            cost = self._commit_costs[key] = _commit_cost(
+                self._commit_base, self._commit_step, steps, committed
+            )
+        return cost
 
     # ------------------------------------------------------------------
     @property

@@ -11,6 +11,7 @@ The paper's headline configurations:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.cpu.costmodel import CoreCostModel
@@ -71,6 +72,14 @@ class NicConfig:
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ValueError("need at least one core")
+        for name in ("core_frequency_hz", "sdram_frequency_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.dma_latency_s) and self.dma_latency_s >= 0):
+            raise ValueError(
+                f"dma_latency_s must be finite and non-negative, got {self.dma_latency_s}"
+            )
         if self.scratchpad_banks < 1:
             raise ValueError("need at least one scratchpad bank")
         if self.send_batch_max < 1 or self.recv_batch_max < 1:

@@ -35,10 +35,10 @@ from repro.assists.dma import DmaAssist
 from repro.assists.mac import MacReceiver, MacTransmitter
 from repro.assists.pci import PciInterface
 from repro.check.monitor import NULL_MONITOR
-from repro.cpu.costmodel import ContentionModel, HandlerCost, OpProfile, check_op_counts
+from repro.cpu.costmodel import ChargeTable, ContentionModel, HandlerCost, OpProfile
 from repro.faults import FaultInjector, FaultPlan
 from repro.firmware.events import DistributedEventQueue, EventKind, FrameEvent
-from repro.firmware.ordering import OrderingBoard, OrderingCost
+from repro.firmware.ordering import OrderingBoard
 from repro.firmware.profiles import (
     BDS_PER_SENT_FRAME,
     RECV_BDS_PER_FETCH,
@@ -74,18 +74,28 @@ _HOLD_RXPOOL = 14.0
 _HOLD_NOTIFY = 10.0
 
 
+def check_window(warmup_s: float, measure_s: float) -> None:
+    """Reject a run window no simulation can have: the warm-up must be
+    finite and non-negative, the measurement finite and positive."""
+    if not (math.isfinite(warmup_s) and warmup_s >= 0
+            and math.isfinite(measure_s) and measure_s > 0):
+        raise ValueError("need non-negative warmup and positive measure window")
+
+
 @dataclass
 class FunctionStats:
-    """Per-function accounting (rows of Tables 5 and 6)."""
+    """Per-function accounting (rows of Tables 5 and 6).
+
+    Counts, total cycles, lock waits, invocations and frames per
+    function.  The Table 3 split of cycles into execution, imiss, load,
+    conflict and pipeline is kept per run, in
+    :attr:`ThroughputResult.cost_totals`.
+    """
 
     instructions: float = 0.0
     loads: float = 0.0
     stores: float = 0.0
     cycles: float = 0.0
-    imiss_cycles: float = 0.0
-    load_cycles: float = 0.0
-    conflict_cycles: float = 0.0
-    pipeline_cycles: float = 0.0
     lock_wait_cycles: float = 0.0
     invocations: int = 0
     frames: int = 0
@@ -492,7 +502,17 @@ class ThroughputSimulator:
         # periodic feedback loop refines it from measured traffic.
         line_pairs = self.line_fps_per_direction
         estimated_rate = 300.0 * line_pairs / config.core_frequency_hz
-        self._conflict_wait = self.contention.expected_wait(min(2.5, estimated_rate))
+        # Handler charges at the current estimate; _update_contention is
+        # the only writer of the wait, and moving it empties the table.
+        self._charges = ChargeTable(
+            config.cost_model,
+            self.contention.expected_wait(min(2.5, estimated_rate)),
+        )
+        # Per-config constants the handlers read on every invocation.
+        self._task_level = config.task_level_firmware
+        self._checksum_on = config.checksum_offload != "none"
+        self._tx_slots = max(1, config.tx_buffer_bytes // 2048)
+        self._rx_slots = max(1, config.rx_buffer_bytes // 2048)
 
         # -- firmware-visible state ---------------------------------------
         self._idle_cores = config.cores
@@ -522,6 +542,7 @@ class ThroughputSimulator:
         # so a hook-free run is byte-identical to a pre-fabric build.
         self._tx_wire_hook = None    # (seq, WireEvent) at MAC hand-off
         self._rx_commit_hook = None  # (seq, now_ps) per delivered rx frame
+        # Event types a core is handling; task-level firmware only.
         self._task_claims: Dict[EventKind, bool] = {kind: False for kind in EventKind}
         # -- fault-recovery state (only touched when self.faults is set) --
         # Frames landed (or hole-punched) out of order, waiting for the
@@ -610,28 +631,39 @@ class ThroughputSimulator:
     # ==================================================================
     # Cost charging
     # ==================================================================
-    def _charge(self, fn_name: str, profile: OpProfile, frames: int = 0) -> float:
-        """Charge a profile to a function; returns its cycle cost.
+    @property
+    def _conflict_wait(self) -> float:
+        """Scratchpad conflict wait per access, as charged right now."""
+        return self._charges.wait
 
-        ``profile`` is an :class:`OpProfile`, or an ordering board's
-        :class:`OrderingCost` (see :meth:`_charge_ordering`).  Every sum
-        below keeps its order: the per-function stats and the run
-        totals each accumulate the same terms, so neither is derived
-        from the other.
+    def _charge(
+        self,
+        fn_name: str,
+        profile,
+        factor: Optional[float] = None,
+        frames: int = 0,
+        transient: bool = False,
+    ) -> float:
+        """Charge ``profile``, scaled by ``factor`` if one is given, to a
+        function; returns its cycle cost.
+
+        ``profile`` is an :class:`OpProfile` or an ordering board's
+        ``OrderingCost``.  Its terms come from the charge table, or
+        straight from the cost model for a ``transient`` profile, one
+        built for this charge alone.  Every sum below keeps its order:
+        the per-function stats and the run totals each accumulate the
+        same terms, so neither is derived from the other.
         """
-        execution, imiss, load, conflict, pipeline = self.config.cost_model.cost(
-            profile, self._conflict_wait
+        charges = self._charges
+        (instructions, loads, stores, accesses,
+         execution, imiss, load, conflict, pipeline, total) = (
+            charges.compute(profile) if transient else charges.lookup(profile, factor)
         )
-        total = execution + imiss + load + conflict + pipeline
         stats = self.fn[fn_name]
-        stats.instructions += profile.instructions
-        stats.loads += profile.loads
-        stats.stores += profile.stores
+        stats.instructions += instructions
+        stats.loads += loads
+        stats.stores += stores
         stats.cycles += total
-        stats.imiss_cycles += imiss
-        stats.load_cycles += load
-        stats.conflict_cycles += conflict
-        stats.pipeline_cycles += pipeline
         stats.frames += frames
         totals = self._cost_totals
         totals.instructions += execution
@@ -640,16 +672,9 @@ class ThroughputSimulator:
         totals.load_cycles += load
         totals.conflict_cycles += conflict
         totals.pipeline_cycles += pipeline
-        accesses = profile.loads + profile.stores
         self._core_accesses += accesses
         self._contention_window_accesses += accesses
         return total
-
-    def _charge_ordering(self, fn_name: str, cost: OrderingCost) -> float:
-        # An OrderingCost has the attributes the cost model reads; it
-        # gets the same checks an OpProfile gets when it is built.
-        check_op_counts(cost.instructions, cost.loads, cost.stores)
-        return self._charge(fn_name, cost)
 
     def _acquire_lock(
         self,
@@ -693,7 +718,9 @@ class ThroughputSimulator:
             # A waiting core executes its ll/test/branch spin loop for
             # the whole wait; one loop trip costs ~spin_loop_cycles, so
             # the charged profile fills the wait with real instructions.
-            cycles += self._charge(fn_name, self.config.firmware.spin_cost(wait_cycles))
+            cycles += self._charge(
+                fn_name, self.config.firmware.spin_cost(wait_cycles), transient=True
+            )
             self.fn[fn_name].lock_wait_cycles += wait_cycles
         return cycles
 
@@ -781,7 +808,7 @@ class ThroughputSimulator:
         self.sim.schedule(plan.queue_retry_ps, lambda: self._push_event(event))
 
     def _dispatch(self) -> None:
-        task_level = self.config.task_level_firmware
+        task_level = self._task_level
         while self._idle_cores > 0 and not self.queue.empty:
             if task_level and self.queue.all_claimed(self._task_claims):
                 # Event-register semantics: one core per event type, and
@@ -792,10 +819,11 @@ class ThroughputSimulator:
                 break
             event = self.queue.pop()
             assert event is not None
-            if task_level and self._task_claims[event.kind]:
-                self.queue.push_retry(event)
-                continue
-            self._task_claims[event.kind] = True
+            if task_level:
+                if self._task_claims[event.kind]:
+                    self.queue.push_retry(event)
+                    continue
+                self._task_claims[event.kind] = True
             self._idle_cores -= 1
             core_id = self._free_core_ids.pop()
             if self.monitor.enabled:
@@ -823,37 +851,38 @@ class ThroughputSimulator:
             self.monitor.core_released(self, core_id)
         self._idle_cores += 1
         self._free_core_ids.append(core_id)
-        self._task_claims[kind] = False
+        if self._task_level:
+            self._task_claims[kind] = False
         self._dispatch()
 
     # ==================================================================
     # Handlers (each returns its cycle cost; side effects scheduled)
     # ==================================================================
-    _EVENT_FN = {
-        EventKind.FETCH_SEND_BD: "fetch_send_bd",
-        EventKind.SEND_FRAME: "send_frame",
-        EventKind.SEND_COMPLETE: "send_frame",
-        EventKind.FETCH_RECV_BD: "fetch_recv_bd",
-        EventKind.RECV_FRAME: "recv_frame",
-        EventKind.RECV_COMPLETE: "recv_frame",
-    }
-
     def _run_handler(self, event: FrameEvent) -> float:
+        # Identity tests, not a dict keyed by EventKind: an Enum hashes
+        # in Python code.
         now = self.sim.now_ps
-        self.fn[self._EVENT_FN[event.kind]].invocations += 1
-        if event.kind is EventKind.FETCH_SEND_BD:
+        kind = event.kind
+        fn = self.fn
+        if kind is EventKind.FETCH_SEND_BD:
+            fn["fetch_send_bd"].invocations += 1
             return self._handle_fetch_send_bd(now, event)
-        if event.kind is EventKind.SEND_FRAME:
+        if kind is EventKind.SEND_FRAME:
+            fn["send_frame"].invocations += 1
             return self._handle_send_frame(now)
-        if event.kind is EventKind.SEND_COMPLETE:
+        if kind is EventKind.SEND_COMPLETE:
+            fn["send_frame"].invocations += 1
             return self._handle_send_complete(now, event)
-        if event.kind is EventKind.FETCH_RECV_BD:
+        if kind is EventKind.FETCH_RECV_BD:
+            fn["fetch_recv_bd"].invocations += 1
             return self._handle_fetch_recv_bd(now, event)
-        if event.kind is EventKind.RECV_FRAME:
+        if kind is EventKind.RECV_FRAME:
+            fn["recv_frame"].invocations += 1
             return self._handle_recv_frame(now)
-        if event.kind is EventKind.RECV_COMPLETE:
+        if kind is EventKind.RECV_COMPLETE:
+            fn["recv_frame"].invocations += 1
             return self._handle_recv_complete(now, event)
-        raise ValueError(f"no handler for {event.kind}")
+        raise ValueError(f"no handler for {kind}")
 
     # -- send path ------------------------------------------------------
     def _maybe_fetch_send_bds(self) -> None:
@@ -884,8 +913,10 @@ class ThroughputSimulator:
         frames = event.count or SEND_FRAMES_PER_BD_FETCH
         cycles = self._charge("send_dispatch_ordering", fw.dispatch_per_event)
         cycles += self._acquire_lock("txq", now, _HOLD_TXQ, "send_locking", cycles)
-        profile = self._reentrant_per_frame["fetch_send_bd"].scaled(frames)
-        cycles += self._charge("fetch_send_bd", profile, frames=frames)
+        cycles += self._charge(
+            "fetch_send_bd", self._reentrant_per_frame["fetch_send_bd"], frames,
+            frames=frames,
+        )
         transfer = self.dma_read.descriptor_transfer(
             now + self.core_clock.cycles_to_ps(cycles),
             frames * BDS_PER_SENT_FRAME * DESCRIPTOR_BYTES,
@@ -945,16 +976,15 @@ class ThroughputSimulator:
         self._tx_claim_seq += batch
         self._tx_bd_onboard -= batch
         self._tx_space -= bytes_needed
+        cycles += self._charge("send_dispatch_ordering", fw.dispatch_per_frame, batch)
         cycles += self._charge(
-            "send_dispatch_ordering", fw.dispatch_per_frame.scaled(batch)
+            "send_frame", self._reentrant_per_frame["send_frame"],
+            batch * _START_FRACTION, frames=batch,
         )
-        start_profile = self._reentrant_per_frame["send_frame"].scaled(
-            batch * _START_FRACTION
-        )
-        cycles += self._charge("send_frame", start_profile, frames=batch)
-        checksum = self._checksum_profile(first, batch, sizes=self.tx_sizes)
-        if checksum is not None:
-            cycles += self._charge("send_frame", checksum)
+        if self._checksum_on:
+            checksum = self._checksum_profile(first, batch, sizes=self.tx_sizes)
+            if checksum is not None:
+                cycles += self._charge("send_frame", checksum, transient=True)
 
         issue_ps = now + self.core_clock.cycles_to_ps(cycles)
         pending = {"left": 2 * batch}
@@ -1018,12 +1048,12 @@ class ThroughputSimulator:
         fw = self.config.firmware
         batch = event.count
         cycles = self._charge("send_dispatch_ordering", fw.dispatch_per_event)
-        finish_profile = IDEAL_PROFILES["send_frame"].per_frame.scaled(
-            batch * _FINISH_FRACTION
-        )
-        cycles += self._charge("send_frame", finish_profile, frames=0)
         cycles += self._charge(
-            "send_dispatch_ordering", fw.send_completion_per_frame.scaled(batch)
+            "send_frame", IDEAL_PROFILES["send_frame"].per_frame,
+            batch * _FINISH_FRACTION,
+        )
+        cycles += self._charge(
+            "send_dispatch_ordering", fw.send_completion_per_frame, batch
         )
 
         # Two send-side ordering points: MAC hand-off and host notify.
@@ -1037,10 +1067,10 @@ class ThroughputSimulator:
                 cycles += self._acquire_lock(
                     "order_tx", now, 22.0, "send_dispatch_ordering", cycles
                 )
-            cycles += self._charge_ordering(
+            cycles += self._charge(
                 "send_dispatch_ordering", self.board_tx_mac.mark_done(seq)
             )
-            cycles += self._charge_ordering(
+            cycles += self._charge(
                 "send_dispatch_ordering", self.board_tx_notify.mark_done(seq)
             )
         cycles += self._commit_tx(now, cycles)
@@ -1056,12 +1086,12 @@ class ThroughputSimulator:
             )
         first_committed = self.board_tx_mac.commit_seq
         committed, cost = self.board_tx_mac.commit()
-        cycles += self._charge_ordering("send_dispatch_ordering", cost)
+        cycles += self._charge("send_dispatch_ordering", cost)
         if committed and self.tracer.enabled:
             for seq in range(first_committed, first_committed + committed):
                 self.tracer.frame_stage("tx", seq, FrameStage.COMMITTED, now)
         notified, notify_cost = self.board_tx_notify.commit()
-        cycles += self._charge_ordering("send_dispatch_ordering", notify_cost)
+        cycles += self._charge("send_dispatch_ordering", notify_cost)
         if notified:
             cycles += self._acquire_lock(
                 "notify_tx", now, _HOLD_NOTIFY, "send_locking", cycles_so_far + cycles
@@ -1129,8 +1159,7 @@ class ThroughputSimulator:
         self._mac_tx_pump()
 
     def _tx_slot_address(self, seq: int) -> int:
-        slots = max(1, self.config.tx_buffer_bytes // 2048)
-        return (seq % slots) * 2048
+        return (seq % self._tx_slots) * 2048
 
     # -- receive path -----------------------------------------------------
     def _start_rx(self) -> None:
@@ -1278,7 +1307,7 @@ class ThroughputSimulator:
                     cycles += self._acquire_lock(
                         "order_rx", now, 11.0, "recv_dispatch_ordering", cycles
                     )
-                cycles += self._charge_ordering(
+                cycles += self._charge(
                     "recv_dispatch_ordering", self.board_rx.skip(seq)
                 )
                 self._rx_holes_completion.discard(seq)
@@ -1297,18 +1326,17 @@ class ThroughputSimulator:
         )
         self._rx_claim_seq += batch
         self._rx_bds_onboard -= real
+        cycles += self._charge("recv_dispatch_ordering", fw.dispatch_per_frame, real)
         cycles += self._charge(
-            "recv_dispatch_ordering", fw.dispatch_per_frame.scaled(real)
+            "recv_frame", self._reentrant_per_frame["recv_frame"],
+            real * _START_FRACTION, frames=real,
         )
-        start_profile = self._reentrant_per_frame["recv_frame"].scaled(
-            real * _START_FRACTION
-        )
-        cycles += self._charge("recv_frame", start_profile, frames=real)
-        checksum = self._checksum_profile(
-            first, batch, skip=set(holes), sizes=self.rx_sizes
-        )
-        if checksum is not None:
-            cycles += self._charge("recv_frame", checksum)
+        if self._checksum_on:
+            checksum = self._checksum_profile(
+                first, batch, skip=set(holes), sizes=self.rx_sizes
+            )
+            if checksum is not None:
+                cycles += self._charge("recv_frame", checksum, transient=True)
 
         issue_ps = now + self.core_clock.cycles_to_ps(cycles)
         pending = {"left": real}
@@ -1380,12 +1408,12 @@ class ThroughputSimulator:
         holes = event.payload or ()
         real = batch - len(holes)
         cycles = self._charge("recv_dispatch_ordering", fw.dispatch_per_event)
-        finish_profile = IDEAL_PROFILES["recv_frame"].per_frame.scaled(
-            real * _FINISH_FRACTION
-        )
-        cycles += self._charge("recv_frame", finish_profile, frames=0)
         cycles += self._charge(
-            "recv_dispatch_ordering", fw.recv_completion_per_frame.scaled(real)
+            "recv_frame", IDEAL_PROFILES["recv_frame"].per_frame,
+            real * _FINISH_FRACTION,
+        )
+        cycles += self._charge(
+            "recv_dispatch_ordering", fw.recv_completion_per_frame, real
         )
 
         software = self.board_rx.requires_lock
@@ -1396,7 +1424,7 @@ class ThroughputSimulator:
                 cycles += self._acquire_lock(
                     "order_rx", now, 11.0, "recv_dispatch_ordering", cycles
                 )
-            cycles += self._charge_ordering(
+            cycles += self._charge(
                 "recv_dispatch_ordering", self.board_rx.mark_done(seq)
             )
         cycles += self._commit_rx(now, cycles)
@@ -1410,7 +1438,7 @@ class ThroughputSimulator:
                 "order_rx", now, 18.0, "recv_dispatch_ordering", cycles_so_far + cycles
             )
         committed, cost = self.board_rx.commit()
-        cycles += self._charge_ordering("recv_dispatch_ordering", cost)
+        cycles += self._charge("recv_dispatch_ordering", cost)
         freed_bytes = 0
         holes = 0
         trace_on = self.tracer.enabled
@@ -1470,9 +1498,7 @@ class ThroughputSimulator:
         return cycles
 
     def _rx_slot_address(self, seq: int) -> int:
-        slots = max(1, self.config.rx_buffer_bytes // 2048)
-        base = self.config.tx_buffer_bytes
-        return base + (seq % slots) * 2048
+        return self.config.tx_buffer_bytes + (seq % self._rx_slots) * 2048
 
     def _maybe_fetch_recv_bds(self) -> None:
         if (
@@ -1492,8 +1518,10 @@ class ThroughputSimulator:
         frames = event.count or RECV_BDS_PER_FETCH
         cycles = self._charge("recv_dispatch_ordering", fw.dispatch_per_event)
         cycles += self._acquire_lock("rxpool", now, _HOLD_RXPOOL, "recv_locking", cycles)
-        profile = self._reentrant_per_frame["fetch_recv_bd"].scaled(frames)
-        cycles += self._charge("fetch_recv_bd", profile, frames=frames)
+        cycles += self._charge(
+            "fetch_recv_bd", self._reentrant_per_frame["fetch_recv_bd"], frames,
+            frames=frames,
+        )
         transfer = self.dma_read.descriptor_transfer(
             now + self.core_clock.cycles_to_ps(cycles),
             frames * DESCRIPTOR_BYTES,
@@ -1545,7 +1573,7 @@ class ThroughputSimulator:
             # Exponentially smooth the estimate so heavily loaded bank
             # configurations (rho near 1) converge instead of
             # oscillating between cheap and saturated operating points.
-            self._conflict_wait = 0.6 * self._conflict_wait + 0.4 * target
+            self._charges.set_wait(0.6 * self._conflict_wait + 0.4 * target)
         self._contention_window_accesses = 0.0
         self._contention_window_start_ps = now
         if self.tracer.enabled:
@@ -1632,8 +1660,7 @@ class ThroughputSimulator:
 
     def run(self, warmup_s: float = 0.5e-3, measure_s: float = 2.0e-3) -> ThroughputResult:
         """Warm up, measure, and return the results."""
-        if warmup_s < 0 or measure_s <= 0:
-            raise ValueError("need non-negative warmup and positive measure window")
+        check_window(warmup_s, measure_s)
         warmup_ps = round(warmup_s * 1e12)
         measure_ps = round(measure_s * 1e12)
 
@@ -1684,8 +1711,7 @@ class ThroughputSimulator:
             before: FunctionStats = snap["fn"][name]  # type: ignore[index]
             delta = FunctionStats()
             for attr in (
-                "instructions", "loads", "stores", "cycles", "imiss_cycles",
-                "load_cycles", "conflict_cycles", "pipeline_cycles",
+                "instructions", "loads", "stores", "cycles",
                 "lock_wait_cycles", "invocations", "frames",
             ):
                 setattr(delta, attr, getattr(stats, attr) - getattr(before, attr))

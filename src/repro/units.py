@@ -9,6 +9,8 @@ unless a name says otherwise.
 
 from __future__ import annotations
 
+import math
+
 PICOSECONDS_PER_SECOND = 1_000_000_000_000
 
 KILO = 1_000
@@ -49,10 +51,15 @@ def cycle_time_ps(frequency_hz: float) -> int:
 
     Rounded to the nearest picosecond; at the frequencies used here
     (tens of MHz to a few GHz) the rounding error per cycle is < 0.1%.
+    A clock whose period rounds to 0 ps (above 2 THz) has no integer
+    period and is rejected.
     """
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return max(1, round(PICOSECONDS_PER_SECOND / frequency_hz))
+    if not math.isfinite(frequency_hz) or frequency_hz <= 0:
+        raise ValueError(f"frequency must be finite and positive, got {frequency_hz}")
+    period = round(PICOSECONDS_PER_SECOND / frequency_hz)
+    if period < 1:
+        raise ValueError(f"frequency {frequency_hz} Hz has a period below 1 ps")
+    return period
 
 
 def seconds_to_ps(seconds: float) -> int:

@@ -187,6 +187,13 @@ class TestInvalidFlags:
         "run --offered 1.5",
         "run --millis 0",
         "run --payload 100000",
+        "run --mhz inf",
+        "run --mhz nan",
+        "sweep --cores 2 --mhz inf",
+        "fabric --millis 0",
+        "fabric --warmup-millis -1",
+        "faults --millis 0",
+        "faults --payload 100000",
     ])
     def test_exit_2_with_one_line_message(self, argv, capsys):
         command = argv.split()[0]

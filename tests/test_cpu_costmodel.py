@@ -1,9 +1,12 @@
 """Statistical core cost model (macro-tier timing)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu import ContentionModel, CoreCostModel, HandlerCost
-from repro.cpu.costmodel import OpProfile
+from repro.cpu.costmodel import ChargeTable, OpProfile
+from repro.firmware.ordering import OrderingCost
 
 
 class TestOpProfile:
@@ -145,3 +148,91 @@ class TestCoreCostModel:
         assert 0.02 < breakdown["conflict"] < 0.09
         assert 0.05 < breakdown["pipeline"] < 0.18
         assert breakdown["imiss"] < 0.02
+
+
+@st.composite
+def _profiles(draw):
+    instructions = draw(st.floats(0.0, 2000.0))
+    # Halves of in-range shares: loads + stores <= instructions exactly.
+    loads = instructions * draw(st.floats(0.0, 1.0)) * 0.5
+    stores = instructions * draw(st.floats(0.0, 1.0)) * 0.5
+    return OpProfile(
+        instructions,
+        loads,
+        stores,
+        taken_branch_fraction=draw(st.floats(0.0, 1.0)),
+        load_use_fraction=draw(st.floats(0.0, 1.0)),
+    )
+
+
+def _expected_entry(model, profile, wait):
+    """The entry as the simulator charged it before the table: terms
+    from ``cost``, total summed in Table 3 order."""
+    execution, imiss, load, conflict, pipeline = model.cost(profile, wait)
+    return (
+        profile.instructions, profile.loads, profile.stores,
+        profile.loads + profile.stores,
+        execution, imiss, load, conflict, pipeline,
+        execution + imiss + load + conflict + pipeline,
+    )
+
+
+class TestChargeTable:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        profile=_profiles(),
+        frames=st.integers(0, 64),
+        # Whole frames, and the send/receive task's start and finish
+        # shares of them, as the handlers scale their profiles.
+        share=st.sampled_from((1, 0.55, 1.0 - 0.55)),
+        wait=st.floats(0.0, 25.0),
+    )
+    def test_entry_equals_cost_of_the_scaled_profile(self, profile, frames, share, wait):
+        model = CoreCostModel()
+        table = ChargeTable(model, wait)
+        factor = frames * share
+        scaled = _expected_entry(model, profile.scaled(factor), wait)
+        plain = _expected_entry(model, profile, wait)
+        for _ in range(2):  # the fill, then a hit
+            assert table.lookup(profile, factor) == scaled
+            assert table.lookup(profile) == plain
+        assert len(table) == 2
+
+    def test_moving_the_wait_empties_the_table(self):
+        model = CoreCostModel()
+        profile = OpProfile(instructions=100, loads=20, stores=10)
+        table = ChargeTable(model, 0.1)
+        table.lookup(profile, 3)
+        table.lookup(profile)
+        table.set_wait(0.7)
+        assert table.wait == 0.7
+        assert len(table) == 0
+        assert table.lookup(profile, 3) == _expected_entry(model, profile.scaled(3), 0.7)
+        assert table.lookup(profile) == _expected_entry(model, profile, 0.7)
+
+    def test_compute_keeps_nothing(self):
+        model = CoreCostModel()
+        table = ChargeTable(model, 0.3)
+        table.lookup(OpProfile(instructions=10, loads=2, stores=1))
+        spin = OpProfile(instructions=4, loads=1, stores=0).scaled(2.917)
+        assert table.compute(spin) == _expected_entry(model, spin, 0.3)
+        assert len(table) == 1
+
+    def test_keyed_by_identity(self):
+        table = ChargeTable(CoreCostModel(), 0.2)
+        first = OpProfile(instructions=10, loads=2, stores=1)
+        twin = OpProfile(instructions=10, loads=2, stores=1)
+        assert first == twin
+        assert table.lookup(first) == table.lookup(twin)
+        assert len(table) == 2
+
+    def test_ordering_record_counts_checked_on_fill(self):
+        # OrderingCost skips check_op_counts when built; charging it
+        # through the table must not.
+        with pytest.raises(ValueError, match="exceed"):
+            ChargeTable(CoreCostModel(), 0.0).lookup(OrderingCost(1.0, 2.0, 3.0))
+
+    def test_negative_wait_rejected_on_fill(self):
+        table = ChargeTable(CoreCostModel(), -0.5)
+        with pytest.raises(ValueError):
+            table.lookup(OpProfile(instructions=10, loads=1, stores=1))

@@ -116,6 +116,10 @@ class TestSpecValidation:
             RunSpec(config=NicConfig(), warmup_s=-1.0)
         with pytest.raises(ValueError):
             RunSpec(config=NicConfig(), measure_s=0.0)
+        with pytest.raises(ValueError):
+            RunSpec(config=NicConfig(), measure_s=float("nan"))
+        with pytest.raises(ValueError):
+            RunSpec(config=NicConfig(), warmup_s=float("inf"))
 
     def test_constant_workload_has_no_live_model(self):
         # None → the simulator builds ConstantSize internally, exactly

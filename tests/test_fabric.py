@@ -254,6 +254,16 @@ class TestRpcPair:
         parsed = json.loads(blob)
         assert parsed["flows"]["rpc0"]["rtt"]["count"] > 10
 
+    @pytest.mark.parametrize("warmup_s, measure_s", [
+        (WARMUP_S, float("nan")),
+        (WARMUP_S, float("inf")),
+        (float("nan"), MEASURE_S),
+    ])
+    def test_run_window_must_be_finite(self, warmup_s, measure_s):
+        sim = FabricSimulator(_config(), FabricSpec.rpc_pair(concurrency=4))
+        with pytest.raises(ValueError, match="measure window"):
+            sim.run(warmup_s, measure_s)
+
 
 class TestDeterminism:
     def test_identical_runs_identical_results(self):

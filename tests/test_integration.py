@@ -147,6 +147,27 @@ class TestConfigSurface:
         with pytest.raises(ValueError):
             NicConfig(ordering_ring=100)
 
+    @pytest.mark.parametrize("field, value", [
+        ("core_frequency_hz", 0.0),
+        ("core_frequency_hz", -mhz(166)),
+        ("core_frequency_hz", float("inf")),
+        ("core_frequency_hz", float("nan")),
+        ("sdram_frequency_hz", 0.0),
+        ("sdram_frequency_hz", float("inf")),
+        ("sdram_frequency_hz", float("nan")),
+        ("dma_latency_s", -1e-6),
+        ("dma_latency_s", float("inf")),
+        ("dma_latency_s", float("nan")),
+    ])
+    def test_clocks_and_dma_latency_checked_at_construction(self, field, value):
+        # Each used to build and then fail (or run on a 1 ps clock) only
+        # once a simulator was made from it.
+        with pytest.raises(ValueError, match=field):
+            NicConfig(**{field: value})
+
+    def test_zero_dma_latency_allowed(self):
+        assert NicConfig(dma_latency_s=0.0).dma_latency_ps == 0
+
     def test_label(self):
         assert "6x166MHz" in RMW_166MHZ.label
         assert RMW_166MHZ.label.endswith("rmw")
@@ -157,6 +178,16 @@ class TestConfigSurface:
             simulator.run(warmup_s=-1, measure_s=1e-3)
         with pytest.raises(ValueError):
             ThroughputSimulator(RMW_166MHZ, 1472).run(warmup_s=0, measure_s=0)
+
+    @pytest.mark.parametrize("warmup_s, measure_s", [
+        (0.0, float("nan")),
+        (float("nan"), 1e-3),
+        (0.0, float("inf")),
+        (float("inf"), 1e-3),
+    ])
+    def test_run_window_must_be_finite(self, warmup_s, measure_s):
+        with pytest.raises(ValueError, match="measure window"):
+            ThroughputSimulator(RMW_166MHZ, 1472).run(warmup_s, measure_s)
 
 
 class TestChecksumService:

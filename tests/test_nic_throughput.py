@@ -258,3 +258,98 @@ class TestTaskLevelDispatchInternals:
         sim._handler_done = spy_done
         sim.run(warmup_s=0.1e-3, measure_s=0.3e-3)
         assert max(peak.values()) >= 2  # some handler type ran in parallel
+
+
+def _unpinned_run(name):
+    """One standalone configuration the golden corpus does not pin,
+    over ``run(0.1e-3, 0.4e-3)``."""
+    from dataclasses import replace
+
+    from repro.faults import FaultPlan
+    from repro.host.rss import RssSpec
+    from repro.net.workload import ImixSize
+
+    software = OrderingMode.SOFTWARE
+    small = NicConfig(cores=2, core_frequency_hz=mhz(133))
+    config, payload, kwargs = {
+        "checksum-assist": (replace(small, checksum_offload="assist"), 1472, {}),
+        "checksum-firmware": (replace(small, checksum_offload="firmware"), 1472, {}),
+        "checksum-firmware-software": (
+            replace(small, checksum_offload="firmware", ordering_mode=software), 1472, {}
+        ),
+        "task-level": (NicConfig(task_level_firmware=True), 1472, {}),
+        "task-level-software": (
+            NicConfig(task_level_firmware=True, ordering_mode=software), 1472, {}
+        ),
+        "software-faults-rss": (replace(small, ordering_mode=software), 1472, dict(
+            fault_plan=FaultPlan(seed=3, rx_fcs_rate=0.02, sdram_error_rate=0.01,
+                                 pci_stall_rate=0.01, pci_stall_ps=500000),
+            rss=RssSpec(rings=4, hash_seed=5),
+        )),
+        "imix-bursty-1core-software": (
+            replace(small, cores=1, ordering_mode=software), 1472,
+            dict(size_model=ImixSize(), offered_fraction=0.8, rx_burst_frames=8),
+        ),
+        "18B-6x200MHz": (NicConfig(core_frequency_hz=mhz(200)), 18, {}),
+    }[name]
+    simulator = ThroughputSimulator(config, payload, **kwargs)
+    return simulator, simulator.run(warmup_s=0.1e-3, measure_s=0.4e-3)
+
+
+class TestChargeTable:
+    @pytest.mark.parametrize("name", [
+        "checksum-assist",
+        "checksum-firmware",
+        "checksum-firmware-software",
+        "task-level",
+        "task-level-software",
+        "software-faults-rss",
+        "imix-bursty-1core-software",
+        "18B-6x200MHz",
+    ])
+    def test_matches_recomputing_every_charge(self, name, monkeypatch):
+        """Differential: the same run with every lookup recomputed
+        through ``cost()`` at the current wait, as charges were made
+        before the table, must agree bit for bit."""
+        from repro.cpu.costmodel import ChargeTable
+
+        _, built = _unpinned_run(name)
+
+        def recompute(table, profile, factor=None):
+            if factor is not None:
+                profile = profile.scaled(factor)
+            execution, imiss, load, conflict, pipeline = table.model.cost(
+                profile, table.wait
+            )
+            return (
+                profile.instructions, profile.loads, profile.stores,
+                profile.loads + profile.stores,
+                execution, imiss, load, conflict, pipeline,
+                execution + imiss + load + conflict + pipeline,
+            )
+
+        monkeypatch.setattr(ChargeTable, "lookup", recompute)
+        simulator, reference = _unpinned_run(name)
+        assert len(simulator._charges) == 0  # nothing was kept
+        assert built.to_dict() == reference.to_dict()
+        assert vars(built.cost_totals) == vars(reference.cost_totals)
+        assert {fn: vars(stats) for fn, stats in built.function_stats.items()} == {
+            fn: vars(stats) for fn, stats in reference.function_stats.items()
+        }
+
+    def test_transient_charge_leaves_the_table_unchanged(self):
+        simulator, _ = _unpinned_run("checksum-assist")
+        firmware = simulator.config.firmware
+        simulator._charge("send_locking", firmware.lock_acquire_release)
+        size = len(simulator._charges)
+        assert size > 0
+        spin = firmware.spin_cost(12.5)
+        assert simulator._charge("send_locking", spin, transient=True) > 0
+        assert len(simulator._charges) == size
+
+    def test_table_wait_is_the_reported_wait(self):
+        simulator, result = _unpinned_run("task-level")
+        assert result.conflict_wait == simulator._charges.wait
+        assert simulator.metrics_snapshot()["gauge.conflict_wait_cycles"] == (
+            simulator._charges.wait
+        )

@@ -27,6 +27,15 @@ class TestFrequencies:
         with pytest.raises(ValueError):
             units.cycle_time_ps(-1)
 
+    @pytest.mark.parametrize("frequency_hz", [float("inf"), float("nan"), 2.5e12])
+    def test_cycle_time_rejects_periods_below_1ps(self, frequency_hz):
+        # Used to clamp to a silent 1 ps clock (or fail converting NaN).
+        with pytest.raises(ValueError):
+            units.cycle_time_ps(frequency_hz)
+
+    def test_cycle_time_shortest_period(self):
+        assert units.cycle_time_ps(1.5e12) == 1
+
 
 class TestBandwidth:
     def test_gbps(self):
