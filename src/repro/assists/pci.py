@@ -10,30 +10,29 @@ the NIC keeps "several hundred outstanding frames in various stages of
 processing".
 
 We model that essential property: each DMA experiences a fixed host
-round-trip latency, with unlimited pipelining (no bandwidth cap).  An
-optional bandwidth cap exists for ablation experiments.
+round-trip latency, with unlimited pipelining.  There is no bandwidth
+cap: a host phase issued at ``now`` ends at ``now + latency``, plus any
+stall an attached fault injector draws for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units import seconds_to_ps, transfer_time_ps
+from repro.units import seconds_to_ps
 
 DEFAULT_DMA_LATENCY_PS = seconds_to_ps(1.2e-6)  # 1.2 us host round trip
 
 
 @dataclass
 class PciInterface:
-    """Latency-only host DMA path (bandwidth optionally capped)."""
+    """Latency-only host DMA path."""
 
     dma_latency_ps: int = DEFAULT_DMA_LATENCY_PS
-    bandwidth_bps: float = 0.0  # 0 = unmodeled, per the paper
 
     def __post_init__(self) -> None:
         if self.dma_latency_ps < 0:
             raise ValueError("DMA latency must be non-negative")
-        self._bus_free_ps = 0
         self.transfers = 0
         self.bytes_moved = 0
         # Fault layer (repro.faults): an attached injector may stall
@@ -49,9 +48,4 @@ class PciInterface:
         stall_ps = (
             self.injector.pci_stall(now_ps) if self.injector is not None else 0
         )
-        if self.bandwidth_bps <= 0:
-            return now_ps + self.dma_latency_ps + stall_ps
-        start = max(now_ps, self._bus_free_ps)
-        duration = transfer_time_ps(nbytes, self.bandwidth_bps)
-        self._bus_free_ps = start + duration
-        return start + duration + self.dma_latency_ps + stall_ps
+        return now_ps + self.dma_latency_ps + stall_ps

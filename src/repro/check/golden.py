@@ -103,6 +103,23 @@ def _run_fabric():
     ).run(WARMUP_S, MEASURE_S)
 
 
+def _run_fabric_faulted():
+    from repro.fabric import FabricSimulator, FabricSpec
+    from repro.faults import FaultPlan
+
+    # The fabric endpoint under every fault kind at once: FCS drops punch
+    # receive holes the endpoint must release and report as losses, SDRAM
+    # errors retry DMA bursts, and PCI stalls can end a receive DMA's host
+    # phases out of burst order.
+    plan = FaultPlan(
+        seed=7, rx_fcs_rate=0.03, sdram_error_rate=0.01, pci_stall_rate=0.02
+    )
+    return FabricSimulator(
+        _config(), FabricSpec.rpc_pair(concurrency=8, seed=3),
+        fault_plan=plan, estimator="exact",
+    ).run(WARMUP_S, MEASURE_S)
+
+
 def _run_fabric_switched():
     from repro.fabric import FabricSimulator, FabricSpec
 
@@ -241,6 +258,7 @@ def golden_specs() -> Dict[str, Callable]:
         "throughput-imix-bursty": _run_throughput_imix_bursty,
         "throughput-faulted": _run_faulted,
         "fabric-rpc": _run_fabric,
+        "fabric-rpc-faulted": _run_fabric_faulted,
         "fabric-rpc-switched": _run_fabric_switched,
         "fabric-qos-switched": _run_fabric_qos,
         "fabric-topology-incast": _run_fabric_topology,

@@ -48,19 +48,38 @@ class RecordedSizeModel(FrameSizeModel):
     The nominal payload feeds the mean/line-rate properties (used only
     for result normalization and the initial contention estimate);
     per-frame timing always reads the recorded value.  Looking up an
-    unrecorded sequence is a programming error and raises ``KeyError``
-    rather than silently substituting the nominal size.
+    unrecorded (or released) sequence is a programming error and raises
+    ``KeyError`` rather than silently substituting the nominal size.
+
+    The endpoint releases each record at its last reader, so the model
+    holds only frames in flight, however long the run.
     """
 
     def __init__(self, nominal_payload_bytes: int = 1472) -> None:
         self._nominal = nominal_payload_bytes
         self._payloads: Dict[int, int] = {}
+        self._frames: Dict[int, int] = {}
 
     def record(self, seq: int, udp_payload_bytes: int) -> None:
+        """Record ``seq``'s payload; an invalid payload raises here."""
+        self._frames[seq] = frame_bytes_for_udp_payload(udp_payload_bytes)
         self._payloads[seq] = udp_payload_bytes
+
+    def release(self, seq: int) -> None:
+        """Forget ``seq`` after its last size read."""
+        del self._payloads[seq]
+        del self._frames[seq]
+
+    @property
+    def records(self) -> int:
+        """Number of sequences recorded and not yet released."""
+        return len(self._payloads)
 
     def payload_bytes(self, seq: int) -> int:
         return self._payloads[seq]
+
+    def frame_bytes(self, seq: int) -> int:
+        return self._frames[seq]
 
     @property
     def mean_payload_bytes(self) -> float:
@@ -180,8 +199,7 @@ class NicEndpoint(ThroughputSimulator):
         self.tx_sizes.record(seq, frame.udp_payload_bytes)
         self._tx_frames[seq] = frame
         self.driver.max_frames = self._tx_post_seq
-        self._refill_send()
-        self._maybe_fetch_send_bds()
+        self._maybe_fetch_send_bds()  # posts the frame's descriptors first
 
     def _maybe_fetch_send_bds(self) -> None:
         # Partial-batch descriptor fetches: the saturation workload
@@ -207,6 +225,10 @@ class NicEndpoint(ThroughputSimulator):
         frame = self._tx_frames.pop(seq)
         self.fabric.wire.transmit(self.index, frame, wire)
 
+    def _tx_wire_done(self, seq: int) -> None:
+        super()._tx_wire_done(seq)
+        self.tx_sizes.release(seq)  # the frame's last size read
+
     # ==================================================================
     # RSS steering from real flow identities
     # ==================================================================
@@ -229,6 +251,10 @@ class NicEndpoint(ThroughputSimulator):
             ring = self.rss_host.ring_for(*self._flow_tuple(self._tx_frames[seq]))
             self._tx_ring_cache[seq] = ring
         return ring
+
+    def _tx_ring_completed(self, seq: int) -> int:
+        # The send completion is the last steering read of a frame.
+        return self._tx_ring_cache.pop(seq)
 
     def _rx_ring_for_seq(self, seq: int) -> int:
         # Called in _commit_rx before the commit hook pops the frame.
@@ -287,6 +313,7 @@ class NicEndpoint(ThroughputSimulator):
         # and report the loss before the base recovery bookkeeping.
         frame = self._rx_frames.pop(seq)
         super()._rx_fault_drop(seq)
+        self.rx_sizes.release(seq)  # a hole is never read again
         self.fabric.frame_lost(frame, self.sim.now_ps, "rx_fcs")
 
     def _mac_tail_drop(self, frame: FabricFrame) -> None:
@@ -294,6 +321,7 @@ class NicEndpoint(ThroughputSimulator):
 
     def _on_rx_commit(self, seq: int, now_ps: int) -> None:
         frame = self._rx_frames.pop(seq)
+        self.rx_sizes.release(seq)  # the commit pass read it last
         self.fabric.frame_delivered(frame, now_ps)
 
     # ==================================================================

@@ -65,6 +65,8 @@ class FlowTable:
         self._records: List[Dict[FlowKey, FlowRecord]] = [
             {} for _ in range(shards)
         ]
+        # Home shard per flow tuple: one keyed hash draw per tuple.
+        self._homes: Dict[FlowKey, int] = {}
         self.registries: List[StatRegistry] = [
             StatRegistry() for _ in range(shards)
         ]
@@ -80,29 +82,36 @@ class FlowTable:
     def shard_of(self, flow: str, src: int, dst: int) -> int:
         """Deterministic home shard of a flow tuple (the same keyed
         draw that ECMP-routes the tuple, reduced mod the shard count)."""
-        return ecmp_hash(self.seed, flow, src, dst) % self.shards
-
-    def _record(self, flow: str, src: int, dst: int) -> FlowRecord:
-        shard = self._records[self.shard_of(flow, src, dst)]
         key = (flow, src, dst)
-        record = shard.get(key)
+        shard = self._homes.get(key)
+        if shard is None:
+            shard = self._homes[key] = (
+                ecmp_hash(self.seed, flow, src, dst) % self.shards
+            )
+        return shard
+
+    def _record(self, shard: int, flow: str, src: int, dst: int) -> FlowRecord:
+        records = self._records[shard]
+        key = (flow, src, dst)
+        record = records.get(key)
         if record is None:
-            record = shard[key] = FlowRecord()
+            record = records[key] = FlowRecord()
         return record
 
     def record_delivery(
         self, flow: str, src: int, dst: int,
         oneway_us: float, payload_bytes: int,
     ) -> None:
-        record = self._record(flow, src, dst)
+        shard = self.shard_of(flow, src, dst)
+        record = self._record(shard, flow, src, dst)
         record.delivered += 1
         record.payload_bytes += payload_bytes
         self.delivered += 1
         self.payload_bytes += payload_bytes
-        self._sketches[self.shard_of(flow, src, dst)].record(oneway_us)
+        self._sketches[shard].record(oneway_us)
 
     def record_loss(self, flow: str, src: int, dst: int) -> None:
-        self._record(flow, src, dst).lost += 1
+        self._record(self.shard_of(flow, src, dst), flow, src, dst).lost += 1
         self.lost += 1
 
     # ------------------------------------------------------------------

@@ -96,17 +96,20 @@ class GddrSdram:
         """
         if nbytes <= 0:
             raise ValueError("transfer size must be positive")
-        first = align_down(address, self.ACCESS_GRANULARITY_BYTES)
-        last = align_up(address + nbytes, self.ACCESS_GRANULARITY_BYTES)
-        padded = last - first
+        # Padding to the 8-byte device word, bank and row, computed in
+        # line once per burst; misaligned_bytes, _bank_of and _row_of
+        # are the reference forms.
+        padded = ((address + nbytes + 7) & -8) - (address & -8)
+        line = address // self.row_bytes
+        bank = line % self.banks
+        row = line // self.banks
 
-        bank = self._bank_of(address)
-        row = self._row_of(address)
-        start = max(cycle, self._bus_free_cycle)
+        start = cycle if cycle > self._bus_free_cycle else self._bus_free_cycle
         activated = False
-        if self._open_row[bank] != row:
+        open_row = self._open_row
+        if open_row[bank] != row:
             start += self.row_activate_cycles
-            self._open_row[bank] = row
+            open_row[bank] = row
             self.row_activations += 1
             activated = True
         burst_cycles = -(-padded // self.bytes_per_cycle)  # ceil

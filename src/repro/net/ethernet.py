@@ -77,13 +77,23 @@ class EthernetTiming:
 
     link_bits_per_second: float = gbps(10)
 
+    def __post_init__(self) -> None:
+        # frame_time_ps by frame size, filled on first use.  Not a field:
+        # equality, hashing, repr and describe() see only the link rate.
+        object.__setattr__(self, "_frame_times", {})
+
     def wire_bytes(self, frame_bytes: int) -> int:
         """Bytes of link occupancy per frame, counting preamble and IFG."""
         return frame_bytes + PREAMBLE_BYTES + INTERFRAME_GAP_BYTES
 
     def frame_time_ps(self, frame_bytes: int) -> int:
         """Link occupancy time of one frame including preamble and IFG."""
-        return transfer_time_ps(self.wire_bytes(frame_bytes), self.link_bits_per_second)
+        time_ps = self._frame_times.get(frame_bytes)
+        if time_ps is None:
+            time_ps = self._frame_times[frame_bytes] = transfer_time_ps(
+                self.wire_bytes(frame_bytes), self.link_bits_per_second
+            )
+        return time_ps
 
     def frames_per_second(self, frame_bytes: int) -> float:
         """Back-to-back frame rate in one direction.

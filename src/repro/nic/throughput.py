@@ -614,6 +614,10 @@ class ThroughputSimulator:
     def _tx_ring_for_seq(self, seq: int) -> int:
         return self.rss_host.ring_for(*self._tx_flow_tuple(seq))
 
+    def _tx_ring_completed(self, seq: int) -> int:
+        """Ring of a sent frame, read once more by its send completion."""
+        return self._tx_ring_for_seq(seq)
+
     def _rx_ring_for_seq(self, seq: int) -> int:
         return self.rss_host.ring_for(*self._rx_flow_tuple(seq))
 
@@ -987,7 +991,6 @@ class ThroughputSimulator:
                 cycles += self._charge("send_frame", checksum, transient=True)
 
         issue_ps = now + self.core_clock.cycles_to_ps(cycles)
-        pending = {"left": 2 * batch}
         if self.tracer.enabled:
             core_track = f"core{self._current_core}"
             for seq in range(first, first + batch):
@@ -999,46 +1002,42 @@ class ThroughputSimulator:
                     "tx", seq, FrameStage.DMA_ISSUED, issue_ps, track="dma-read"
                 )
 
-        def transfer_done(_finish_ps: int, f: int = first, b: int = batch) -> None:
-            pending["left"] -= 1
-            if pending["left"] == 0:
-                if self.tracer.enabled:
-                    done_ps = self.sim.now_ps
-                    for seq in range(f, f + b):
-                        self.tracer.frame_stage(
-                            "tx", seq, FrameStage.DMA_COMPLETE, done_ps, track="dma-read"
-                        )
-                    self.tracer.complete(
-                        "dma-read",
-                        f"tx-frames {f}+{b}",
-                        issue_ps,
-                        max(0, done_ps - issue_ps),
-                        first_seq=f,
-                        count=b,
+        def bundle_done(done_ps: int) -> None:
+            if self.tracer.enabled:
+                for seq in range(first, first + batch):
+                    self.tracer.frame_stage(
+                        "tx", seq, FrameStage.DMA_COMPLETE, done_ps, track="dma-read"
                     )
-                self._push_event(FrameEvent(EventKind.SEND_COMPLETE, first_seq=f, count=b))
+                self.tracer.complete(
+                    "dma-read",
+                    f"tx-frames {first}+{batch}",
+                    issue_ps,
+                    max(0, done_ps - issue_ps),
+                    first_seq=first,
+                    count=batch,
+                )
+            self._push_event(
+                FrameEvent(EventKind.SEND_COMPLETE, first_seq=first, count=batch)
+            )
 
-        for index in range(batch):
-            seq = first + index
+        # Each frame is two host regions: the protocol header and the
+        # payload (Section 2.1), staged 64 B apart in the frame's slot.
+        layout = self.driver.layout
+        frame_bytes = self.tx_sizes.frame_bytes
+        touches = 2 * self.config.assist_accesses_per_dma
+        regions = []
+        for seq in range(first, first + batch):
             sdram_addr = self._tx_slot_address(seq)
-            payload_bytes = max(
-                1, self.tx_sizes.frame_bytes(seq) - TX_HEADER_REGION_BYTES
+            regions.append(
+                (layout.tx_header_address(seq), sdram_addr, TX_HEADER_REGION_BYTES)
             )
-            self.dma_read.frame_transfer(
-                issue_ps,
-                self.driver.layout.tx_header_address(seq),
-                sdram_addr,
-                TX_HEADER_REGION_BYTES,
-                transfer_done,
-            )
-            self.dma_read.frame_transfer(
-                issue_ps,
-                self.driver.layout.tx_payload_address(seq),
+            regions.append((
+                layout.tx_payload_address(seq),
                 sdram_addr + 64,
-                payload_bytes,
-                transfer_done,
-            )
-            self._assist_touch(2 * self.config.assist_accesses_per_dma)
+                max(1, frame_bytes(seq) - TX_HEADER_REGION_BYTES),
+            ))
+            self._assist_touch(touches)
+        self.dma_read.frame_transfer(issue_ps, regions, bundle_done)
         if self._tx_bd_onboard > 0:
             self._queue_send_frame_event()
         self._maybe_fetch_send_bds()
@@ -1102,7 +1101,7 @@ class ThroughputSimulator:
             if self.rss_host is not None:
                 first = self.board_tx_notify.commit_seq - notified
                 self.rss_host.complete_tx(
-                    first, notified, self._tx_ring_for_seq, done_ps
+                    first, notified, self._tx_ring_completed, done_ps
                 )
                 self._refill_send()
             else:
@@ -1339,7 +1338,6 @@ class ThroughputSimulator:
                 cycles += self._charge("recv_frame", checksum, transient=True)
 
         issue_ps = now + self.core_clock.cycles_to_ps(cycles)
-        pending = {"left": real}
         if self.tracer.enabled:
             core_track = f"core{self._current_core}"
             for seq in range(first, first + batch):
@@ -1353,48 +1351,43 @@ class ThroughputSimulator:
                     "rx", seq, FrameStage.DMA_ISSUED, issue_ps, track="dma-write"
                 )
 
-        def transfer_done(
-            _finish_ps: int, f: int = first, b: int = batch, h: "tuple" = holes
-        ) -> None:
-            pending["left"] -= 1
-            if pending["left"] == 0:
-                if self.tracer.enabled:
-                    done_ps = self.sim.now_ps
-                    for seq in range(f, f + b):
-                        if seq in h:
-                            continue
-                        self.tracer.frame_stage(
-                            "rx", seq, FrameStage.DMA_COMPLETE, done_ps, track="dma-write"
-                        )
-                    self.tracer.complete(
-                        "dma-write",
-                        f"rx-frames {f}+{b}",
-                        issue_ps,
-                        max(0, done_ps - issue_ps),
-                        first_seq=f,
-                        count=b,
+        def bundle_done(done_ps: int) -> None:
+            if self.tracer.enabled:
+                for seq in range(first, first + batch):
+                    if seq in holes:
+                        continue
+                    self.tracer.frame_stage(
+                        "rx", seq, FrameStage.DMA_COMPLETE, done_ps, track="dma-write"
                     )
-                self._push_event(
-                    FrameEvent(
-                        EventKind.RECV_COMPLETE,
-                        first_seq=f,
-                        count=b,
-                        payload=h if h else None,
-                    )
+                self.tracer.complete(
+                    "dma-write",
+                    f"rx-frames {first}+{batch}",
+                    issue_ps,
+                    max(0, done_ps - issue_ps),
+                    first_seq=first,
+                    count=batch,
                 )
+            self._push_event(
+                FrameEvent(
+                    EventKind.RECV_COMPLETE,
+                    first_seq=first,
+                    count=batch,
+                    payload=holes if holes else None,
+                )
+            )
 
-        for index in range(batch):
-            seq = first + index
+        layout = self.driver.layout
+        frame_bytes = self.rx_sizes.frame_bytes
+        touches = self.config.assist_accesses_per_dma
+        regions = []
+        for seq in range(first, first + batch):
             if seq in holes:
                 continue
-            self.dma_write.frame_transfer(
-                issue_ps,
-                self.driver.layout.rx_buffer_address(seq),
-                self._rx_slot_address(seq),
-                self.rx_sizes.frame_bytes(seq),
-                transfer_done,
+            regions.append(
+                (layout.rx_buffer_address(seq), self._rx_slot_address(seq), frame_bytes(seq))
             )
-            self._assist_touch(self.config.assist_accesses_per_dma)
+            self._assist_touch(touches)
+        self.dma_write.frame_transfer(issue_ps, regions, bundle_done)
         if self._rx_written > self._rx_claim_seq:
             self._queue_recv_frame_event()
         return cycles

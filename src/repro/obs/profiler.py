@@ -8,7 +8,7 @@ aggregates per-callback wall time and invocation counts keyed by the
 callback's ``module.qualname`` — lambdas and local closures keep their
 enclosing function's qualified name, which is exactly the attribution
 granularity a hot-path hunt needs (e.g.
-``repro.nic.throughput.ThroughputSimulator._handle_send_frame.<locals>.transfer_done``).
+``repro.nic.throughput.ThroughputSimulator._mac_tx_pump.<locals>.<lambda>``).
 
 Bound-method callbacks additionally carry a stable instance tag when
 the instance exposes one (``profile_tag``, ``name``, ``label`` or
@@ -90,7 +90,7 @@ def phase_of(key: str) -> str:
     """Collapse an attribution key to its *phase*: the callback family.
 
     The phase is the enclosing top-level function or method — local
-    closures (``...<locals>.transfer_done``) fold into the function
+    closures (``...<locals>.<lambda>``) fold into the function
     that defined them, and instance tags (``[nic1]``) fold away, so
     every event a kernel-callback family schedules lands in one phase
     row however many closures or instances fan it out.

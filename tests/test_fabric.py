@@ -115,6 +115,52 @@ class TestRecordedSizeModel:
         model = RecordedSizeModel(nominal_payload_bytes=256)
         assert model.mean_payload_bytes == 256.0
 
+    def test_frame_bytes_recorded_with_the_payload(self):
+        model = RecordedSizeModel()
+        model.record(0, 18)
+        model.record(1, 1472)
+        assert (model.frame_bytes(0), model.frame_bytes(1)) == (64, 1518)
+        with pytest.raises(ValueError):
+            model.record(2, 1473)
+        assert model.records == 2
+
+    def test_release_forgets_the_sequence(self):
+        model = RecordedSizeModel()
+        model.record(5, 100)
+        model.release(5)
+        assert model.records == 0
+        with pytest.raises(KeyError):
+            model.frame_bytes(5)
+
+
+class TestEndpointRecordsStayBounded:
+    """Per-sequence endpoint records are released at their last reader,
+    so they hold frames in flight, not every frame of the run."""
+
+    @staticmethod
+    def _record_counts(measure_s, rss):
+        from repro.host.rss import RssSpec
+
+        spec = FabricSpec.rpc_pair(concurrency=8)
+        sim = FabricSimulator(
+            _config(), spec, rss=RssSpec(rings=4) if rss else None
+        )
+        sim.run(WARMUP_S, measure_s)
+        return [
+            (nic.tx_sizes.records, nic.rx_sizes.records, len(nic._tx_ring_cache))
+            for nic in sim.endpoints
+        ]
+
+    @pytest.mark.parametrize("rss", [False, True], ids=["single-ring", "rss"])
+    def test_counts_do_not_grow_with_the_window(self, rss):
+        short = self._record_counts(0.3e-3, rss)
+        longer = self._record_counts(0.9e-3, rss)
+        # Two directions of 8 outstanding RPCs, plus the receiver's
+        # peeked frame: a window-independent in-flight bound.
+        for counts in short + longer:
+            assert max(counts) <= 17, counts
+        assert sum(map(sum, longer)) <= sum(map(sum, short)) + 17
+
 
 # ----------------------------------------------------------------------
 # Spec validation

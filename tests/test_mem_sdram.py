@@ -1,6 +1,8 @@
 """GDDR SDRAM frame-memory model."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.mem import GddrSdram
 
@@ -71,6 +73,63 @@ class TestTransfers:
     def test_zero_bytes_rejected(self):
         with pytest.raises(ValueError):
             GddrSdram().transfer(0, 0, 0)
+
+
+class _ReferenceSdram:
+    """The burst timing rules written out with the model's reference
+    helpers: ``misaligned_bytes``, ``_bank_of`` and ``_row_of``."""
+
+    def __init__(self, model):
+        self.model = model
+        self.open_row = [-1] * model.banks
+        self.bus_free = 0
+        self.activations = 0
+
+    def transfer(self, address, nbytes, cycle):
+        model = self.model
+        padded = GddrSdram.misaligned_bytes(address, nbytes)
+        bank = model._bank_of(address)
+        row = model._row_of(address)
+        start = max(cycle, self.bus_free)
+        if self.open_row[bank] != row:
+            start += model.row_activate_cycles
+            self.open_row[bank] = row
+            self.activations += 1
+        burst = -(-padded // model.bytes_per_cycle)
+        self.bus_free = start + burst
+        return start, start + model.cas_cycles + burst, padded
+
+
+class TestTransferMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        geometry=st.tuples(st.sampled_from([1, 2, 8]), st.sampled_from([64, 2048, 3000])),
+        bursts=st.lists(
+            st.tuples(
+                st.integers(0, 1 << 20), st.integers(1, 1600), st.integers(0, 400)
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_cycles_bytes_and_activations(self, geometry, bursts):
+        banks, row_bytes = geometry
+        sdram = GddrSdram(banks=banks, row_bytes=row_bytes)
+        reference = _ReferenceSdram(sdram)
+        cycle = 0
+        for address, nbytes, gap in bursts:
+            cycle += gap
+            activations = reference.activations
+            request = sdram.transfer(address, nbytes, cycle)
+            start, finish, padded = reference.transfer(address, nbytes, cycle)
+            assert (request.start_cycle, request.finish_cycle) == (start, finish)
+            assert request.row_activated == (reference.activations > activations)
+            assert request.transferred_bytes == padded
+            assert request.useful_bytes == nbytes
+        assert sdram.row_activations == reference.activations
+        assert sdram.transferred_bytes == sum(
+            GddrSdram.misaligned_bytes(address, nbytes) for address, nbytes, _ in bursts
+        )
 
 
 class TestAccounting:
