@@ -1,5 +1,7 @@
 """Ethernet line-rate arithmetic (Section 2.1) and workload generators."""
 
+import dataclasses
+
 import pytest
 
 from repro.net import (
@@ -18,7 +20,8 @@ from repro.net.ethernet import (
     control_bandwidth_required_bps,
     control_mips_required,
 )
-from repro.units import to_gbps
+from repro.exp.spec import describe
+from repro.units import to_gbps, transfer_time_ps
 
 
 class TestFrameGeometry:
@@ -92,6 +95,27 @@ class TestLineRateArithmetic:
         timing = EthernetTiming()
         line = timing.frames_per_second(1518)
         assert timing.utilization(line / 2, 1518) == pytest.approx(0.5)
+
+
+class TestFrameTimeMemo:
+    def test_memoized_times_equal_the_formula(self):
+        timing = EthernetTiming(link_bits_per_second=1e9)
+        for frame_bytes in (64, 1518, 64, 777, 1518):
+            assert timing.frame_time_ps(frame_bytes) == transfer_time_ps(
+                timing.wire_bytes(frame_bytes), 1e9
+            )
+
+    def test_memo_is_not_part_of_the_value(self):
+        used, fresh = EthernetTiming(), EthernetTiming()
+        used.frame_time_ps(1518)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert describe(used) == describe(fresh)
+        assert [field.name for field in dataclasses.fields(used)] == [
+            "link_bits_per_second"
+        ]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            used.link_bits_per_second = 1e9
 
 
 class TestWorkloads:
