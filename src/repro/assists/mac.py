@@ -67,10 +67,12 @@ class MacReceiver:
 
     Arrivals follow one precomputed period of gaps (Section 5's wire
     model makes the offered stream periodic): frame ``seq`` is followed
-    by ``gaps[seq % len(gaps)]`` ps.  The receiver produces one
-    simulation event per *accepted* frame, never per offered frame:
-    when the NIC falls behind, :meth:`skip_backlog` drops the expired
-    frames in O(one period), however many there are.
+    by ``gaps[seq % len(gaps)]`` ps.  The simulator spends its receive
+    events on *accepted* frames, never on offered ones: when the NIC
+    falls behind, :meth:`skip_backlog` drops the expired frames in
+    O(one period), however many there are.  At line rate one event
+    both stores frame *n* and takes frame *n+1*, because the two fall
+    on the same instant.
     """
 
     def __init__(

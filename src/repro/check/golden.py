@@ -80,6 +80,22 @@ def _run_throughput_imix_bursty():
     ).run(WARMUP_S, MEASURE_S)
 
 
+def _run_throughput_rss():
+    from repro.firmware.ordering import OrderingMode
+    from repro.host.rss import RssSpec
+    from repro.nic.throughput import ThroughputSimulator
+
+    # Minimum-size frames onto four RSS rings: the cores fall behind,
+    # the MAC tail-drops, and every ring's send and receive counts,
+    # backlog and host-core pump are pinned.
+    config = dataclasses.replace(
+        _config(), ordering_mode=OrderingMode.SOFTWARE
+    )
+    return ThroughputSimulator(
+        config, 18, rss=RssSpec(rings=4, hash_seed=2)
+    ).run(WARMUP_S, MEASURE_S)
+
+
 def _run_faulted():
     from repro.faults import FaultPlan
     from repro.nic.throughput import ThroughputSimulator
@@ -100,6 +116,19 @@ def _run_fabric():
     # tuning (docs/observability.md, "Streaming quantiles").
     return FabricSimulator(
         _config(), FabricSpec.rpc_pair(seed=11), estimator="exact"
+    ).run(WARMUP_S, MEASURE_S)
+
+
+def _run_fabric_rss():
+    from repro.fabric import FabricSimulator, FabricSpec
+    from repro.host.rss import RssSpec
+
+    # The flow-driven endpoint on four RSS rings: sends post against
+    # the rings' transmit credit and receives recycle through the
+    # host cores.
+    return FabricSimulator(
+        _config(), FabricSpec.rpc_pair(concurrency=8, seed=5),
+        rss=RssSpec(rings=4, hash_seed=2), estimator="exact",
     ).run(WARMUP_S, MEASURE_S)
 
 
@@ -256,8 +285,10 @@ def golden_specs() -> Dict[str, Callable]:
         "throughput-rmw": _run_throughput,
         "throughput-software": _run_throughput_software,
         "throughput-imix-bursty": _run_throughput_imix_bursty,
+        "throughput-rss": _run_throughput_rss,
         "throughput-faulted": _run_faulted,
         "fabric-rpc": _run_fabric,
+        "fabric-rpc-rss": _run_fabric_rss,
         "fabric-rpc-faulted": _run_fabric_faulted,
         "fabric-rpc-switched": _run_fabric_switched,
         "fabric-qos-switched": _run_fabric_qos,

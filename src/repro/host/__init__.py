@@ -1,4 +1,4 @@
-"""Host-system model: device driver, buffer descriptors, main memory.
+"""Host-system model: device driver, descriptor rings, main memory.
 
 The paper models the host abstractly (Section 5: "The host model
 emulates the real device driver"), and deliberately does not model the
@@ -6,7 +6,7 @@ I/O interconnect's bandwidth, only the latency NIC-initiated DMAs
 experience.  This package follows the same contract.
 """
 
-from repro.host.descriptors import BufferDescriptor, DescriptorRing
+from repro.host.descriptors import DescriptorRing
 from repro.host.driver import DriverModel, DriverStats
 from repro.host.memory import HostMemoryLayout
 from repro.host.rss import (
@@ -19,7 +19,6 @@ from repro.host.rss import (
 )
 
 __all__ = [
-    "BufferDescriptor",
     "DescriptorRing",
     "DriverModel",
     "DriverStats",

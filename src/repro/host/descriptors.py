@@ -1,4 +1,4 @@
-"""Buffer descriptors and descriptor rings.
+"""Descriptor rings.
 
 Section 2: "the device driver first creates a buffer descriptor, which
 contains the starting memory address and length of the packet that is
@@ -6,61 +6,25 @@ to be sent, along with additional flags ...  If a packet consists of
 multiple non-contiguous regions of memory, the device driver creates
 multiple buffer descriptors."  Sent frames use two descriptors (header
 region + payload region); receive buffers use one descriptor each.
+
+Nothing reads a descriptor's fields back: the handlers take every DMA
+address from :class:`~repro.host.memory.HostMemoryLayout` and every
+length from the size model.  So a ring holds only its occupancy, and
+the descriptor fetch costs :data:`DESCRIPTOR_BYTES` per descriptor.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
-
-# Flag bits (Tigon-style).
-FLAG_END_OF_FRAME = 0x1
-FLAG_HEADER_REGION = 0x2
-FLAG_RECV_BUFFER = 0x4
-
 DESCRIPTOR_BYTES = 16  # address, length, flags, cookie — 4 words
 
 
-class _DescriptorFields(NamedTuple):
-    address: int
-    length: int
-    flags: int = 0
-    cookie: int = 0  # driver-private tag (frame sequence number here)
-
-
-class BufferDescriptor(_DescriptorFields):
-    """One host-memory region, as the driver describes it to the NIC."""
-
-    # typing.NamedTuple forbids overriding __new__, so the checks live
-    # on this subclass; empty slots keep it an immutable tuple.
-    __slots__ = ()
-
-    def __new__(cls, address: int, length: int, flags: int = 0, cookie: int = 0):
-        if address < 0:
-            raise ValueError("descriptor address must be non-negative")
-        if length <= 0:
-            raise ValueError(f"descriptor length must be positive, got {length}")
-        return tuple.__new__(cls, (address, length, flags, cookie))
-
-    @classmethod
-    def _make(cls, iterable) -> "BufferDescriptor":
-        # _replace builds through _make: route it through the checks.
-        return cls(*iterable)
-
-    @property
-    def is_end_of_frame(self) -> bool:
-        return bool(self.flags & FLAG_END_OF_FRAME)
-
-    @property
-    def is_header(self) -> bool:
-        return bool(self.flags & FLAG_HEADER_REGION)
-
-
 class DescriptorRing:
-    """A producer/consumer ring of buffer descriptors.
+    """A producer/consumer ring of buffer descriptors, as counts.
 
     The driver produces; the NIC consumes (send ring) or vice versa for
-    completion rings.  Indices grow without bound and wrap modulo
-    capacity, the standard lock-free ring idiom, so fullness is
+    completion rings.  The producer and consumer indices grow without
+    bound (a hardware ring would address its slots modulo capacity, the
+    standard lock-free ring idiom), so fullness is
     ``produced - consumed == capacity``.
     """
 
@@ -69,7 +33,6 @@ class DescriptorRing:
             raise ValueError("ring capacity must be positive")
         self.capacity = capacity
         self.name = name
-        self._slots: List[Optional[BufferDescriptor]] = [None] * capacity
         self.produced = 0
         self.consumed = 0
 
@@ -78,45 +41,33 @@ class DescriptorRing:
 
     @property
     def free_slots(self) -> int:
-        return self.capacity - len(self)
+        return self.capacity - self.produced + self.consumed
 
     @property
     def is_full(self) -> bool:
-        return len(self) == self.capacity
+        return self.produced - self.consumed == self.capacity
 
     @property
     def is_empty(self) -> bool:
         return self.produced == self.consumed
 
-    def push(self, descriptor: BufferDescriptor) -> None:
-        if self.is_full:
-            raise OverflowError(f"{self.name}: ring full at {self.capacity}")
-        self._slots[self.produced % self.capacity] = descriptor
-        self.produced += 1
-
-    def push_many(self, descriptors: List[BufferDescriptor]) -> None:
-        if len(descriptors) > self.free_slots:
+    def post(self, count: int) -> None:
+        """Produce ``count`` descriptors; all or nothing."""
+        if not 0 <= count <= self.capacity - (self.produced - self.consumed):
+            if count < 0:
+                raise ValueError(f"{self.name}: cannot post {count}")
             raise OverflowError(
-                f"{self.name}: cannot push {len(descriptors)}; "
+                f"{self.name}: cannot post {count}; "
                 f"only {self.free_slots} free"
             )
-        for descriptor in descriptors:
-            self.push(descriptor)
+        self.produced += count
 
-    def pop(self) -> BufferDescriptor:
-        if self.is_empty:
-            raise IndexError(f"{self.name}: pop from empty ring")
-        descriptor = self._slots[self.consumed % self.capacity]
-        assert descriptor is not None
-        self._slots[self.consumed % self.capacity] = None
-        self.consumed += 1
-        return descriptor
-
-    def pop_many(self, count: int) -> List[BufferDescriptor]:
-        if count > len(self):
-            raise IndexError(f"{self.name}: cannot pop {count}; only {len(self)} held")
-        return [self.pop() for _ in range(count)]
-
-    def peek_count(self) -> int:
-        """Descriptors available to consume (what the NIC polls)."""
-        return len(self)
+    def take(self, count: int) -> None:
+        """Consume ``count`` descriptors; all or nothing."""
+        if not 0 <= count <= self.produced - self.consumed:
+            if count < 0:
+                raise ValueError(f"{self.name}: cannot take {count}")
+            raise IndexError(
+                f"{self.name}: cannot take {count}; only {len(self)} held"
+            )
+        self.consumed += count

@@ -4,7 +4,7 @@ Emulates the driver half of the cooperative send/receive protocol of
 Section 2.1:
 
 * **send** — creates two buffer descriptors per frame (42 B header
-  region + payload region), pushes them on the send ring, and rings the
+  region + payload region), posts them on the send ring, and rings the
   NIC's mailbox register.  In saturation mode it always has another
   frame ready, so the ring refills as soon as completions arrive.
 * **receive** — preallocates a pool of main-memory buffers and
@@ -18,17 +18,11 @@ Section 2.1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from repro.host.descriptors import (
-    BufferDescriptor,
-    DescriptorRing,
-    FLAG_END_OF_FRAME,
-    FLAG_HEADER_REGION,
-    FLAG_RECV_BUFFER,
-)
+from repro.firmware.profiles import BDS_PER_SENT_FRAME
+from repro.host.descriptors import DescriptorRing
 from repro.host.memory import HostMemoryLayout
-from repro.net.ethernet import TX_HEADER_REGION_BYTES
 
 
 @dataclass
@@ -116,96 +110,68 @@ class DriverModel:
 
     def __init__(
         self,
-        udp_payload_bytes: int,
-        frame_bytes: int,
         send_ring_capacity: int = 512,
         recv_ring_capacity: int = 256,
         layout: Optional[HostMemoryLayout] = None,
         max_frames: Optional[int] = None,
     ) -> None:
-        self.udp_payload_bytes = udp_payload_bytes
-        self.frame_bytes = frame_bytes
         self.send_ring = DescriptorRing(send_ring_capacity, "send-bd")
         self.recv_ring = DescriptorRing(recv_ring_capacity, "recv-bd")
         self.layout = layout if layout is not None else HostMemoryLayout()
         self.max_frames = max_frames  # None = saturation (endless traffic)
         self.stats = DriverStats()
         self._next_send_seq = 0
-        self._next_recv_buffer = 0
-        self._payload_bytes = max(1, frame_bytes - TX_HEADER_REGION_BYTES - 4)
 
     # -- send side -------------------------------------------------------
     def refill_send_ring(self, limit: Optional[int] = None) -> int:
         """Post descriptors for as many new frames as fit; returns frames.
 
-        ``limit`` caps the frames posted (the multi-queue host model
-        posts against per-ring credit); ``None`` keeps the legacy
-        fill-to-capacity behaviour exactly.
+        Each frame takes :data:`BDS_PER_SENT_FRAME` slots.  ``limit``
+        caps the frames posted (the multi-queue host model posts
+        against per-ring credit); ``None`` fills to capacity.
         """
-        posted = 0
-        while self.send_ring.free_slots >= 2:
-            if limit is not None and posted >= limit:
-                break
-            if (
-                self.max_frames is not None
-                and self._next_send_seq >= self.max_frames
-            ):
-                break
-            seq = self._next_send_seq
-            header = BufferDescriptor(
-                self.layout.tx_header_address(seq),
-                TX_HEADER_REGION_BYTES,
-                FLAG_HEADER_REGION,
-                seq,
-            )
-            payload = BufferDescriptor(
-                self.layout.tx_payload_address(seq),
-                self._payload_bytes,
-                FLAG_END_OF_FRAME,
-                seq,
-            )
-            self.send_ring.push_many([header, payload])
-            self._next_send_seq += 1
-            posted += 1
-        self.stats.frames_posted += posted
-        return posted
+        ring = self.send_ring
+        frames = ring.free_slots // BDS_PER_SENT_FRAME
+        if limit is not None and limit < frames:
+            frames = limit
+        if self.max_frames is not None:
+            frames = min(frames, self.max_frames - self._next_send_seq)
+        if frames <= 0:
+            return 0
+        ring.post(BDS_PER_SENT_FRAME * frames)
+        self._next_send_seq += frames
+        self.stats.frames_posted += frames
+        return frames
 
     def send_bds_available(self) -> int:
-        return self.send_ring.peek_count()
+        return len(self.send_ring)
 
-    def consume_send_bds(self, count: int) -> List[BufferDescriptor]:
+    def consume_send_bds(self, count: int) -> None:
         """The NIC's descriptor DMA pulls ``count`` BDs off the ring."""
-        return self.send_ring.pop_many(count)
+        self.send_ring.take(count)
 
     # -- receive side ------------------------------------------------------
     def replenish_recv_ring(self, limit: Optional[int] = None) -> int:
         """Allocate free buffers up to ring capacity; returns buffers.
 
         ``limit`` caps the buffers posted (multi-queue receive credit);
-        ``None`` keeps the legacy fill-to-capacity behaviour exactly.
+        ``None`` fills to capacity.
         """
-        posted = 0
-        while not self.recv_ring.is_full:
-            if limit is not None and posted >= limit:
-                break
-            index = self._next_recv_buffer
-            descriptor = BufferDescriptor(
-                self.layout.rx_buffer_address(index),
-                self.frame_bytes,
-                FLAG_RECV_BUFFER,
-                index,
-            )
-            self.recv_ring.push(descriptor)
-            self._next_recv_buffer += 1
-            posted += 1
-        self.stats.recv_buffers_posted += posted
-        return posted
+        ring = self.recv_ring
+        buffers = ring.free_slots
+        if limit is not None and limit < buffers:
+            buffers = limit
+        if buffers <= 0:
+            return 0
+        ring.post(buffers)
+        self.stats.recv_buffers_posted += buffers
+        return buffers
 
     def recv_bds_available(self) -> int:
-        return self.recv_ring.peek_count()
+        return len(self.recv_ring)
 
-    def consume_recv_bds(self, count: int) -> List[BufferDescriptor]:
-        return self.recv_ring.pop_many(count)
+    def consume_recv_bds(self, count: int) -> None:
+        self.recv_ring.take(count)
 
     # -- completions -------------------------------------------------------
     def complete_sends(self, count: int, interrupt: bool) -> None:

@@ -39,13 +39,8 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.check.monitor import NULL_MONITOR
-from repro.host.descriptors import (
-    BufferDescriptor,
-    DescriptorRing,
-    FLAG_END_OF_FRAME,
-    FLAG_HEADER_REGION,
-    FLAG_RECV_BUFFER,
-)
+from repro.firmware.profiles import BDS_PER_SENT_FRAME
+from repro.host.descriptors import DescriptorRing
 from repro.host.driver import DriverModel, DriverStats
 
 #: The 40-byte key from the Microsoft RSS verification suite; used for
@@ -214,10 +209,9 @@ class HostRing:
     """One RX/TX descriptor-ring pair with its own driver statistics."""
 
     def __init__(self, index: int, core_index: int, send_capacity: int,
-                 recv_capacity: int, frame_bytes: int) -> None:
+                 recv_capacity: int) -> None:
         self.index = index
         self.core_index = core_index
-        self.frame_bytes = frame_bytes
         self.send_ring = DescriptorRing(send_capacity, f"rss{index}-send")
         self.recv_ring = DescriptorRing(recv_capacity, f"rss{index}-recv")
         self.stats = DriverStats()
@@ -231,7 +225,6 @@ class HostRing:
         #: host recycle; delivered as the core frees buffers.
         self.rx_backlog = 0
         self.rx_backlog_peak = 0
-        self._next_rx_cookie = 0
         #: FIFO of unprocessed completion batches:
         #: ``(direction, count, cost_ps)``.
         self.pending: Deque[Tuple[str, int, int]] = deque()
@@ -246,18 +239,7 @@ class HostRing:
         return self.tx_posted - self.tx_completed
 
     def post_recv_buffers(self, count: int) -> None:
-        for _ in range(count):
-            cookie = self._next_rx_cookie
-            self._next_rx_cookie += 1
-            self.recv_ring.push(
-                BufferDescriptor(
-                    (self.index + 1) * 0x1000_0000
-                    + (cookie % self.recv_ring.capacity) * self.frame_bytes,
-                    self.frame_bytes,
-                    FLAG_RECV_BUFFER,
-                    cookie,
-                )
-            )
+        self.recv_ring.post(count)
         self.rx_posted += count
 
 
@@ -287,14 +269,12 @@ class HostQueueModel:
         self,
         spec: RssSpec,
         sim,
-        frame_bytes: int,
         send_ring_capacity: int = 512,
         recv_ring_capacity: int = 256,
     ) -> None:
         self.spec = spec
         self.sim = sim
         self.monitor = NULL_MONITOR
-        self.frame_bytes = frame_bytes
         self._hash = ToeplitzHash(toeplitz_key(spec.hash_seed))
         self._indirection = [
             i % spec.rings for i in range(spec.indirection_entries)
@@ -307,7 +287,6 @@ class HostQueueModel:
                 core_index=i % len(self.cores),
                 send_capacity=send_ring_capacity,
                 recv_capacity=recv_ring_capacity,
-                frame_bytes=frame_bytes,
             )
             for i in range(spec.rings)
         ]
@@ -316,7 +295,9 @@ class HostQueueModel:
         for ring in self.rings:
             ring.post_recv_buffers(ring.recv_ring.capacity)
         self.rx_credit = sum(r.recv_ring.capacity for r in self.rings)
-        self.tx_credit = sum(r.send_ring.capacity // 2 for r in self.rings)
+        self.tx_credit = sum(
+            r.send_ring.capacity // BDS_PER_SENT_FRAME for r in self.rings
+        )
         #: Simulator callbacks fired after a core finishes a batch (the
         #: recycled credits are already accounted when these run).
         self.on_rx_processed: Optional[Callable[[int], None]] = None
@@ -346,9 +327,9 @@ class HostQueueModel:
         """Credit-gated replacement for ``driver.refill_send_ring()``.
 
         Posts frame by frame so each post lands in its steered ring's
-        send ring too; stops at the first ring without two free BD
-        slots (head-of-line, in frame order) or when transmit credit
-        runs out.
+        send ring too; stops at the first ring without room for a
+        frame's descriptors (head-of-line, in frame order) or when
+        transmit credit runs out.
         """
         posted = 0
         while self.tx_credit > 0:
@@ -358,29 +339,14 @@ class HostQueueModel:
             # unposted sequence would read a frame that does not exist.
             if driver.max_frames is not None and seq >= driver.max_frames:
                 break
-            if driver.send_ring.free_slots < 2:
+            if driver.send_ring.free_slots < BDS_PER_SENT_FRAME:
                 break
             ring = self.rings[steer_fn(seq)]
-            if ring.send_ring.free_slots < 2:
+            if ring.send_ring.free_slots < BDS_PER_SENT_FRAME:
                 break
             if driver.refill_send_ring(limit=1) == 0:
                 break
-            ring.send_ring.push_many(
-                [
-                    BufferDescriptor(
-                        (ring.index + 1) * 0x2000_0000 + seq * 2,
-                        1,
-                        FLAG_HEADER_REGION,
-                        seq,
-                    ),
-                    BufferDescriptor(
-                        (ring.index + 1) * 0x2000_0000 + seq * 2 + 1,
-                        max(1, self.frame_bytes - 1),
-                        FLAG_END_OF_FRAME,
-                        seq,
-                    ),
-                ]
-            )
+            ring.send_ring.post(BDS_PER_SENT_FRAME)
             ring.tx_posted += 1
             ring.stats.frames_posted += 1
             self.tx_credit -= 1
@@ -408,7 +374,7 @@ class HostQueueModel:
 
     def _deliver_tx(self, ring: HostRing, count: int, now_ps: int) -> None:
         ring.tx_completed += count
-        ring.send_ring.pop_many(2 * count)
+        ring.send_ring.take(BDS_PER_SENT_FRAME * count)
         ring.stats.record_sends(count)
         # Per-ring interrupt moderation, same modulo form as the legacy
         # single-ring decision in ``_commit_tx``.
@@ -442,11 +408,12 @@ class HostQueueModel:
         self._drain_rx_backlog(ring, now_ps)
 
     def _drain_rx_backlog(self, ring: HostRing, now_ps: int) -> None:
-        deliver = min(ring.rx_backlog, len(ring.recv_ring))
+        recv_ring = ring.recv_ring
+        deliver = min(ring.rx_backlog, len(recv_ring))
         if deliver <= 0:
             return
         ring.rx_backlog -= deliver
-        ring.recv_ring.pop_many(deliver)
+        recv_ring.take(deliver)
         ring.rx_completed += deliver
         ring.stats.record_receives(deliver)
         interrupt = (

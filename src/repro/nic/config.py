@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.cpu.costmodel import CoreCostModel
 from repro.firmware.ordering import OrderingMode
-from repro.firmware.profiles import FirmwareProfiles
+from repro.firmware.profiles import BDS_PER_SENT_FRAME, FirmwareProfiles
 from repro.units import KIB, mhz, seconds_to_ps
 
 
@@ -84,8 +84,25 @@ class NicConfig:
             raise ValueError("need at least one scratchpad bank")
         if self.send_batch_max < 1 or self.recv_batch_max < 1:
             raise ValueError("batch sizes must be positive")
-        if self.ordering_ring % 32:
-            raise ValueError("ordering ring must be a multiple of 32")
+        if self.ordering_ring < 32 or self.ordering_ring % 32:
+            raise ValueError(
+                f"ordering_ring must be a positive multiple of 32, "
+                f"got {self.ordering_ring}"
+            )
+        if self.interrupt_coalesce_frames < 1:
+            raise ValueError(
+                f"interrupt_coalesce_frames must be >= 1, "
+                f"got {self.interrupt_coalesce_frames}"
+            )
+        if self.send_ring_capacity < BDS_PER_SENT_FRAME:
+            raise ValueError(
+                f"send_ring_capacity must hold one frame's "
+                f"{BDS_PER_SENT_FRAME} descriptors, got {self.send_ring_capacity}"
+            )
+        if self.recv_ring_capacity < 1:
+            raise ValueError(
+                f"recv_ring_capacity must be >= 1, got {self.recv_ring_capacity}"
+            )
         if self.checksum_offload not in ("none", "assist", "firmware"):
             raise ValueError(
                 f"checksum_offload must be none/assist/firmware, "

@@ -445,8 +445,6 @@ class ThroughputSimulator:
             gaps=gaps,
         )
         self.driver = DriverModel(
-            self.udp_payload_bytes,
-            self.sizes.max_frame_bytes,
             send_ring_capacity=config.send_ring_capacity,
             recv_ring_capacity=config.recv_ring_capacity,
             max_frames=self._driver_max_frames,
@@ -460,7 +458,6 @@ class ThroughputSimulator:
             self.rss_host = HostQueueModel(
                 rss,
                 sim=self.sim,
-                frame_bytes=self.driver.frame_bytes,
                 send_ring_capacity=config.send_ring_capacity,
                 recv_ring_capacity=config.recv_ring_capacity,
             )
@@ -1191,10 +1188,26 @@ class ThroughputSimulator:
                 wire.wire_end_ps - wire.wire_start_ps,
                 seq=wire.seq,
             )
-        self.sim.schedule_at(wire.wire_end_ps, lambda s=wire.seq: self._rx_store(s))
+        seq = wire.seq
         # Chain to the next arrival.
-        next_arrival = self.mac_rx.next_arrival_ps()
-        self.sim.schedule_at(max(now, next_arrival), self._rx_pump)
+        next_take = max(now, self.mac_rx.next_arrival_ps())
+        if next_take == wire.wire_end_ps:
+            # Line rate: the pump's next run falls on the instant frame
+            # n is stored, so one event does both, in the same order.
+            # This is exact.  The two events it replaces would be
+            # scheduled back to back, so their tickets would be
+            # consecutive: every other event at that instant runs before
+            # both or after both, never between.  Only until_ps ends a
+            # run here (nothing calls stop() or passes max_events), and
+            # it cannot fall between two events of one instant.
+            def store_then_take() -> None:
+                self._rx_store(seq)
+                self._rx_pump()
+
+            self.sim.schedule_at(next_take, store_then_take)
+        else:
+            self.sim.schedule_at(wire.wire_end_ps, lambda: self._rx_store(seq))
+            self.sim.schedule_at(next_take, self._rx_pump)
 
     def _rx_store(self, seq: int) -> None:
         if self.faults is not None and self.faults.rx_fcs_corrupt(seq, self.sim.now_ps):

@@ -10,6 +10,7 @@ out of a :class:`StatRegistry`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.hist import StreamingHistogram, rank_bucket
@@ -77,10 +78,8 @@ class Histogram:
         self.max: Optional[float] = None
 
     def record(self, value: float) -> None:
-        index = 0
-        while index < len(self.bounds) and value > self.bounds[index]:
-            index += 1
-        self.counts[index] += 1
+        # The first bound >= value; NaN compares false, so bucket 0.
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.total += 1
         self.sum += value
         self.min = value if self.min is None else min(self.min, value)

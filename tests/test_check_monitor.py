@@ -73,7 +73,7 @@ class TestShadowPinning:
         for _ in range(8):
             host = HostQueueModel(
                 RssSpec(rings=2, completion_ps=100, interrupt_ps=0),
-                sim=Simulator(), frame_bytes=1514,
+                sim=Simulator(),
                 send_ring_capacity=8, recv_ring_capacity=4,
             )
             host.monitor = monitor

@@ -12,10 +12,11 @@ interleaving across steered rings, and a chi-squared bound on the
 Toeplitz steering distribution.
 """
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.host import DescriptorRing, DriverModel
-from repro.host.descriptors import BufferDescriptor
 from repro.host.driver import DriverStats
 from repro.host.rss import HostQueueModel, RssSpec
 from repro.sim import Simulator
@@ -23,8 +24,6 @@ from repro.sim import Simulator
 
 def _driver(send_capacity=8, recv_capacity=6, max_frames=None):
     return DriverModel(
-        udp_payload_bytes=1472,
-        frame_bytes=1514,
         send_ring_capacity=send_capacity,
         recv_ring_capacity=recv_capacity,
         max_frames=max_frames,
@@ -35,54 +34,35 @@ class TestRingWraparound:
     def test_indices_grow_past_capacity(self):
         ring = DescriptorRing(4)
         for index in range(25):
-            ring.push(BufferDescriptor(address=1 + index, length=1, cookie=index))
-            assert ring.pop().cookie == index
+            ring.post(1)
+            ring.take(1)
+            assert ring.consumed == index + 1
         assert ring.produced == ring.consumed == 25
         assert ring.produced > ring.capacity  # genuinely wrapped
 
-    def test_partial_drain_across_wrap_keeps_fifo(self):
-        ring = DescriptorRing(5)
-        pushed = popped = 0
-        out = []
-        # Push 3 / pop 2 repeatedly: occupancy oscillates across the
-        # wrap boundary with the ring never empty and never full.
-        for _ in range(40):
-            for _ in range(3):
-                if not ring.is_full:
-                    ring.push(
-                        BufferDescriptor(address=1, length=1, cookie=pushed)
-                    )
-                    pushed += 1
-            for _ in range(2):
-                if not ring.is_empty:
-                    out.append(ring.pop().cookie)
-                    popped += 1
-        out.extend(ring.pop().cookie for _ in range(len(ring)))
-        assert out == list(range(pushed))
-
     def test_send_ring_wraps_under_refill_consume(self):
         driver = _driver(send_capacity=8)
-        consumed = []
         # 50 iterations x 2 frames x 2 BDs = 200 BDs through an 8-slot
         # ring: > 25 full wraps.
         for _ in range(50):
             driver.refill_send_ring()
-            consumed.extend(driver.consume_send_bds(4))  # two frames
-        cookies = [bd.cookie for bd in consumed]
-        # Two BDs (header, payload) per frame, frames in posted order.
-        assert cookies == [seq for seq in range(100) for _ in range(2)]
-        header_flags = [bd.is_header for bd in consumed]
-        assert header_flags == [True, False] * 100
+            driver.consume_send_bds(4)  # two frames
+            # Two BDs (header, payload) per frame: whole frames only.
+            assert driver.send_ring.produced % 2 == 0
+        assert driver.send_ring.consumed == 2 * 100
+        # The first refill filled 4 frames; each later one topped up the
+        # 2 frames just consumed.
+        assert driver.stats.frames_posted == driver._next_send_seq == 4 + 49 * 2
+        assert len(driver.send_ring) == 2 * (driver._next_send_seq - 100)
 
     def test_recv_ring_wraps_under_replenish_consume(self):
         driver = _driver(recv_capacity=6)
-        consumed = []
         driver.replenish_recv_ring()
         for _ in range(30):
-            consumed.extend(driver.consume_recv_bds(3))
+            driver.consume_recv_bds(3)
             driver.replenish_recv_ring()
             assert driver.recv_ring.is_full  # replenish always tops up
-        assert [bd.cookie for bd in consumed] == list(range(90))
+        assert driver.recv_ring.consumed == 90
         assert driver.stats.recv_buffers_posted == 90 + 6
 
 
@@ -122,6 +102,72 @@ class TestRefillConsumeInterleavings:
         driver.refill_send_ring()
         with pytest.raises(IndexError):
             driver.consume_send_bds(5)
+
+
+# ----------------------------------------------------------------------
+# Closed-form posting against the per-frame loops it replaced
+# ----------------------------------------------------------------------
+def _loop_refill_send_ring(driver, limit=None):
+    """``DriverModel.refill_send_ring`` as a per-frame loop: the
+    reference the closed form must match."""
+    posted = 0
+    while driver.send_ring.free_slots >= 2:
+        if limit is not None and posted >= limit:
+            break
+        if driver.max_frames is not None and driver._next_send_seq >= driver.max_frames:
+            break
+        driver.send_ring.post(2)  # header region + payload region
+        driver._next_send_seq += 1
+        posted += 1
+    driver.stats.frames_posted += posted
+    return posted
+
+
+def _loop_replenish_recv_ring(driver, limit=None):
+    """``DriverModel.replenish_recv_ring`` as a per-buffer loop."""
+    posted = 0
+    while not driver.recv_ring.is_full:
+        if limit is not None and posted >= limit:
+            break
+        driver.recv_ring.post(1)
+        posted += 1
+    driver.stats.recv_buffers_posted += posted
+    return posted
+
+
+class TestClosedFormPosting:
+    @given(
+        send_capacity=st.integers(min_value=1, max_value=64),
+        recv_capacity=st.integers(min_value=1, max_value=64),
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=64),  # prior takes
+                st.one_of(st.none(), st.integers(min_value=-2, max_value=40)),
+                st.one_of(st.none(), st.integers(min_value=0, max_value=200)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_frame_loops(self, send_capacity, recv_capacity, steps):
+        closed = _driver(send_capacity, recv_capacity)
+        loop = _driver(send_capacity, recv_capacity)
+        for takes, limit, max_frames in steps:
+            for driver in (closed, loop):
+                driver.max_frames = max_frames
+                driver.consume_send_bds(min(takes, driver.send_bds_available()))
+                driver.consume_recv_bds(min(takes, driver.recv_bds_available()))
+            assert closed.refill_send_ring(limit) == _loop_refill_send_ring(loop, limit)
+            assert closed.replenish_recv_ring(limit) == _loop_replenish_recv_ring(
+                loop, limit
+            )
+            assert closed.refill_send_ring() == _loop_refill_send_ring(loop)
+            assert closed.replenish_recv_ring() == _loop_replenish_recv_ring(loop)
+            assert len(closed.send_ring) == len(loop.send_ring)
+            assert len(closed.recv_ring) == len(loop.recv_ring)
+            assert closed._next_send_seq == loop._next_send_seq
+            assert closed.stats == loop.stats
 
 
 class TestCompletionsPerInterrupt:
@@ -191,7 +237,7 @@ def _host(rings=4, send_capacity=8, recv_capacity=6, **spec_kwargs):
     spec = RssSpec(rings=rings, completion_ps=100, interrupt_ps=0,
                    **spec_kwargs)
     return HostQueueModel(
-        spec, sim=Simulator(), frame_bytes=1514,
+        spec, sim=Simulator(),
         send_ring_capacity=send_capacity, recv_ring_capacity=recv_capacity,
     )
 
@@ -202,7 +248,6 @@ class TestMultiRingWraparound:
         # rings: 80 frames are 20 per ring = 5 full ring generations.
         host = _host(rings=4, send_capacity=8)
         driver = DriverModel(
-            udp_payload_bytes=1472, frame_bytes=1514,
             send_ring_capacity=512, recv_ring_capacity=16,
         )
         completed = 0
@@ -252,7 +297,6 @@ class TestMultiRingRefillInterleaving:
         # frame order), not when the aggregate ring is.
         host = _host(rings=2, send_capacity=4)  # 2 frames per ring
         driver = DriverModel(
-            udp_payload_bytes=1472, frame_bytes=1514,
             send_ring_capacity=512, recv_ring_capacity=16,
         )
         posted = host.refill_send(driver, lambda seq: seq % 2)
@@ -269,7 +313,6 @@ class TestMultiRingRefillInterleaving:
     def test_tx_credit_bounds_total_outstanding(self):
         host = _host(rings=2, send_capacity=4)
         driver = DriverModel(
-            udp_payload_bytes=1472, frame_bytes=1514,
             send_ring_capacity=512, recv_ring_capacity=16,
         )
         assert host.tx_credit == 4  # 2 rings x (4 slots // 2)
@@ -282,7 +325,6 @@ class TestMultiRingRefillInterleaving:
     def test_flow_budget_respected(self):
         host = _host(rings=4, send_capacity=64)
         driver = DriverModel(
-            udp_payload_bytes=1472, frame_bytes=1514,
             send_ring_capacity=512, recv_ring_capacity=16, max_frames=3,
         )
         assert host.refill_send(driver, lambda seq: seq % 4) == 3

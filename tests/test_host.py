@@ -2,87 +2,69 @@
 
 import pytest
 
-from repro.host import BufferDescriptor, DescriptorRing, DriverModel, HostMemoryLayout
-from repro.host.descriptors import FLAG_HEADER_REGION
-
-
-class TestBufferDescriptor:
-    def test_flags(self):
-        header = BufferDescriptor(address=0x1000, length=42, flags=FLAG_HEADER_REGION)
-        assert header.is_header and not header.is_end_of_frame
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BufferDescriptor(address=-1, length=10)
-        with pytest.raises(ValueError):
-            BufferDescriptor(address=0, length=0)
-
-    def test_positional_fields_and_defaults(self):
-        descriptor = BufferDescriptor(0x1000, 42)
-        assert (descriptor.address, descriptor.length) == (0x1000, 42)
-        assert (descriptor.flags, descriptor.cookie) == (0, 0)
-        assert BufferDescriptor(1, 2, FLAG_HEADER_REGION, 9) == BufferDescriptor(
-            address=1, length=2, flags=FLAG_HEADER_REGION, cookie=9
-        )
-
-    def test_replace_keeps_the_checks(self):
-        descriptor = BufferDescriptor(address=1, length=1)
-        assert descriptor._replace(length=5).length == 5
-        with pytest.raises(ValueError):
-            descriptor._replace(length=0)
+from repro.host import DescriptorRing, DriverModel, HostMemoryLayout
 
 
 class TestDescriptorRing:
-    def test_fifo_order(self):
-        ring = DescriptorRing(4)
-        for index in range(3):
-            ring.push(BufferDescriptor(address=0x1000 + index, length=1, cookie=index))
-        cookies = [ring.pop().cookie for _ in range(3)]
-        assert cookies == [0, 1, 2]
-
     def test_full_rejects(self):
         ring = DescriptorRing(2)
-        ring.push(BufferDescriptor(address=1, length=1))
-        ring.push(BufferDescriptor(address=2, length=1))
+        ring.post(2)
         assert ring.is_full
         with pytest.raises(OverflowError):
-            ring.push(BufferDescriptor(address=3, length=1))
+            ring.post(1)
+        assert len(ring) == 2
 
     def test_empty_pop_rejects(self):
+        ring = DescriptorRing(2)
         with pytest.raises(IndexError):
-            DescriptorRing(2).pop()
+            ring.take(1)
+        assert ring.is_empty and ring.consumed == 0
 
     def test_wraparound(self):
         ring = DescriptorRing(2)
         for round_index in range(10):
-            ring.push(BufferDescriptor(address=round_index + 1, length=1, cookie=round_index))
-            assert ring.pop().cookie == round_index
+            ring.post(1)
+            ring.take(1)
+            assert ring.consumed == round_index + 1
+        assert ring.is_empty and ring.produced == 10
 
     def test_push_many_atomic(self):
         ring = DescriptorRing(3)
-        ring.push(BufferDescriptor(address=1, length=1))
-        batch = [BufferDescriptor(address=i + 2, length=1) for i in range(3)]
+        ring.post(1)
         with pytest.raises(OverflowError):
-            ring.push_many(batch)
-        assert len(ring) == 1  # nothing partially pushed
+            ring.post(3)
+        assert len(ring) == 1  # nothing partially posted
+        assert ring.produced == 1
 
     def test_pop_many(self):
         ring = DescriptorRing(8)
-        for index in range(5):
-            ring.push(BufferDescriptor(address=index + 1, length=1, cookie=index))
-        batch = ring.pop_many(3)
-        assert [d.cookie for d in batch] == [0, 1, 2]
+        ring.post(5)
+        ring.take(3)
+        assert ring.consumed == 3
         assert len(ring) == 2
 
     def test_pop_many_too_many(self):
         ring = DescriptorRing(8)
         with pytest.raises(IndexError):
-            ring.pop_many(1)
+            ring.take(1)
+        ring.post(2)
+        with pytest.raises(IndexError):
+            ring.take(3)
+        assert len(ring) == 2  # nothing partially taken
 
     def test_free_slots(self):
         ring = DescriptorRing(4)
-        ring.push(BufferDescriptor(address=1, length=1))
+        ring.post(1)
         assert ring.free_slots == 3
+
+    def test_negative_counts_rejected(self):
+        ring = DescriptorRing(4)
+        ring.post(2)
+        with pytest.raises(ValueError):
+            ring.post(-1)
+        with pytest.raises(ValueError):
+            ring.take(-1)
+        assert (ring.produced, ring.consumed) == (2, 0)
 
 
 class TestHostMemoryLayout:
@@ -108,7 +90,7 @@ class TestHostMemoryLayout:
 
 class TestDriverModel:
     def _driver(self, **kwargs):
-        return DriverModel(1472, 1518, **kwargs)
+        return DriverModel(**kwargs)
 
     def test_refill_posts_two_bds_per_frame(self):
         driver = self._driver(send_ring_capacity=8)
@@ -116,16 +98,8 @@ class TestDriverModel:
         assert frames == 4
         assert driver.send_bds_available() == 8
 
-    def test_send_bd_pairs_share_cookie(self):
-        driver = self._driver()
-        driver.refill_send_ring()
-        header, payload = driver.consume_send_bds(2)
-        assert header.is_header
-        assert payload.is_end_of_frame
-        assert header.cookie == payload.cookie
-
     def test_finite_traffic_stops(self):
-        driver = DriverModel(1472, 1518, max_frames=3)
+        driver = DriverModel(max_frames=3)
         assert driver.refill_send_ring() == 3
         assert driver.refill_send_ring() == 0
 
@@ -140,13 +114,6 @@ class TestDriverModel:
         assert driver.replenish_recv_ring() == 16
         driver.consume_recv_bds(5)
         assert driver.replenish_recv_ring() == 5
-
-    def test_payload_length_accounts_for_headers(self):
-        driver = self._driver()
-        driver.refill_send_ring()
-        header, payload = driver.consume_send_bds(2)
-        # 42 B header region + payload + 4 B CRC = frame
-        assert header.length + payload.length + 4 == 1518
 
     def test_interrupt_coalescing_stats(self):
         driver = self._driver()

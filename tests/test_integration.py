@@ -165,6 +165,23 @@ class TestConfigSurface:
         with pytest.raises(ValueError, match=field):
             NicConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("interrupt_coalesce_frames", 0),
+        ("interrupt_coalesce_frames", -1),
+        ("ordering_ring", 0),
+        ("ordering_ring", -32),
+        ("send_ring_capacity", 1),
+        ("recv_ring_capacity", 0),
+    ])
+    def test_host_rings_and_ordering_checked_at_construction(self, field, value):
+        # Each used to build: a zero coalescing window died mid-run in
+        # _commit_tx's modulo, a negative one interrupted on every
+        # completion, the ordering rings failed only in OrderingBoard,
+        # a one-slot send ring fit no two-descriptor frame, and an
+        # empty receive ring failed only in DescriptorRing.
+        with pytest.raises(ValueError, match=field):
+            NicConfig(**{field: value})
+
     def test_zero_dma_latency_allowed(self):
         assert NicConfig(dma_latency_s=0.0).dma_latency_ps == 0
 

@@ -1,10 +1,11 @@
 """Property-based tests (hypothesis) on the core data structures."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.firmware.ordering import OrderingBoard, OrderingMode
-from repro.host.descriptors import BufferDescriptor, DescriptorRing
+from repro.host.descriptors import DescriptorRing
 from repro.isa.machine import Memory, apply_setb, apply_update
 from repro.mem.coherence import CoherentCacheSystem, MesiState, TraceAccess
 from repro.mem.crossbar import Crossbar
@@ -151,7 +152,14 @@ class TestOrderingProperties:
 @st.composite
 def ring_scripts(draw):
     return draw(
-        st.lists(st.sampled_from(["push", "pop"]), min_size=1, max_size=200)
+        st.lists(
+            st.tuples(
+                st.sampled_from(["post", "take"]),
+                st.integers(min_value=0, max_value=10),
+            ),
+            min_size=1,
+            max_size=200,
+        )
     )
 
 
@@ -159,24 +167,32 @@ class TestRingProperties:
     @given(ring_scripts())
     @settings(max_examples=100)
     def test_matches_deque(self, script):
-        from collections import deque
-
-        ring = DescriptorRing(8)
-        reference = deque()
-        cookie = 0
-        for action in script:
-            if action == "push":
-                if len(reference) == 8:
-                    continue
-                descriptor = BufferDescriptor(address=1, length=1, cookie=cookie)
-                ring.push(descriptor)
-                reference.append(cookie)
-                cookie += 1
+        # Reference: a plain occupancy integer.  A call the reference
+        # would overflow or underflow must raise and change nothing.
+        capacity = 8
+        ring = DescriptorRing(capacity)
+        held = produced = 0
+        for action, count in script:
+            if action == "post":
+                if held + count > capacity:
+                    with pytest.raises(OverflowError):
+                        ring.post(count)
+                else:
+                    ring.post(count)
+                    held += count
+                    produced += count
             else:
-                if not reference:
-                    continue
-                assert ring.pop().cookie == reference.popleft()
-        assert len(ring) == len(reference)
+                if count > held:
+                    with pytest.raises(IndexError):
+                        ring.take(count)
+                else:
+                    ring.take(count)
+                    held -= count
+            assert len(ring) == held
+            assert ring.free_slots == capacity - held
+            assert ring.is_full == (held == capacity)
+            assert ring.is_empty == (held == 0)
+            assert (ring.produced, ring.consumed) == (produced, produced - held)
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,6 @@ class TestPublicApi:
         ("repro.mem:SdramRequest", (0, 5, 64, 64, True), "finish_cycle"),
         ("repro.assists:DmaTransfer", (0, 10, 10, 64, False), "complete_ps"),
         ("repro.assists.mac:WireEvent", (1, 0, 10, 10), "wire_end_ps"),
-        ("repro.host:BufferDescriptor", (0x1000, 64, 0, 1), "length"),
     ])
     def test_hot_path_records_are_immutable(self, record, values, field):
         module, name = record.split(":")

@@ -120,7 +120,7 @@ class TestRssSpec:
 class TestSteering:
     def _model(self, rings=4):
         return HostQueueModel(
-            RssSpec(rings=rings), sim=Simulator(), frame_bytes=1514,
+            RssSpec(rings=rings), sim=Simulator(),
             send_ring_capacity=32, recv_ring_capacity=16,
         )
 
@@ -150,7 +150,7 @@ class TestSteering:
     def test_seed_changes_placement(self):
         base = self._model()
         seeded = HostQueueModel(
-            RssSpec(rings=4, hash_seed=99), sim=Simulator(), frame_bytes=1514,
+            RssSpec(rings=4, hash_seed=99), sim=Simulator(),
             send_ring_capacity=32, recv_ring_capacity=16,
         )
         flows = [(1, 2, 0x8000 + i, 4) for i in range(64)]
@@ -168,7 +168,7 @@ class TestHostCorePump:
         sim = Simulator()
         model = HostQueueModel(
             RssSpec(rings=2, completion_ps=100, interrupt_ps=50),
-            sim=sim, frame_bytes=1514,
+            sim=sim,
             send_ring_capacity=8, recv_ring_capacity=8,
         )
         order = []
@@ -192,7 +192,7 @@ class TestHostCorePump:
         sim = Simulator()
         model = HostQueueModel(
             RssSpec(rings=2, host_cores=1, completion_ps=100, interrupt_ps=0),
-            sim=sim, frame_bytes=1514,
+            sim=sim,
             send_ring_capacity=8, recv_ring_capacity=8,
         )
         done = []
@@ -207,7 +207,7 @@ class TestHostCorePump:
         sim = Simulator()
         model = HostQueueModel(
             RssSpec(rings=1, completion_ps=100, interrupt_ps=0),
-            sim=sim, frame_bytes=1514,
+            sim=sim,
             send_ring_capacity=8, recv_ring_capacity=4,
         )
         ring = model.rings[0]

@@ -1,0 +1,121 @@
+"""The line-rate receive merge changes the event count and nothing else.
+
+``ThroughputSimulator._rx_pump`` spends one kernel event where the
+store of frame n and the take of frame n+1 fall on the same instant.
+This differential runs each configuration twice, once with the pump as
+it was before the merge (two events per frame, kept below), and
+requires every simulated output to match: the result dictionary, the
+per-function statistics, the Table 3 cost totals and the SDRAM's whole
+request log.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.faults import FaultPlan
+from repro.firmware.ordering import OrderingMode
+from repro.host.rss import RssSpec
+from repro.mem.sdram import GddrSdram
+from repro.net.workload import ImixSize
+from repro.nic import NicConfig, ThroughputSimulator
+from repro.units import mhz
+
+WARMUP_S = 0.1e-3
+MEASURE_S = 0.3e-3
+
+
+def _two_event_rx_pump(self) -> None:
+    """``ThroughputSimulator._rx_pump`` before the merge: the store and
+    the next take are always two events."""
+    now = self.sim.now_ps
+    frame_size = self.rx_sizes.frame_bytes(self.mac_rx._next_seq)
+    if self._rx_space < frame_size:
+        self._rx_pump_active = False
+        return
+    arrival = self.mac_rx.next_arrival_ps()
+    if arrival > now:
+        self.sim.schedule_at(arrival, self._rx_pump)
+        return
+    self._rx_space -= frame_size
+    wire = self.mac_rx.take_frame(now, frame_size)
+    self._assist_touch(self.config.assist_accesses_per_mac_frame)
+    if self.tracer.enabled:
+        self.tracer.complete(
+            "mac-rx",
+            f"rx {wire.seq}",
+            wire.wire_start_ps,
+            wire.wire_end_ps - wire.wire_start_ps,
+            seq=wire.seq,
+        )
+    self.sim.schedule_at(wire.wire_end_ps, lambda s=wire.seq: self._rx_store(s))
+    next_arrival = self.mac_rx.next_arrival_ps()
+    self.sim.schedule_at(max(now, next_arrival), self._rx_pump)
+
+
+def _small():
+    return NicConfig(cores=2, core_frequency_hz=mhz(133))
+
+
+#: name -> (simulator factory, runs at line rate)
+CASES = {
+    "default-1472": (lambda: ThroughputSimulator(NicConfig(), 1472), True),
+    "software-18-rss": (
+        lambda: ThroughputSimulator(
+            replace(_small(), ordering_mode=OrderingMode.SOFTWARE), 18,
+            rss=RssSpec(rings=4),
+        ),
+        True,
+    ),
+    "imix-bursty": (
+        lambda: ThroughputSimulator(
+            _small(), size_model=ImixSize(), offered_fraction=0.8,
+            rx_burst_frames=8,
+        ),
+        False,
+    ),
+    "18-half-load": (
+        lambda: ThroughputSimulator(_small(), 18, offered_fraction=0.5),
+        False,
+    ),
+    "fcs-faults": (
+        lambda: ThroughputSimulator(
+            _small(), 1472, fault_plan=FaultPlan(seed=9, rx_fcs_rate=0.05),
+        ),
+        False,
+    ),
+}
+
+
+def _run(factory, monkeypatch):
+    """One run's outputs, its SDRAM request log and its event count."""
+    log = []
+    transfer = GddrSdram.transfer
+
+    def logged(self, *args, **kwargs):
+        request = transfer(self, *args, **kwargs)
+        log.append((args, tuple(sorted(kwargs.items())), request))
+        return request
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GddrSdram, "transfer", logged)
+        simulator = factory()
+        result = simulator.run(WARMUP_S, MEASURE_S)
+    return result, log, simulator.sim.events_processed
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_merge_changes_only_the_event_count(name, monkeypatch):
+    factory, line_rate = CASES[name]
+    merged, merged_log, merged_events = _run(factory, monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(ThroughputSimulator, "_rx_pump", _two_event_rx_pump)
+        reference, reference_log, reference_events = _run(factory, monkeypatch)
+    assert merged.to_dict() == reference.to_dict()
+    assert merged.function_stats == reference.function_stats
+    assert merged.cost_totals == reference.cost_totals
+    assert merged_log == reference_log
+    assert merged.rx_frames > 0
+    assert merged_events <= reference_events
+    if line_rate:
+        assert merged_events < reference_events

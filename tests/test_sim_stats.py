@@ -1,6 +1,10 @@
 """Statistics primitives."""
 
+import math
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.sim import Counter, Histogram, RateMeter, StatRegistry
 from repro.units import seconds_to_ps
@@ -77,6 +81,38 @@ class TestHistogram:
     def test_needs_bounds(self):
         with pytest.raises(ValueError):
             Histogram("lat", [])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_buckets_match_linear_scan(self, data):
+        # The reference is the bucket walk record() used before it
+        # bisected: the first bound >= value, bucket 0 for NaN.
+        bound = st.one_of(
+            st.integers(min_value=-5, max_value=5),  # duplicates likely
+            st.floats(allow_nan=False),
+        )
+        bounds = sorted(data.draw(st.lists(bound, min_size=1, max_size=12)))
+        values = data.draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(bounds),
+                    st.floats(),
+                    st.integers(min_value=-6, max_value=6),
+                    st.sampled_from([math.inf, -math.inf, math.nan]),
+                ),
+                max_size=30,
+            )
+        )
+        hist = Histogram("lat", bounds)
+        reference = [0] * (len(bounds) + 1)
+        for value in values:
+            hist.record(value)
+            index = 0
+            while index < len(bounds) and value > bounds[index]:
+                index += 1
+            reference[index] += 1
+        assert hist.counts == reference
+        assert hist.total == len(values)
 
 
 class TestStatRegistry:
