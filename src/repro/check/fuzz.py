@@ -321,12 +321,15 @@ def fuzz(
     replay_dir: Optional[str] = None,
     progress=None,
     shrink: bool = True,
+    on_case: Optional[Callable] = None,
 ) -> FuzzReport:
     """Run ``cases`` random monitored simulations.
 
     Failures are shrunk to a minimal still-failing configuration and —
     when ``replay_dir`` is given — written there as
     ``replay-<seed>-<index>.json`` files for ``repro check --replay``.
+    ``on_case(index, spec, result, error)``, when given, sees every case
+    before any shrinking: its result, or ``None`` and the error string.
     """
     import os
 
@@ -335,7 +338,9 @@ def fuzz(
         spec = spec_for_case(seed, index)
         report.cases += 1
         try:
-            _result, monitor, _identities = run_monitored(spec)
+            result, monitor, _identities = run_monitored(spec)
+            if on_case is not None:
+                on_case(index, spec, result, None)
             report.checks += monitor.total_checks()
             if progress is not None:
                 progress.write(
@@ -346,6 +351,8 @@ def fuzz(
                 )
         except Exception as error:  # noqa: BLE001 - every crash is a finding
             original = f"{type(error).__name__}: {error}"
+            if on_case is not None:
+                on_case(index, spec, None, original)
             shrinks: List[str] = []
             final_error = original
             if shrink:

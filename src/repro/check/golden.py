@@ -23,7 +23,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 #: Windows long enough to saturate the pipeline, short enough for CI.
 WARMUP_S = 0.1e-3
@@ -38,6 +38,40 @@ def golden_digest(result) -> str:
         result.to_dict(), sort_keys=True, separators=(",", ":"), default=str
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def flatten(value, prefix: str = "") -> Dict[str, object]:
+    """``value`` as ``{dotted path: leaf}``: mapping keys and list
+    indices become path parts (``nics.0.rx_frames``); leaves other than
+    JSON scalars are rendered with ``str``, as :func:`golden_digest`
+    renders them."""
+    if isinstance(value, dict):
+        items = ((str(key), item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((str(index), item) for index, item in enumerate(value))
+    else:
+        if not (value is None or isinstance(value, (bool, int, float, str))):
+            value = str(value)
+        return {prefix: value}
+    out: Dict[str, object] = {}
+    for key, item in items:
+        out.update(flatten(item, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
+def digest_record(kind: str, result=None, error: Optional[str] = None,
+                  **identity) -> Dict[str, object]:
+    """One ``repro check --digests`` line: ``kind``, the run's identity
+    (a golden name, or a fuzz case's seed, index and key), then its
+    :func:`golden_digest` and flattened ``to_dict()``, or the error it
+    raised.  ``scripts/result_diff.py`` compares two files of these."""
+    record: Dict[str, object] = {"kind": kind, **identity}
+    if error is not None:
+        record["error"] = error
+    else:
+        record["digest"] = golden_digest(result)
+        record["fields"] = flatten(result.to_dict())
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -300,8 +334,16 @@ def golden_specs() -> Dict[str, Callable]:
 # ----------------------------------------------------------------------
 # Corpus I/O
 # ----------------------------------------------------------------------
-def compute_digests() -> Dict[str, str]:
-    return {name: golden_digest(run()) for name, run in golden_specs().items()}
+def compute_digests(on_result: Optional[Callable] = None) -> Dict[str, str]:
+    """Digest of every canonical run; ``on_result(name, result)``, when
+    given, also sees each result (``repro check --digests``)."""
+    digests = {}
+    for name, run in golden_specs().items():
+        result = run()
+        if on_result is not None:
+            on_result(name, result)
+        digests[name] = golden_digest(result)
+    return digests
 
 
 def load_corpus(path: str = DEFAULT_CORPUS_PATH) -> Dict[str, str]:
@@ -328,14 +370,17 @@ def write_corpus(path: str = DEFAULT_CORPUS_PATH) -> Dict[str, str]:
     return digests
 
 
-def compare_corpus(path: str = DEFAULT_CORPUS_PATH) -> Dict[str, Dict[str, str]]:
+def compare_corpus(
+    path: str = DEFAULT_CORPUS_PATH, on_result: Optional[Callable] = None
+) -> Dict[str, Dict[str, str]]:
     """Re-run every canonical spec and diff against the pinned corpus.
 
     Returns ``{name: {"pinned": ..., "actual": ...}}`` for mismatches
     (missing entries count as mismatches with pinned ``"<absent>"``).
+    ``on_result`` is passed to :func:`compute_digests`.
     """
     pinned = load_corpus(path)
-    actual = compute_digests()
+    actual = compute_digests(on_result)
     mismatches: Dict[str, Dict[str, str]] = {}
     for name, digest in actual.items():
         expected = pinned.get(name, "<absent>")
@@ -344,7 +389,10 @@ def compare_corpus(path: str = DEFAULT_CORPUS_PATH) -> Dict[str, Dict[str, str]]
     return mismatches
 
 
-def main(argv=None) -> int:
+def main(argv=None, on_result: Optional[Callable] = None) -> int:
+    """``python -m repro.check.golden [--update] [--path P]``; returns the
+    exit status.  ``on_result`` is passed to :func:`compute_digests`
+    when checking."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -362,7 +410,7 @@ def main(argv=None) -> int:
             print(f"  {name}: {digest[:16]}…")
         print(f"wrote {len(digests)} golden digests to {args.path}")
         return 0
-    mismatches = compare_corpus(args.path)
+    mismatches = compare_corpus(args.path, on_result)
     if not mismatches:
         print(f"golden corpus matches ({len(load_corpus(args.path))} runs)")
         return 0

@@ -383,6 +383,10 @@ def _add_check_parser(subparsers) -> None:
     parser.add_argument("--golden-path", type=str, default="",
                         metavar="PATH", help="golden corpus file to check "
                                              "or regenerate")
+    parser.add_argument("--digests", type=str, default="", metavar="PATH",
+                        help="write one JSON line per golden run and fuzz "
+                             "case (digest + flattened result) for "
+                             "scripts/result_diff.py")
 
 
 def _add_bench_parser(subparsers) -> None:
@@ -1273,6 +1277,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    import json
+
     from repro.check import golden as golden_mod
 
     golden_path = args.golden_path or golden_mod.DEFAULT_CORPUS_PATH
@@ -1289,6 +1295,25 @@ def _cmd_check(args) -> int:
     if args.update_golden:
         return golden_mod.main(["--update", "--path", golden_path])
 
+    failed = False
+    digests = open(args.digests, "w", encoding="utf-8") if args.digests else None
+
+    def write_digest(**record) -> None:
+        if digests is not None:
+            line = golden_mod.digest_record(**record)
+            digests.write(json.dumps(line, sort_keys=True) + "\n")
+
+    try:
+        failed = _run_checks(args, golden_path, golden_mod, write_digest)
+    finally:
+        if digests is not None:
+            digests.close()
+    return 1 if failed else 0
+
+
+def _run_checks(args, golden_path, golden_mod, write_digest) -> bool:
+    """The oracle, golden and fuzz legs of ``repro check``; True if any
+    failed.  ``write_digest`` receives each golden run and fuzz case."""
     failed = False
 
     # -- differential oracles ---------------------------------------------
@@ -1308,12 +1333,19 @@ def _cmd_check(args) -> int:
                   f"`repro check --update-golden`", file=sys.stderr)
             failed = True
         else:
-            if golden_mod.main(["--path", golden_path]) != 0:
+            def golden_record(name, result):
+                write_digest(kind="golden", name=name, result=result)
+
+            if golden_mod.main(["--path", golden_path], golden_record) != 0:
                 failed = True
 
     # -- seeded fuzzing ----------------------------------------------------
     if args.fuzz > 0:
         from repro.check.fuzz import fuzz as run_fuzz
+
+        def fuzz_record(index, spec, result, error):
+            write_digest(kind="fuzz", seed=args.seed, index=index,
+                         key=spec.key, result=result, error=error)
 
         report = run_fuzz(
             args.fuzz,
@@ -1321,6 +1353,7 @@ def _cmd_check(args) -> int:
             replay_dir=args.replay_dir or None,
             progress=sys.stderr,
             shrink=not args.no_shrink,
+            on_case=fuzz_record,
         )
         print(report.summary())
         for failure in report.failures:
@@ -1329,7 +1362,7 @@ def _cmd_check(args) -> int:
                      if failure.replay_path else ""))
         failed = failed or bool(report.failures)
 
-    return 1 if failed else 0
+    return failed
 
 
 def _cmd_bench(args) -> int:

@@ -476,6 +476,30 @@ class TestCheckCli:
         assert code == 0
         assert "golden corpus matches" in capsys.readouterr().out
 
+    def test_check_digests_lines(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "digests.jsonl")
+        code = main([
+            "check", "--skip-oracles", "--golden-path", GOLDEN_PATH,
+            "--fuzz", "1", "--seed", "3", "--digests", path,
+        ])
+        assert code == 0
+        with open(path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        golden = [r for r in records if r["kind"] == "golden"]
+        assert {r["name"]: r["digest"] for r in golden} == golden_mod.load_corpus(GOLDEN_PATH)
+        (case,) = [r for r in records if r["kind"] == "fuzz"]
+        assert (case["seed"], case["index"]) == (3, 0)
+        assert case["key"] == spec_for_case(3, 0).key
+        assert case["fields"] and len(case["digest"]) == 64
+        # --skip-golden leaves the golden lines out.
+        main(["check", "--skip-oracles", "--skip-golden",
+              "--fuzz", "1", "--seed", "3", "--digests", path])
+        with open(path, encoding="utf-8") as handle:
+            assert [json.loads(line)["kind"] for line in handle] == ["fuzz"]
+        capsys.readouterr()
+
     def test_check_missing_golden_fails(self, tmp_path, capsys):
         from repro.cli import main
 
