@@ -21,12 +21,14 @@ Two implementations of the same contract:
     ``update`` harvests an entire word's run of consecutive bits in one
     atomic slot, with no lock at all.
 
-Both run against a real :class:`~repro.isa.machine.Memory` bitmap using
-the *same* ``apply_setb``/``apply_update`` word semantics as the ISA, so
-the functional behaviour here and in assembly firmware kernels cannot
-diverge.  Each operation returns an :class:`OrderingCost` with the
-instruction/load/store counts the operation would execute on a core,
-which is what the throughput simulator charges.
+Both keep the bitmap as ``ring_size // 32`` Python-int words, set a
+slot's bit with the ``setb`` word operation, and harvest a word's run of
+set bits through :func:`~repro.isa.machine.update_run`, the closed form
+the ISA's ``update`` uses too, so the functional behaviour here and in
+assembly firmware kernels cannot diverge.  Each operation returns an
+:class:`OrderingCost` with the instruction/load/store counts the
+operation would execute on a core, which is what the throughput
+simulator charges.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Dict, Tuple
 
 from repro.check.monitor import NULL_MONITOR
 from repro.cpu.costmodel import OpProfile
-from repro.isa.machine import Memory, apply_setb, apply_update
+from repro.isa.machine import update_run
 
 
 class OrderingMode(enum.Enum):
@@ -127,7 +129,9 @@ class OrderingBoard:
         self.name = name
         #: Invariant monitor (null by default; see ``repro.check``).
         self.monitor = NULL_MONITOR
-        self._bitmap = Memory(ring_size // 8)
+        #: The status bitmap, one int per 32-slot word (slot ``i`` is
+        #: bit ``i % 32`` of word ``i // 32``).
+        self._words = [0] * (ring_size // 32)
         self.commit_seq = 0          # next sequence number to commit
         self.marked = 0
         self.committed = 0
@@ -158,7 +162,8 @@ class OrderingBoard:
                 f"sequence {seq} would lap the {self.ring_size}-entry ring "
                 f"(commit pointer at {self.commit_seq})"
             )
-        apply_setb(self._bitmap, 0, seq % self.ring_size)
+        index = seq % self.ring_size
+        self._words[index >> 5] |= 1 << (index & 31)
         self.marked += 1
         if self.monitor.enabled:
             self.monitor.board_marked(self, seq)
@@ -184,8 +189,7 @@ class OrderingBoard:
 
     def is_marked(self, seq: int) -> bool:
         index = seq % self.ring_size
-        word = self._bitmap.load_word(4 * (index // 32))
-        return bool(word & (1 << (index % 32)))
+        return bool(self._words[index >> 5] >> (index & 31) & 1)
 
     # ------------------------------------------------------------------
     def commit(self) -> tuple:
@@ -203,34 +207,43 @@ class OrderingBoard:
             self.monitor.board_committed(self, old_seq, self.commit_seq, result[0])
         return result
 
-    def _commit_rmw(self) -> tuple:
-        words = 0
-        total = 0
+    def _harvest(self) -> Tuple[int, int]:
+        """Clear the run of set bits at the commit pointer and move the
+        pointer past it; returns ``(frames, words examined)``.
+
+        One ``update`` per word: it clears the word's run from the
+        pointer's bit and stops at the word boundary, so the loop lets a
+        run continue into the next word (or wrap the ring), and the word
+        that ends the run is examined too.
+        """
+        words = self._words
+        ring = self.ring_size
+        seq = self.commit_seq
+        examined = 0
         while True:
-            index = self.commit_seq % self.ring_size
-            last = index - 1  # -1 at a ring boundary starts at bit 0
-            new_last = apply_update(self._bitmap, 0, last)
-            words += 1
-            progress = new_last - last
-            if progress <= 0:
+            index = seq % ring
+            bit = index & 31
+            word = words[index >> 5]
+            run = update_run(word, bit)
+            examined += 1
+            if not run:
                 break
-            self.commit_seq += progress
-            total += progress
-            # `update` stops at an aligned word boundary; loop to let the
-            # run continue into the next word (or wrap the ring).
+            words[index >> 5] = word & ~(((1 << run) - 1) << bit)
+            seq += run
+        total = seq - self.commit_seq
+        self.commit_seq = seq
         self.committed += total
-        return total, self._commit_record(words, total > 0)
+        return total, examined
+
+    def _commit_rmw(self) -> tuple:
+        # One `update` loop trip per word examined.
+        total, examined = self._harvest()
+        return total, self._commit_record(examined, total > 0)
 
     def _commit_software(self) -> tuple:
-        total = 0
-        while self.is_marked(self.commit_seq):
-            index = self.commit_seq % self.ring_size
-            word_addr = 4 * (index // 32)
-            word = self._bitmap.load_word(word_addr)
-            self._bitmap.store_word(word_addr, word & ~(1 << (index % 32)))
-            self.commit_seq += 1
-            total += 1
-        self.committed += total
+        # The lock-based scan pays one load/test/clear/store trip per
+        # committed frame.
+        total, _examined = self._harvest()
         return total, self._commit_record(total, total > 0)
 
     def _commit_record(self, steps: int, committed: bool) -> OrderingCost:
@@ -245,15 +258,11 @@ class OrderingBoard:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Marked-but-uncommitted frames (an O(ring) debugging helper).
+        """Marked-but-uncommitted frames (an O(ring / 32) debugging helper).
 
         Scans the *whole* ring: frames marked behind a gap (done out of
         order, waiting on an earlier frame) count too.  An earlier
         version stopped at the first unmarked slot and so undercounted
         exactly the frames this helper exists to expose.
         """
-        return sum(
-            1
-            for seq in range(self.commit_seq, self.commit_seq + self.ring_size)
-            if self.is_marked(seq)
-        )
+        return sum(bin(word).count("1") for word in self._words)

@@ -130,6 +130,20 @@ def apply_setb(memory: Memory, base: int, index: int) -> None:
     memory.store_word(word_address, word | (1 << (index % 32)))
 
 
+def update_run(word: int, bit: int) -> int:
+    """Length of the run of consecutive set bits of ``word`` that starts
+    at bit ``bit``: what ``update`` harvests from one word.
+
+    Closed form: with ``x = word >> bit``, the lowest clear bit of ``x``
+    is ``~x & (x + 1)``, and its index is the run's length.  A 32-bit
+    ``word`` gives at most ``32 - bit``.  The ordering boards of
+    :mod:`repro.firmware.ordering` harvest their words through this
+    same function.
+    """
+    x = word >> bit
+    return (~x & (x + 1)).bit_length() - 1
+
+
 def apply_update(memory: Memory, base: int, last: int) -> int:
     """Atomically harvest consecutive set bits after position ``last``.
 
@@ -145,9 +159,7 @@ def apply_update(memory: Memory, base: int, last: int) -> int:
     word_address = base + 4 * word_index
     word = memory.load_word(word_address)
     bit = start % 32
-    count = 0
-    while bit + count < 32 and word & (1 << (bit + count)):
-        count += 1
+    count = update_run(word, bit)
     if count == 0:
         return last
     mask = ((1 << count) - 1) << bit

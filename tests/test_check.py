@@ -249,9 +249,7 @@ def _install_lazy_scan(monkeypatch):
         if not self.is_marked(self.commit_seq):
             return 0, ordering._SW_COMMIT_BASE
         index = self.commit_seq % self.ring_size
-        word_addr = 4 * (index // 32)
-        word = self._bitmap.load_word(word_addr)
-        self._bitmap.store_word(word_addr, word & ~(1 << (index % 32)))
+        self._words[index // 32] &= ~(1 << (index % 32))
         self.commit_seq += 1
         self.committed += 1
         return 1, ordering._SW_COMMIT_BASE + ordering._SW_COMMIT_PER_FRAME

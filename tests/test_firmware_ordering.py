@@ -1,8 +1,11 @@
 """Frame-ordering boards: software-only vs RMW-enhanced."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.firmware import OrderingBoard, OrderingMode, ordering
+from repro.isa.machine import Memory, apply_setb
 
 SW = OrderingMode.SOFTWARE
 RMW = OrderingMode.RMW
@@ -352,3 +355,149 @@ class TestCommitCost:
             if frames:
                 expected = expected + ordering._POINTER_UPDATE
             assert cost == expected, (frames, cost, expected)
+
+
+# ----------------------------------------------------------------------
+# Integer-word board vs the Memory-backed board it replaced
+# ----------------------------------------------------------------------
+class _MemoryBoard:
+    """The ordering board as it was before its bitmap became Python-int
+    words: a byte-addressed ISA :class:`Memory`, one ``setb`` per mark,
+    a per-bit ``update`` loop per word (RMW) and a per-frame
+    load/test/clear/store scan (software)."""
+
+    def __init__(self, ring_size, mode, hw_pointer=False):
+        self.ring_size = ring_size
+        self.mode = mode
+        self._bitmap = Memory(ring_size // 8)
+        self.commit_seq = 0
+        self.marked = 0
+        self.committed = 0
+        self.commit_calls = 0
+        self.skipped = 0
+        if mode is OrderingMode.RMW:
+            self._base, self._step = ordering._RMW_COMMIT_BASE, ordering._RMW_COMMIT_PER_WORD
+        else:
+            self._base = ordering._SW_COMMIT_BASE
+            self._step = (ordering._SW_COMMIT_PER_FRAME_HW if hw_pointer
+                          else ordering._SW_COMMIT_PER_FRAME)
+
+    def mark_done(self, seq):
+        if seq < self.commit_seq:
+            raise ValueError(f"sequence {seq} already committed")
+        if seq >= self.commit_seq + self.ring_size:
+            raise ValueError(
+                f"sequence {seq} would lap the {self.ring_size}-entry ring "
+                f"(commit pointer at {self.commit_seq})"
+            )
+        apply_setb(self._bitmap, 0, seq % self.ring_size)
+        self.marked += 1
+        return ordering._SW_MARK if self.mode is OrderingMode.SOFTWARE else ordering._RMW_MARK
+
+    def skip(self, seq):
+        cost = self.mark_done(seq)
+        self.marked -= 1
+        self.skipped += 1
+        return cost
+
+    def is_marked(self, seq):
+        index = seq % self.ring_size
+        word = self._bitmap.load_word(4 * (index // 32))
+        return bool(word & (1 << (index % 32)))
+
+    def _update(self, last):
+        start = last + 1
+        address = 4 * (start // 32)
+        word = self._bitmap.load_word(address)
+        bit = start % 32
+        count = 0
+        while bit + count < 32 and word & (1 << (bit + count)):
+            count += 1
+        if count == 0:
+            return last
+        self._bitmap.store_word(address, word & ~(((1 << count) - 1) << bit))
+        return last + count
+
+    def commit(self):
+        self.commit_calls += 1
+        total = 0
+        if self.mode is OrderingMode.RMW:
+            words = 0
+            while True:
+                last = self.commit_seq % self.ring_size - 1
+                progress = self._update(last) - last
+                words += 1
+                if progress <= 0:
+                    break
+                self.commit_seq += progress
+                total += progress
+            steps = words
+        else:
+            while self.is_marked(self.commit_seq):
+                index = self.commit_seq % self.ring_size
+                address = 4 * (index // 32)
+                word = self._bitmap.load_word(address)
+                self._bitmap.store_word(address, word & ~(1 << (index % 32)))
+                self.commit_seq += 1
+                total += 1
+            steps = total
+        self.committed += total
+        return total, ordering._commit_cost(self._base, self._step, steps, total > 0)
+
+    @property
+    def pending(self):
+        return sum(
+            1
+            for seq in range(self.commit_seq, self.commit_seq + self.ring_size)
+            if self.is_marked(seq)
+        )
+
+
+@st.composite
+def board_scripts(draw):
+    ring = draw(st.sampled_from([32, 64, 1024]))
+    mode = draw(st.sampled_from([SW, RMW]))
+    hw_pointer = draw(st.booleans())
+    # Offsets from the commit pointer: mostly near it (runs that cross
+    # words and wrap the ring), some past either end of the window.
+    offset = st.one_of(st.integers(0, 40), st.integers(-3, ring + 2))
+    ops = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("mark"), offset),
+            st.tuples(st.just("skip"), offset),
+            st.tuples(st.just("run"), offset, st.integers(1, 70)),
+            st.tuples(st.just("commit")),
+        ),
+        max_size=60,
+    ))
+    return ring, mode, hw_pointer, ops
+
+
+def _step(board, op, seq):
+    try:
+        return getattr(board, op)(seq)
+    except ValueError as error:
+        return ("error", str(error))
+
+
+class TestBoardDifferential:
+    @given(board_scripts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_memory_board(self, script):
+        ring, mode, hw_pointer, ops = script
+        board = OrderingBoard(ring, mode, hw_pointer=hw_pointer)
+        reference = _MemoryBoard(ring, mode, hw_pointer=hw_pointer)
+        for op in ops:
+            if op[0] == "commit":
+                assert board.commit() == reference.commit()
+            else:
+                first = reference.commit_seq + op[1]
+                count = op[2] if op[0] == "run" else 1
+                name = "skip" if op[0] == "skip" else "mark_done"
+                for seq in range(first, first + count):
+                    assert _step(board, name, seq) == _step(reference, name, seq)
+            for attr in ("commit_seq", "marked", "committed", "skipped", "commit_calls"):
+                assert getattr(board, attr) == getattr(reference, attr), attr
+        assert board.pending == reference.pending
+        window = range(board.commit_seq - 2, board.commit_seq + ring + 2)
+        assert [board.is_marked(s) for s in window] == [reference.is_marked(s) for s in window]

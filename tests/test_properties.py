@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from repro.firmware.ordering import OrderingBoard, OrderingMode
 from repro.host.descriptors import DescriptorRing
-from repro.isa.machine import Memory, apply_setb, apply_update
+from repro.isa.machine import Memory, apply_setb, apply_update, update_run
 from repro.mem.coherence import CoherentCacheSystem, MesiState, TraceAccess
 from repro.mem.crossbar import Crossbar
 from repro.net.ethernet import frame_bytes_for_udp_payload, udp_payload_for_frame_bytes
@@ -71,6 +71,13 @@ class TestRmwSemantics:
         for word_index in range(16):
             model_word = (reference.bits >> (32 * word_index)) & 0xFFFFFFFF
             assert memory.load_word(4 * word_index) == model_word
+
+    @given(st.integers(min_value=0, max_value=0xFFFFFFFF), st.integers(min_value=0, max_value=31))
+    def test_update_run_matches_bit_loop(self, word, bit):
+        count = 0
+        while bit + count < 32 and word >> (bit + count) & 1:
+            count += 1
+        assert update_run(word, bit) == count
 
     @given(st.integers(min_value=0, max_value=511))
     def test_setb_sets_exactly_one_bit(self, index):
