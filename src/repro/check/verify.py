@@ -10,9 +10,10 @@ Two entry points:
   globally.
 * :func:`verify_conservation` checks the *end-state* identities that
   per-event hooks cannot see: frame/byte conservation through the
-  queue → boards → MAC datapath, buffer-space bounds, and the faulted
+  queue → boards → MAC datapath, buffer-space bounds, the faulted
   accounting identity ``delivered + holes + drops + in_flight ==
-  injected``.
+  injected``, and the exact integer statistics (function sums against
+  run totals).
 
 Both work on :class:`~repro.nic.throughput.ThroughputSimulator` and
 :class:`~repro.fabric.sim.FabricSimulator` (duck-typed on
@@ -207,6 +208,32 @@ def _verify_throughput(
         sdram.transferred_bytes >= sdram.useful_bytes + sdram.wasted_retry_bytes,
         f"transferred {sdram.transferred_bytes} < useful "
         f"{sdram.useful_bytes} + retries {sdram.wasted_retry_bytes}",
+    )
+
+    # Exact statistics: the per-function sums and the run totals are
+    # accumulated separately from the same integer terms, so after a
+    # fold they agree exactly.
+    charges = simulator._charges
+    charges.fold()
+    functions = charges.sums.functions.values()
+    execution, imiss, load, conflict, pipeline, accesses = charges.sums.run
+    checker.equal(
+        "stats.cycles",
+        sum(sums[3] for sums in functions),
+        execution + imiss + load + conflict + pipeline,
+        "sum of function cycles == sum of the five Table 3 run totals",
+    )
+    checker.equal(
+        "stats.instructions",
+        sum(sums[0] for sums in functions),
+        execution,
+        "sum of function instructions == run execution total",
+    )
+    checker.equal(
+        "stats.accesses",
+        sum(sums[1] + sums[2] for sums in functions),
+        accesses,
+        "sum of function loads + stores == scratchpad core accesses",
     )
 
     # Multi-queue host rings: per-ring descriptor conservation — every

@@ -13,18 +13,96 @@ simulator's IPC breakdown is directly comparable to the paper's.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 #: The five Table 3 terms of one charge, in cycles:
 #: ``(execution, imiss, load, conflict, pipeline)``.
 CostTerms = Tuple[float, float, float, float, float]
 
-#: One :class:`ChargeTable` entry: ``(instructions, loads, stores,
-#: accesses, execution, imiss, load, conflict, pipeline, total)``.
-#: ``accesses`` is ``loads + stores``; ``total`` is the five Table 3
-#: terms summed in that order.
-ChargeEntry = Tuple[float, float, float, float, float, float, float, float, float, float]
+#: Statistics are integers in units of 10**-9 (of an instruction, an
+#: access or a cycle).  Integer sums are exact, so a statistic does not
+#: depend on the order its charges were summed in.  The unit is fine
+#: enough that converting each term once moves a run's smallest reported
+#: share (a conflict share near 0.001) by well under 1e-9 relative;
+#: 10**-6 moved it by ~1e-7.
+NANO = 10**9
+
+#: The integer terms of one charge, in :data:`NANO` units, in this order.
+#: ``cycles`` is the sum of the five Table 3 terms before it.
+STAT_TERMS = (
+    "instructions", "loads", "stores",
+    "execution", "imiss", "load", "conflict", "pipeline", "cycles",
+)
+
+
+def nano_terms(instructions: float, loads: float, stores: float,
+               cost: CostTerms) -> Tuple[int, ...]:
+    """A charge's :data:`STAT_TERMS`, each float rounded once to
+    :data:`NANO` units."""
+    execution, imiss, load, conflict, pipeline = (round(term * 1e9) for term in cost)
+    return (
+        round(instructions * 1e9), round(loads * 1e9), round(stores * 1e9),
+        execution, imiss, load, conflict, pipeline,
+        execution + imiss + load + conflict + pipeline,
+    )
+
+
+class ChargeEntry(NamedTuple):
+    """One profile's charge at a :class:`ChargeTable`'s wait."""
+
+    #: Cycles: the five Table 3 terms summed in order, as floats.  The
+    #: handler timelines are laid out from this.
+    total: float
+    #: ``loads + stores`` as a float, for the contention window.
+    accesses: float
+    #: :data:`STAT_TERMS` in :data:`NANO` units, for the statistics.
+    terms: Tuple[int, ...]
+    #: Charges of this entry per function since the last fold.
+    counts: Dict[str, int]
+
+
+class ChargeSums:
+    """Exact statistics of every folded charge, in :data:`NANO` units.
+
+    ``functions[name]`` is ``[instructions, loads, stores, cycles]`` of
+    one function; ``run`` is ``[execution, imiss, load, conflict,
+    pipeline, accesses]`` over all functions.  The two are summed
+    separately, so ``verify_conservation`` can check one against the
+    other.  ``spin_ps[name]`` is the lock-spin time a function has
+    waited, in picoseconds.
+    """
+
+    def __init__(self) -> None:
+        self.functions: Dict[str, List[int]] = {}
+        self.run: List[int] = [0] * 6
+        self.spin_ps: Dict[str, int] = {}
+
+    def add(self, fn_name: str, count: int, terms: Tuple[int, ...]) -> None:
+        """Add ``count`` charges of ``terms`` (:data:`STAT_TERMS`) to a function."""
+        instructions, loads, stores, execution, imiss, load, conflict, pipeline, cycles = terms
+        sums = self.functions.get(fn_name)
+        if sums is None:
+            sums = self.functions[fn_name] = [0, 0, 0, 0]
+        sums[0] += count * instructions
+        sums[1] += count * loads
+        sums[2] += count * stores
+        sums[3] += count * cycles
+        run = self.run
+        run[0] += count * execution
+        run[1] += count * imiss
+        run[2] += count * load
+        run[3] += count * conflict
+        run[4] += count * pipeline
+        run[5] += count * (loads + stores)
+
+    def copy(self) -> "ChargeSums":
+        other = ChargeSums()
+        other.functions = {name: list(sums) for name, sums in self.functions.items()}
+        other.run = list(self.run)
+        other.spin_ps = dict(self.spin_ps)
+        return other
 
 
 def check_op_counts(instructions: float, loads: float, stores: float) -> None:
@@ -219,7 +297,8 @@ class CoreCostModel:
 
 
 class ChargeTable:
-    """Charge terms of every profile charged at the current conflict wait.
+    """Charge terms of every profile charged at the current conflict wait,
+    and the exact statistics of every charge made so far.
 
     A handler invocation's cost depends on its operation profile and on
     the scratchpad conflict wait.  The throughput simulator charges
@@ -235,13 +314,36 @@ class ChargeTable:
     costing most of what the table saves.  The table holds a reference
     to every key object until it is emptied, so no other object can
     reuse an id while its entry lives.
+
+    Statistics are counted, not summed, per charge: the caller bumps the
+    entry's :attr:`ChargeEntry.counts` for its function, and
+    :meth:`fold` adds count x integer terms into :attr:`sums`.
+    :meth:`set_wait` folds before it empties the table; readers fold
+    before they read.  A lock spin's terms are linear in its wait, so
+    :meth:`spin` sums each function's wait in integer picoseconds, and a
+    fold charges the epoch's summed wait through ``cost()`` once.
     """
 
-    def __init__(self, model: CoreCostModel, wait: float) -> None:
+    def __init__(
+        self,
+        model: CoreCostModel,
+        wait: float,
+        spin_profile: Optional[Callable[[int], object]] = None,
+    ) -> None:
+        """``spin_profile(wait_ps)`` is the profile a core executes
+        while it spins ``wait_ps`` picoseconds on a lock; :meth:`spin`
+        needs it."""
         self.model = model
         self._wait = wait
         self._entries: Dict[object, ChargeEntry] = {}
         self._keys: List[object] = []
+        self._spin_profile = spin_profile
+        #: Statistics of every folded charge.
+        self.sums = ChargeSums()
+        # This epoch's spin wait per function, and the part of it (with
+        # its terms) that a fold has already added to the sums.
+        self._spin_ps: Dict[str, int] = defaultdict(int)
+        self._spins_folded: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
 
     @property
     def wait(self) -> float:
@@ -249,10 +351,13 @@ class ChargeTable:
         return self._wait
 
     def set_wait(self, wait: float) -> None:
-        """Move the conflict wait and empty the table."""
+        """Fold, then move the conflict wait and empty the table."""
+        self.fold()
         self._wait = wait
         self._entries.clear()
         self._keys.clear()
+        self._spin_ps.clear()
+        self._spins_folded.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -281,22 +386,68 @@ class ChargeTable:
     def compute(self, profile) -> ChargeEntry:
         """Entry of ``profile`` at the current wait, not kept.
 
-        Charges of transient profiles come straight here: a lock spin's
-        length is continuous and a checksum profile is built per batch,
-        so their entries would never be looked up again.
+        A checksum profile is built per batch, so its entry would never
+        be looked up again: such a transient charge comes straight here
+        and is added with :meth:`add`.
         """
-        execution, imiss, load, conflict, pipeline = self.model.cost(profile, self._wait)
+        cost = self.model.cost(profile, self._wait)
+        execution, imiss, load, conflict, pipeline = cost
         loads = profile.loads
         stores = profile.stores
-        return (
-            profile.instructions,
-            loads,
-            stores,
-            loads + stores,
-            execution,
-            imiss,
-            load,
-            conflict,
-            pipeline,
+        return ChargeEntry(
             execution + imiss + load + conflict + pipeline,
+            loads + stores,
+            nano_terms(profile.instructions, loads, stores, cost),
+            defaultdict(int),
         )
+
+    def add(self, fn_name: str, entry: ChargeEntry) -> None:
+        """Add one charge of an entry :meth:`compute` made to the sums."""
+        self.sums.add(fn_name, 1, entry.terms)
+
+    def spin(self, fn_name: str, wait_ps: int) -> Tuple[float, float]:
+        """Charge a lock spin of ``wait_ps`` picoseconds to a function.
+
+        Returns the spin's ``(total, accesses)`` as floats, for the
+        handler's timeline and the contention window; its statistics
+        wait for the next fold.
+        """
+        profile = self._spin_profile(wait_ps)
+        execution, imiss, load, conflict, pipeline = self.model.cost(profile, self._wait)
+        self._spin_ps[fn_name] += wait_ps
+        return (
+            execution + imiss + load + conflict + pipeline,
+            profile.loads + profile.stores,
+        )
+
+    def fold(self) -> None:
+        """Add every pending charge to :attr:`sums`.
+
+        Folding changes no entry's terms and no simulated state, and a
+        fold within an epoch leaves the sums at the epoch's end as they
+        would be without it: counts fold exactly, and each function's
+        spin terms are recomputed from the epoch's whole summed wait,
+        adding only what the last fold did not.
+        """
+        sums = self.sums
+        for entry in self._entries.values():
+            counts = entry.counts
+            if counts:
+                for fn_name, count in counts.items():
+                    sums.add(fn_name, count, entry.terms)
+                counts.clear()
+        for fn_name, wait_ps in self._spin_ps.items():
+            folded_ps, folded = self._spins_folded.get(fn_name, (0, _NO_TERMS))
+            if wait_ps == folded_ps:
+                continue
+            profile = self._spin_profile(wait_ps)
+            terms = nano_terms(
+                profile.instructions, profile.loads, profile.stores,
+                self.model.cost(profile, self._wait),
+            )
+            sums.add(fn_name, 1, tuple(now - before for now, before in zip(terms, folded)))
+            sums.spin_ps[fn_name] = sums.spin_ps.get(fn_name, 0) + wait_ps - folded_ps
+            self._spins_folded[fn_name] = (wait_ps, terms)
+
+
+_NO_TERMS = (0,) * len(STAT_TERMS)

@@ -35,7 +35,7 @@ from repro.assists.dma import DmaAssist
 from repro.assists.mac import MacReceiver, MacTransmitter
 from repro.assists.pci import PciInterface
 from repro.check.monitor import NULL_MONITOR
-from repro.cpu.costmodel import ChargeTable, ContentionModel, HandlerCost, OpProfile
+from repro.cpu.costmodel import NANO, ChargeTable, ContentionModel, HandlerCost, OpProfile
 from repro.faults import FaultInjector, FaultPlan
 from repro.firmware.events import DistributedEventQueue, EventKind, FrameEvent
 from repro.firmware.ordering import OrderingBoard
@@ -501,9 +501,11 @@ class ThroughputSimulator:
         estimated_rate = 300.0 * line_pairs / config.core_frequency_hz
         # Handler charges at the current estimate; _update_contention is
         # the only writer of the wait, and moving it empties the table.
+        # The table also keeps the run's statistics (ChargeTable.sums).
         self._charges = ChargeTable(
             config.cost_model,
             self.contention.expected_wait(min(2.5, estimated_rate)),
+            spin_profile=self._spin_profile,
         )
         # Per-config constants the handlers read on every invocation.
         self._task_level = config.task_level_firmware
@@ -573,8 +575,6 @@ class ThroughputSimulator:
         self._inflight_sum = 0.0
         self._inflight_samples = 0
         self._assist_accesses = 0
-        self._core_accesses = 0.0
-        self._cost_totals = HandlerCost(0, 0, 0, 0, 0, 0)
         self._contention_window_accesses = 0.0
         self._contention_window_start_ps = 0
 
@@ -649,33 +649,26 @@ class ThroughputSimulator:
         function; returns its cycle cost.
 
         ``profile`` is an :class:`OpProfile` or an ordering board's
-        ``OrderingCost``.  Its terms come from the charge table, or
-        straight from the cost model for a ``transient`` profile, one
-        built for this charge alone.  Every sum below keeps its order:
-        the per-function stats and the run totals each accumulate the
-        same terms, so neither is derived from the other.
+        ``OrderingCost``.  Its entry comes from the charge table, which
+        counts the charge for the function and folds the count into the
+        statistics later; a ``transient`` profile, one built for this
+        charge alone, is computed and added to the statistics at once.
         """
         charges = self._charges
-        (instructions, loads, stores, accesses,
-         execution, imiss, load, conflict, pipeline, total) = (
-            charges.compute(profile) if transient else charges.lookup(profile, factor)
-        )
-        stats = self.fn[fn_name]
-        stats.instructions += instructions
-        stats.loads += loads
-        stats.stores += stores
-        stats.cycles += total
-        stats.frames += frames
-        totals = self._cost_totals
-        totals.instructions += execution
-        totals.execution_cycles += execution
-        totals.imiss_cycles += imiss
-        totals.load_cycles += load
-        totals.conflict_cycles += conflict
-        totals.pipeline_cycles += pipeline
-        self._core_accesses += accesses
-        self._contention_window_accesses += accesses
-        return total
+        if transient:
+            entry = charges.compute(profile)
+            charges.add(fn_name, entry)
+        else:
+            entry = charges.lookup(profile, factor)
+            entry.counts[fn_name] += 1
+        if frames:
+            self.fn[fn_name].frames += frames
+        self._contention_window_accesses += entry.accesses
+        return entry.total
+
+    def _spin_profile(self, wait_ps: int) -> OpProfile:
+        """What a core executes while it spins ``wait_ps`` on a lock."""
+        return self.config.firmware.spin_cost(wait_ps / self.core_clock.period_ps)
 
     def _acquire_lock(
         self,
@@ -719,10 +712,11 @@ class ThroughputSimulator:
             # A waiting core executes its ll/test/branch spin loop for
             # the whole wait; one loop trip costs ~spin_loop_cycles, so
             # the charged profile fills the wait with real instructions.
-            cycles += self._charge(
-                fn_name, self.config.firmware.spin_cost(wait_cycles), transient=True
-            )
-            self.fn[fn_name].lock_wait_cycles += wait_cycles
+            # The table sums the wait and charges its statistics at the
+            # next fold; the wait is also the function's lock-wait time.
+            total, accesses = self._charges.spin(fn_name, start_ps - now_ps)
+            cycles += total
+            self._contention_window_accesses += accesses
         return cycles
 
     def _assist_touch(self, count: int) -> None:
@@ -1603,6 +1597,7 @@ class ThroughputSimulator:
         formatter types counters correctly.  Reading is side-effect
         free — safe for the :class:`~repro.obs.metrics.MetricsSampler`.
         """
+        self._charges.fold()
         values = self.stats.snapshot()
         values.update(
             {
@@ -1617,7 +1612,7 @@ class ThroughputSimulator:
                 "counter.sdram_transferred_bytes": float(self.sdram.transferred_bytes),
                 "counter.sdram_useful_bytes": float(self.sdram.useful_bytes),
                 "counter.scratchpad_assist_accesses": float(self._assist_accesses),
-                "counter.scratchpad_core_accesses": float(self._core_accesses),
+                "counter.scratchpad_core_accesses": self._charges.sums.run[5] / NANO,
                 "gauge.event_queue_depth": float(len(self.queue)),
                 "gauge.event_queue_high_water": float(self.queue.high_water),
                 "gauge.idle_cores": float(self._idle_cores),
@@ -1679,6 +1674,7 @@ class ThroughputSimulator:
 
     # -- snapshots so warm-up is excluded from every statistic ----------
     def _snapshot(self) -> Dict[str, object]:
+        self._charges.fold()
         return {
             "tx_done": self._tx_done_frames,
             "rx_done": self._rx_done_frames,
@@ -1688,12 +1684,11 @@ class ThroughputSimulator:
             "rx_accepted": self.mac_rx.frames_accepted,
             "rx_next_seq": self.mac_rx._next_seq,
             "fn": copy.deepcopy(self.fn),
+            "sums": self._charges.sums.copy(),
             "busy_ps": self._busy_ps,
-            "core_accesses": self._core_accesses,
             "assist_accesses": self._assist_accesses,
             "sdram_useful": self.sdram.useful_bytes,
             "sdram_transferred": self.sdram.transferred_bytes,
-            "cost": copy.deepcopy(self._cost_totals),
             "lock_waits": {
                 name: lock.total_wait_cycles for name, lock in self.locks.items()
             },
@@ -1712,25 +1707,43 @@ class ThroughputSimulator:
         }
 
     def _build_result(self, snap: Dict[str, object], measure_ps: int) -> ThroughputResult:
+        # Every statistic below is an exact integer difference, converted
+        # to a float once.
+        self._charges.fold()
+        sums = self._charges.sums
+        before_sums = snap["sums"]
+        period = self.core_clock.period_ps
         fn_stats: Dict[str, FunctionStats] = {}
         for name, stats in self.fn.items():
             before: FunctionStats = snap["fn"][name]  # type: ignore[index]
-            delta = FunctionStats()
-            for attr in (
-                "instructions", "loads", "stores", "cycles",
-                "lock_wait_cycles", "invocations", "frames",
-            ):
-                setattr(delta, attr, getattr(stats, attr) - getattr(before, attr))
-            fn_stats[name] = delta
+            now_terms = sums.functions.get(name, (0, 0, 0, 0))
+            before_terms = before_sums.functions.get(name, (0, 0, 0, 0))  # type: ignore[attr-defined]
+            instructions, loads, stores, cycles = (
+                (now - then) / NANO for now, then in zip(now_terms, before_terms)
+            )
+            fn_stats[name] = FunctionStats(
+                instructions=instructions,
+                loads=loads,
+                stores=stores,
+                cycles=cycles,
+                lock_wait_cycles=(
+                    sums.spin_ps.get(name, 0)
+                    - before_sums.spin_ps.get(name, 0)  # type: ignore[attr-defined]
+                ) / period,
+                invocations=stats.invocations - before.invocations,
+                frames=stats.frames - before.frames,
+            )
 
-        before_cost: HandlerCost = snap["cost"]  # type: ignore[assignment]
+        execution, imiss, load, conflict, pipeline, accesses = (
+            now - then for now, then in zip(sums.run, before_sums.run)  # type: ignore[attr-defined]
+        )
         cost_delta = HandlerCost(
-            instructions=self._cost_totals.instructions - before_cost.instructions,
-            execution_cycles=self._cost_totals.execution_cycles - before_cost.execution_cycles,
-            imiss_cycles=self._cost_totals.imiss_cycles - before_cost.imiss_cycles,
-            load_cycles=self._cost_totals.load_cycles - before_cost.load_cycles,
-            conflict_cycles=self._cost_totals.conflict_cycles - before_cost.conflict_cycles,
-            pipeline_cycles=self._cost_totals.pipeline_cycles - before_cost.pipeline_cycles,
+            instructions=execution / NANO,
+            execution_cycles=execution / NANO,
+            imiss_cycles=imiss / NANO,
+            load_cycles=load / NANO,
+            conflict_cycles=conflict / NANO,
+            pipeline_cycles=pipeline / NANO,
         )
         measure_seconds = ps_to_seconds(measure_ps)
         window_cycles = measure_ps / self.core_clock.period_ps
@@ -1762,7 +1775,7 @@ class ThroughputSimulator:
             busy_cycles=(self._busy_ps - snap["busy_ps"]) / self.core_clock.period_ps,  # type: ignore[operator]
             total_core_cycles=window_cycles * self.config.cores,
             cost_totals=cost_delta,
-            scratchpad_core_accesses=int(self._core_accesses - snap["core_accesses"]),  # type: ignore[operator]
+            scratchpad_core_accesses=accesses // NANO,
             scratchpad_assist_accesses=self._assist_accesses - snap["assist_accesses"],  # type: ignore[operator]
             sdram_useful_bytes=self.sdram.useful_bytes - snap["sdram_useful"],  # type: ignore[operator]
             sdram_transferred_bytes=self.sdram.transferred_bytes - snap["sdram_transferred"],  # type: ignore[operator]

@@ -1,11 +1,13 @@
 """Statistical core cost model (macro-tier timing)."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import ContentionModel, CoreCostModel, HandlerCost
-from repro.cpu.costmodel import ChargeTable, OpProfile
+from repro.cpu.costmodel import NANO, STAT_TERMS, ChargeEntry, ChargeTable, OpProfile
 from repro.firmware.ordering import OrderingCost
 
 
@@ -167,14 +169,31 @@ def _profiles(draw):
 
 def _expected_entry(model, profile, wait):
     """The entry as the simulator charged it before the table: terms
-    from ``cost``, total summed in Table 3 order."""
+    from ``cost``, total summed in Table 3 order; each statistic term
+    rounded once to 10**-9 units, cycles the sum of the five Table 3
+    integers."""
     execution, imiss, load, conflict, pipeline = model.cost(profile, wait)
-    return (
-        profile.instructions, profile.loads, profile.stores,
-        profile.loads + profile.stores,
-        execution, imiss, load, conflict, pipeline,
+    floats = (profile.instructions, profile.loads, profile.stores,
+              execution, imiss, load, conflict, pipeline)
+    terms = tuple(round(value * 1e9) for value in floats)
+    return ChargeEntry(
         execution + imiss + load + conflict + pipeline,
+        profile.loads + profile.stores,
+        terms + (sum(terms[3:]),),
+        {},
     )
+
+
+def _assert_exact_terms(model, entry, profile, wait):
+    """Each integer term is its float term in 10**-9 units, off by at
+    most the one rounding; cycles is exactly the five terms' sum."""
+    floats = (profile.instructions, profile.loads, profile.stores,
+              *model.cost(profile, wait))
+    assert len(entry.terms) == len(STAT_TERMS)
+    for name, term, value in zip(STAT_TERMS, entry.terms, floats):
+        # One float product (relative error 2**-53) and one rounding.
+        assert abs(term - Fraction(value) * NANO) <= Fraction(1, 2) + abs(value) / 10**6, name
+    assert entry.terms[-1] == sum(entry.terms[3:8])
 
 
 class TestChargeTable:
@@ -197,6 +216,8 @@ class TestChargeTable:
             assert table.lookup(profile, factor) == scaled
             assert table.lookup(profile) == plain
         assert len(table) == 2
+        _assert_exact_terms(model, table.lookup(profile, factor), profile.scaled(factor), wait)
+        _assert_exact_terms(model, table.lookup(profile), profile, wait)
 
     def test_moving_the_wait_empties_the_table(self):
         model = CoreCostModel()

@@ -309,7 +309,8 @@ class TestLockContentionAccounting:
         # Timing is untouched by the accounting fix: the documented
         # reservation-from-dispatch-time spin charge still applies.
         assert cycles > 0
-        assert sim.fn["send_frame"].lock_wait_cycles > 0
+        sim._charges.fold()
+        assert sim._charges.sums.spin_ps["send_frame"] > 0
 
     def test_genuine_blocking_is_counted(self):
         sim = self._sim()

@@ -4,8 +4,11 @@ These tests use short simulation windows (hundreds of microseconds), so
 thresholds carry slack relative to the benchmark runs.
 """
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.cpu.costmodel import OpProfile
 from repro.firmware.ordering import OrderingMode
 from repro.net.ethernet import EthernetTiming
 from repro.nic import NicConfig, RMW_166MHZ, SOFTWARE_200MHZ, ThroughputSimulator
@@ -260,9 +263,9 @@ class TestTaskLevelDispatchInternals:
         assert max(peak.values()) >= 2  # some handler type ran in parallel
 
 
-def _unpinned_run(name):
+def _unpinned_run(name, warmup_s=0.1e-3, measure_s=0.4e-3):
     """One standalone configuration the golden corpus does not pin,
-    over ``run(0.1e-3, 0.4e-3)``."""
+    over ``run(0.1e-3, 0.4e-3)`` unless another window is given."""
     from dataclasses import replace
 
     from repro.faults import FaultPlan
@@ -293,7 +296,7 @@ def _unpinned_run(name):
         "18B-6x200MHz": (NicConfig(core_frequency_hz=mhz(200)), 18, {}),
     }[name]
     simulator = ThroughputSimulator(config, payload, **kwargs)
-    return simulator, simulator.run(warmup_s=0.1e-3, measure_s=0.4e-3)
+    return simulator, simulator.run(warmup_s=warmup_s, measure_s=measure_s)
 
 
 class TestChargeTable:
@@ -308,27 +311,19 @@ class TestChargeTable:
         "18B-6x200MHz",
     ])
     def test_matches_recomputing_every_charge(self, name, monkeypatch):
-        """Differential: the same run with every lookup recomputed
-        through ``cost()`` at the current wait, as charges were made
-        before the table, must agree bit for bit."""
-        from repro.cpu.costmodel import ChargeTable
-
+        """Differential: the same run with every charge recomputed
+        through ``cost()`` at the current wait and added to the
+        statistics at once, as charges were made before the table, must
+        agree bit for bit."""
         _, built = _unpinned_run(name)
+        charge = ThroughputSimulator._charge
 
-        def recompute(table, profile, factor=None):
+        def recompute(simulator, fn_name, profile, factor=None, frames=0, transient=False):
             if factor is not None:
                 profile = profile.scaled(factor)
-            execution, imiss, load, conflict, pipeline = table.model.cost(
-                profile, table.wait
-            )
-            return (
-                profile.instructions, profile.loads, profile.stores,
-                profile.loads + profile.stores,
-                execution, imiss, load, conflict, pipeline,
-                execution + imiss + load + conflict + pipeline,
-            )
+            return charge(simulator, fn_name, profile, frames=frames, transient=True)
 
-        monkeypatch.setattr(ChargeTable, "lookup", recompute)
+        monkeypatch.setattr(ThroughputSimulator, "_charge", recompute)
         simulator, reference = _unpinned_run(name)
         assert len(simulator._charges) == 0  # nothing was kept
         assert built.to_dict() == reference.to_dict()
@@ -353,3 +348,167 @@ class TestChargeTable:
         assert simulator.metrics_snapshot()["gauge.conflict_wait_cycles"] == (
             simulator._charges.wait
         )
+
+
+# ----------------------------------------------------------------------
+# Exact statistics: integer sums, counted per entry and folded
+# ----------------------------------------------------------------------
+def _charge_pool():
+    """Every kind of profile the handlers charge: ideal per-frame
+    profiles, the firmware's overhead profiles and ordering records."""
+    import dataclasses
+
+    from repro.firmware import ordering
+    from repro.firmware.profiles import DEFAULT_FIRMWARE_PROFILES, IDEAL_PROFILES
+
+    firmware = DEFAULT_FIRMWARE_PROFILES
+    profiles = [profile.per_frame for profile in IDEAL_PROFILES.values()]
+    profiles += [getattr(firmware, f.name) for f in dataclasses.fields(firmware)
+                 if isinstance(getattr(firmware, f.name), OpProfile)]
+    records = [ordering._SW_MARK, ordering._RMW_MARK, ordering._SW_COMMIT_BASE,
+               ordering._commit_cost(ordering._RMW_COMMIT_BASE,
+                                     ordering._RMW_COMMIT_PER_WORD, 3, True),
+               ordering._commit_cost(ordering._SW_COMMIT_BASE,
+                                     ordering._SW_COMMIT_PER_FRAME_HW, 17, True)]
+    return profiles + records, len(profiles)
+
+
+# Profiles first (charged with or without a batch factor), then the
+# ordering records (charged as they are).
+_POOL, _SCALABLE = _charge_pool()
+_FUNCTIONS = ("send_frame", "recv_frame", "send_locking", "recv_dispatch_ordering")
+_FACTORS = st.builds(lambda frames, share: frames * share,
+                     st.integers(1, 64), st.sampled_from((1, 0.55, 1.0 - 0.55)))
+
+
+@st.composite
+def _charges(draw):
+    charge = st.one_of(
+        st.tuples(st.just("profile"), st.sampled_from(_FUNCTIONS),
+                  st.integers(0, _SCALABLE - 1), st.one_of(st.none(), _FACTORS)),
+        st.tuples(st.just("profile"), st.sampled_from(_FUNCTIONS),
+                  st.integers(_SCALABLE, len(_POOL) - 1), st.none()),
+        st.tuples(st.just("transient"), st.sampled_from(_FUNCTIONS),
+                  st.floats(0.0, 500.0)),
+        st.tuples(st.just("spin"), st.sampled_from(_FUNCTIONS),
+                  st.integers(1, 10**7)),
+    )
+    charges = draw(st.lists(charge, min_size=1, max_size=40))
+    # A multiset: repeat some charges, as the handlers repeat profiles.
+    repeats = draw(st.lists(st.integers(0, len(charges) - 1), max_size=20))
+    charges += [charges[index] for index in repeats]
+    return charges, draw(st.permutations(charges))
+
+
+def _charge_all(charges):
+    simulator = ThroughputSimulator(NicConfig(), 1472)
+    for kind, fn_name, *args in charges:
+        if kind == "profile":
+            simulator._charge(fn_name, _POOL[args[0]], args[1])
+        elif kind == "transient":
+            simulator._charge(fn_name, OpProfile(args[0], args[0] / 4, args[0] / 8),
+                              transient=True)
+        else:
+            simulator._charges.spin(fn_name, args[0])
+    simulator._charges.fold()
+    return simulator._charges.sums
+
+
+class TestExactStatistics:
+    @settings(max_examples=100, deadline=None)
+    @given(_charges())
+    def test_charge_order_leaves_integer_sums_identical(self, orders):
+        first, second = (_charge_all(charges) for charges in orders)
+        assert first.functions == second.functions
+        assert first.run == second.run
+        assert first.spin_ps == second.spin_ps
+        assert all(type(term) is int for sums in first.functions.values() for term in sums)
+
+    def test_a_fold_within_an_epoch_moves_no_sum(self):
+        pool = [("profile", "send_frame", 0, None), ("spin", "send_locking", 123_457),
+                ("profile", "recv_frame", 5, 17 * 0.55), ("spin", "send_locking", 99_001)]
+        whole = _charge_all(pool)
+        simulator = ThroughputSimulator(NicConfig(), 1472)
+        for kind, fn_name, *args in pool:
+            if kind == "profile":
+                simulator._charge(fn_name, _POOL[args[0]], args[1])
+            else:
+                simulator._charges.spin(fn_name, args[0])
+            simulator._charges.fold()
+        assert simulator._charges.sums.functions == whole.functions
+        assert simulator._charges.sums.run == whole.run
+
+    @pytest.mark.parametrize("name", [
+        "checksum-assist",
+        "checksum-firmware",
+        "checksum-firmware-software",
+        "task-level",
+        "task-level-software",
+        "software-faults-rss",
+        "imix-bursty-1core-software",
+        "18B-6x200MHz",
+    ])
+    def test_window_statistics_equal_exact_sums(self, name, monkeypatch):
+        """Every measured-window statistic is within 1e-9 relative of the
+        exact sum of its charges' float terms: no charge is dropped or
+        folded twice, at an epoch or at a reader."""
+        from collections import defaultdict
+        from fractions import Fraction
+
+        from repro.cpu.costmodel import ChargeTable
+
+        log = {"measuring": False, "functions": defaultdict(lambda: [Fraction(0)] * 5),
+               "run": [Fraction(0)] * 6}
+
+        def record(fn_name, profile, table, wait_ps=0, period=1):
+            terms = [Fraction(term) for term in table.model.cost(profile, table.wait)]
+            loads, stores = Fraction(profile.loads), Fraction(profile.stores)
+            sums = log["functions"][fn_name]
+            for index, value in enumerate((Fraction(profile.instructions), loads, stores,
+                                           sum(terms), Fraction(wait_ps, period))):
+                sums[index] += value
+            for index, value in enumerate(terms + [loads + stores]):
+                log["run"][index] += value
+
+        charge = ThroughputSimulator._charge
+        spin = ChargeTable.spin
+        snapshot = ThroughputSimulator._snapshot
+
+        def logged_charge(simulator, fn_name, profile, factor=None, frames=0, transient=False):
+            if log["measuring"]:
+                scaled = profile if factor is None else profile.scaled(factor)
+                record(fn_name, scaled, simulator._charges)
+            return charge(simulator, fn_name, profile, factor, frames, transient)
+
+        def logged_spin(table, fn_name, wait_ps):
+            if log["measuring"]:
+                record(fn_name, table._spin_profile(wait_ps), table, wait_ps,
+                       log["simulator"].core_clock.period_ps)
+            return spin(table, fn_name, wait_ps)
+
+        def opening_snapshot(simulator):
+            log["measuring"], log["simulator"] = True, simulator
+            return snapshot(simulator)
+
+        monkeypatch.setattr(ThroughputSimulator, "_charge", logged_charge)
+        monkeypatch.setattr(ChargeTable, "spin", logged_spin)
+        monkeypatch.setattr(ThroughputSimulator, "_snapshot", opening_snapshot)
+        # Both ends of the window fall inside a 50 us contention epoch,
+        # so the readers' folds find charges pending.
+        _, result = _unpinned_run(name, warmup_s=0.123e-3, measure_s=0.354e-3)
+
+        def close(got, exact):
+            assert abs(Fraction(got) - exact) <= abs(exact) * Fraction(1, 10**9), (got, float(exact))
+
+        for fn_name, stats in result.function_stats.items():
+            exact = log["functions"][fn_name]
+            for value, expected in zip((stats.instructions, stats.loads, stats.stores,
+                                        stats.cycles, stats.lock_wait_cycles), exact):
+                close(value, expected)
+        totals = result.cost_totals
+        for value, expected in zip((totals.execution_cycles, totals.imiss_cycles,
+                                    totals.load_cycles, totals.conflict_cycles,
+                                    totals.pipeline_cycles), log["run"]):
+            close(value, expected)
+        close(totals.instructions, log["run"][0])
+        assert abs(result.scratchpad_core_accesses - log["run"][5]) < 1 + log["run"][5] / 10**9
