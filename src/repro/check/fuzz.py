@@ -128,25 +128,10 @@ def run_monitored(spec) -> Tuple[object, InvariantMonitor, Dict[str, object]]:
     on failure — the caller decides whether that is a fuzz finding or a
     test failure.
     """
-    from repro.nic.throughput import ThroughputSimulator
+    from repro.exp.runner import build_simulator
 
     monitor = InvariantMonitor()
-    if spec.fabric_spec is not None:
-        from repro.fabric import FabricSimulator
-
-        simulator = FabricSimulator(
-            spec.config, spec.fabric_spec, fault_plan=spec.fault_plan
-        )
-    else:
-        workload = spec.workload
-        simulator = ThroughputSimulator(
-            spec.config,
-            workload.udp_payload_bytes,
-            offered_fraction=workload.offered_fraction,
-            size_model=workload.build_size_model(),
-            rx_burst_frames=workload.rx_burst_frames,
-            fault_plan=spec.fault_plan,
-        )
+    simulator = build_simulator(spec)
     attach_monitor(simulator, monitor)
     result = simulator.run(spec.warmup_s, spec.measure_s)
     identities = verify_conservation(simulator, monitor=monitor)

@@ -47,21 +47,22 @@ def default_jobs() -> int:
 # ----------------------------------------------------------------------
 # Worker entry point (must be module-level for pickling)
 # ----------------------------------------------------------------------
-def execute_spec(spec: RunSpec):
-    """Run one point to completion; the unit of work shipped to workers."""
-    from repro.nic.throughput import ThroughputSimulator
-
-    random.seed(spec_seed(spec))
+def build_simulator(spec: RunSpec):
+    """The simulator one point runs on, built from every field of the
+    spec: a :class:`~repro.fabric.FabricSimulator` for a fabric point,
+    else a :class:`~repro.nic.throughput.ThroughputSimulator`.  The sweep
+    engine and ``repro check`` both build through here."""
     if spec.fabric_spec is not None:
         from repro.fabric import FabricSimulator
 
-        fabric = FabricSimulator(
+        return FabricSimulator(
             spec.config, spec.fabric_spec, fault_plan=spec.fault_plan,
             rss=spec.rss,
         )
-        return fabric.run(spec.warmup_s, spec.measure_s)
+    from repro.nic.throughput import ThroughputSimulator
+
     workload = spec.workload
-    simulator = ThroughputSimulator(
+    return ThroughputSimulator(
         spec.config,
         workload.udp_payload_bytes,
         offered_fraction=workload.offered_fraction,
@@ -70,7 +71,12 @@ def execute_spec(spec: RunSpec):
         fault_plan=spec.fault_plan,
         rss=spec.rss,
     )
-    return simulator.run(spec.warmup_s, spec.measure_s)
+
+
+def execute_spec(spec: RunSpec):
+    """Run one point to completion; the unit of work shipped to workers."""
+    random.seed(spec_seed(spec))
+    return build_simulator(spec).run(spec.warmup_s, spec.measure_s)
 
 
 def _execute_keyed(item):

@@ -348,6 +348,21 @@ class TestFuzz:
         assert monitor.ok
         assert identities and all(identities.values())
 
+    def test_run_monitored_runs_the_specs_rss_host(self):
+        # run_monitored builds through the sweep engine's builder, so a
+        # spec's RssSpec reaches the simulator and its ring identities
+        # are checked.
+        from repro.exp.spec import RunSpec, WorkloadSpec
+        from repro.host.rss import RssSpec
+
+        spec = RunSpec(config=NicConfig(), workload=WorkloadSpec(udp_payload_bytes=18),
+                       warmup_s=0.0, measure_s=0.1e-3, rss=RssSpec(rings=4))
+        result, monitor, identities = run_monitored(spec)
+        assert result.rss is not None
+        assert len(result.rss["per_ring"]) == 4
+        assert identities["rss.ring0.rx_conservation"]
+        assert monitor.ok and all(identities.values())
+
     def test_shrink_transforms_apply(self):
         index = next(
             i for i in range(64)
