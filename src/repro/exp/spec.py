@@ -30,6 +30,7 @@ from repro.host.rss import RssSpec
 from repro.net.workload import ConstantSize, FrameSizeModel, ImixSize
 from repro.nic.config import NicConfig
 from repro.nic.throughput import check_window
+from repro.units import check_int_fields
 
 #: Bump when the meaning of cached results changes in a way the
 #: automatic constant-hashing below cannot see (e.g. a simulator
@@ -139,6 +140,7 @@ class WorkloadSpec:
     rx_burst_frames: int = 1
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.kind not in ("constant", "imix"):
             raise ValueError(f"workload kind must be constant/imix, got {self.kind!r}")
         # The simulator checks these too; checking here rejects a bad

@@ -33,6 +33,7 @@ from typing import Optional, Sequence, Tuple
 from repro.net.ethernet import MAX_UDP_PAYLOAD_BYTES, MIN_UDP_PAYLOAD_BYTES
 from repro.fabric.topology import TopologySpec
 from repro.qos.spec import QosSpec
+from repro.units import check_int_fields
 
 
 def _check_payload(value: int, what: str) -> None:
@@ -72,6 +73,7 @@ class RpcFlowSpec:
     DESCRIBE_OMIT_DEFAULTS = ("qos_class",)
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         _check_payload(self.request_payload_bytes, "request payload")
         _check_payload(self.response_payload_bytes, "response payload")
         if self.concurrency < 1:
@@ -105,6 +107,7 @@ class StreamFlowSpec:
     DESCRIBE_OMIT_DEFAULTS = ("qos_class",)
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         _check_payload(self.udp_payload_bytes, "stream payload")
         if not 0.0 < self.offered_fraction <= 1.0:
             raise ValueError("stream offered_fraction must be in (0, 1]")
@@ -152,6 +155,7 @@ class FabricSpec:
     DESCRIBE_OMIT_DEFAULTS = ("qos", "topology")
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.nics < 1:
             raise ValueError("fabric needs at least one NIC")
         if self.propagation_delay_ps < 0 or self.switch_latency_ps < 0:

@@ -26,6 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.units import check_int_fields
+
 __all__ = [
     "TopologySpec",
     "TopologyRouter",
@@ -73,6 +75,7 @@ class TopologySpec:
     flow_shards: int = 8
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if not self.switches:
             raise ValueError("topology needs at least one switch")
         if len(set(self.switches)) != len(self.switches):

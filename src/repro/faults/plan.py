@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.units import check_int_fields
+
 _TWO_64 = float(2**64)
 
 
@@ -58,6 +60,7 @@ class FaultPlan:
     queue_drop_after: int = 8
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         for name in ("rx_fcs_rate", "sdram_error_rate", "pci_stall_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:

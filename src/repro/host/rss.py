@@ -42,6 +42,7 @@ from repro.check.monitor import NULL_MONITOR
 from repro.firmware.profiles import BDS_PER_SENT_FRAME
 from repro.host.descriptors import DescriptorRing
 from repro.host.driver import DriverModel, DriverStats
+from repro.units import check_int_fields
 
 #: The 40-byte key from the Microsoft RSS verification suite; used for
 #: ``hash_seed == 0`` so the implementation can be checked against the
@@ -174,6 +175,7 @@ class RssSpec:
     interrupt_ps: int = 2_500_000
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.rings < 1:
             raise ValueError(f"need at least one ring, got {self.rings}")
         if self.indirection_entries < 1:

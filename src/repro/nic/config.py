@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from repro.cpu.costmodel import CoreCostModel
 from repro.firmware.ordering import OrderingMode
 from repro.firmware.profiles import BDS_PER_SENT_FRAME, FirmwareProfiles
-from repro.units import KIB, mhz, seconds_to_ps
+from repro.units import KIB, check_int_fields, mhz, seconds_to_ps
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ class NicConfig:
     assist_accesses_per_mac_frame: int = 8
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.cores < 1:
             raise ValueError("need at least one core")
         for name in ("core_frequency_hz", "sdram_frequency_hz"):

@@ -23,6 +23,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Union
 
+from repro.units import check_int_fields
+
 _TWO_64 = float(2**64)
 
 
@@ -35,6 +37,7 @@ class RedSpec:
     max_drop_probability: float = 0.1
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.min_frames < 0:
             raise ValueError("RED min threshold must be non-negative")
         if self.max_frames <= self.min_frames:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.qos.red import RedSpec
+from repro.units import check_int_fields
 
 #: Base DRR quantum: one max-size wire frame (1538 B of link occupancy:
 #: 1518 B frame + preamble/SFD + IFG).  A class's per-round deficit
@@ -59,6 +60,7 @@ class TrafficClassSpec:
     p999_bound_us: float = 0.0
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if not self.name:
             raise ValueError("traffic class needs a non-empty name")
         if not 0 <= self.dscp <= 63:
@@ -129,6 +131,7 @@ class QosSpec:
     default_class: str = ""
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if not self.classes:
             raise ValueError("qos needs at least one traffic class")
         names = [tc.name for tc in self.classes]

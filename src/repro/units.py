@@ -9,7 +9,11 @@ unless a name says otherwise.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import operator
+from typing import Tuple
 
 PICOSECONDS_PER_SECOND = 1_000_000_000_000
 
@@ -100,3 +104,30 @@ def align_down(value: int, alignment: int) -> int:
     if alignment <= 0:
         raise ValueError(f"alignment must be positive, got {alignment}")
     return value // alignment * alignment
+
+
+@functools.lru_cache(maxsize=None)
+def _int_fields(cls: type) -> Tuple[str, ...]:
+    return tuple(
+        f.name for f in dataclasses.fields(cls) if f.type in ("int", int)
+    )
+
+
+def check_int_fields(spec) -> None:
+    """Reject a non-integer value in any ``int`` field of the dataclass
+    ``spec``; its ``__post_init__`` calls this first.
+
+    Counts, sizes, seeds and picosecond delays are exact integers in the
+    simulator, so a field annotated ``int`` must hold a value
+    :func:`operator.index` accepts.  A float is refused even when it is
+    whole (``seed=1.0`` would seed a different fault stream from
+    ``seed=1``), and so is NaN.  The message names the field.
+    """
+    for name in _int_fields(type(spec)):
+        value = getattr(spec, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(
+                f"{type(spec).__name__}.{name} must be an integer, got {value!r}"
+            ) from None
