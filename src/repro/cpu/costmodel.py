@@ -37,13 +37,16 @@ STAT_TERMS = (
 )
 
 
-def nano_terms(instructions: float, loads: float, stores: float,
-               cost: CostTerms) -> Tuple[int, ...]:
-    """A charge's :data:`STAT_TERMS`, each float rounded once to
-    :data:`NANO` units."""
+_NO_TERMS = (0,) * len(STAT_TERMS)
+
+
+def nano_terms(profile, cost: CostTerms) -> Tuple[int, ...]:
+    """The :data:`STAT_TERMS` of one charge of ``profile`` whose Table 3
+    terms are ``cost``, each float rounded once to :data:`NANO` units."""
     execution, imiss, load, conflict, pipeline = (round(term * 1e9) for term in cost)
     return (
-        round(instructions * 1e9), round(loads * 1e9), round(stores * 1e9),
+        round(profile.instructions * 1e9), round(profile.loads * 1e9),
+        round(profile.stores * 1e9),
         execution, imiss, load, conflict, pipeline,
         execution + imiss + load + conflict + pipeline,
     )
@@ -387,23 +390,17 @@ class ChargeTable:
         """Entry of ``profile`` at the current wait, not kept.
 
         A checksum profile is built per batch, so its entry would never
-        be looked up again: such a transient charge comes straight here
-        and is added with :meth:`add`.
+        be looked up again: such a transient charge comes straight here,
+        and the caller adds its terms to :attr:`sums` at once.
         """
         cost = self.model.cost(profile, self._wait)
         execution, imiss, load, conflict, pipeline = cost
-        loads = profile.loads
-        stores = profile.stores
         return ChargeEntry(
             execution + imiss + load + conflict + pipeline,
-            loads + stores,
-            nano_terms(profile.instructions, loads, stores, cost),
+            profile.loads + profile.stores,
+            nano_terms(profile, cost),
             defaultdict(int),
         )
-
-    def add(self, fn_name: str, entry: ChargeEntry) -> None:
-        """Add one charge of an entry :meth:`compute` made to the sums."""
-        self.sums.add(fn_name, 1, entry.terms)
 
     def spin(self, fn_name: str, wait_ps: int) -> Tuple[float, float]:
         """Charge a lock spin of ``wait_ps`` picoseconds to a function.
@@ -440,14 +437,7 @@ class ChargeTable:
             folded_ps, folded = self._spins_folded.get(fn_name, (0, _NO_TERMS))
             if wait_ps == folded_ps:
                 continue
-            profile = self._spin_profile(wait_ps)
-            terms = nano_terms(
-                profile.instructions, profile.loads, profile.stores,
-                self.model.cost(profile, self._wait),
-            )
+            terms = self.compute(self._spin_profile(wait_ps)).terms
             sums.add(fn_name, 1, tuple(now - before for now, before in zip(terms, folded)))
             sums.spin_ps[fn_name] = sums.spin_ps.get(fn_name, 0) + wait_ps - folded_ps
             self._spins_folded[fn_name] = (wait_ps, terms)
-
-
-_NO_TERMS = (0,) * len(STAT_TERMS)

@@ -89,7 +89,9 @@ class FunctionStats:
     Counts, total cycles, lock waits, invocations and frames per
     function.  The Table 3 split of cycles into execution, imiss, load,
     conflict and pipeline is kept per run, in
-    :attr:`ThroughputResult.cost_totals`.
+    :attr:`ThroughputResult.cost_totals`.  A running simulator's
+    ``fn`` records count only invocations and frames; the other fields
+    come from the charge table's exact sums when a result is built.
     """
 
     instructions: float = 0.0
@@ -657,7 +659,7 @@ class ThroughputSimulator:
         charges = self._charges
         if transient:
             entry = charges.compute(profile)
-            charges.add(fn_name, entry)
+            charges.sums.add(fn_name, 1, entry.terms)
         else:
             entry = charges.lookup(profile, factor)
             entry.counts[fn_name] += 1
@@ -1594,8 +1596,10 @@ class ThroughputSimulator:
         Names follow the ``kind.name`` convention of
         :meth:`repro.sim.stats.StatRegistry.snapshot` (histogram
         summaries come straight from the registry), so the Prometheus
-        formatter types counters correctly.  Reading is side-effect
-        free — safe for the :class:`~repro.obs.metrics.MetricsSampler`.
+        formatter types counters correctly.  Reading changes no
+        simulated state — safe for the
+        :class:`~repro.obs.metrics.MetricsSampler`: it folds pending
+        charges into the statistics, which moves no sum.
         """
         self._charges.fold()
         values = self.stats.snapshot()
