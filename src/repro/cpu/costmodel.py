@@ -25,8 +25,8 @@ CostTerms = Tuple[float, float, float, float, float]
 #: access or a cycle).  Integer sums are exact, so a statistic does not
 #: depend on the order its charges were summed in.  The unit is fine
 #: enough that converting each term once moves a run's smallest reported
-#: share (a conflict share near 0.001) by well under 1e-9 relative;
-#: 10**-6 moved it by ~1e-7.
+#: share (a conflict share near 0.001) by well under 1e-9 relative; at
+#: 10**-6 a prototype moved it by ~1e-7.
 NANO = 10**9
 
 #: The integer terms of one charge, in :data:`NANO` units, in this order.
