@@ -100,6 +100,21 @@ def _run_throughput_software():
     return ThroughputSimulator(config, 1472).run(WARMUP_S, MEASURE_S)
 
 
+def _run_throughput_software_offepoch():
+    from repro.firmware.ordering import OrderingMode
+    from repro.nic.throughput import ThroughputSimulator
+
+    # Its own window, not the corpus's: 0.123 + 0.354 ms ends both the
+    # warmup and the measurement inside a 50 us contention epoch, so
+    # the readers' folds of the pending epoch charges (`_snapshot`,
+    # `_build_result`) are pinned.  Every other window here is a whole
+    # number of epochs, and those folds find nothing pending.
+    config = dataclasses.replace(
+        _config(), ordering_mode=OrderingMode.SOFTWARE
+    )
+    return ThroughputSimulator(config, 1472).run(0.123e-3, 0.354e-3)
+
+
 def _run_throughput_imix_bursty():
     from repro.net.workload import ImixSize
     from repro.nic.throughput import ThroughputSimulator
@@ -318,6 +333,7 @@ def golden_specs() -> Dict[str, Callable]:
     return {
         "throughput-rmw": _run_throughput,
         "throughput-software": _run_throughput_software,
+        "throughput-software-offepoch": _run_throughput_software_offepoch,
         "throughput-imix-bursty": _run_throughput_imix_bursty,
         "throughput-rss": _run_throughput_rss,
         "throughput-faulted": _run_faulted,
