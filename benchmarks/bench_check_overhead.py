@@ -4,92 +4,32 @@ The conformance layer's contract (docs/validation.md) is that a run
 without a monitor attached pays essentially nothing for the hook
 sites: every site is ``if self.monitor.enabled:`` against the shared
 ``NULL_MONITOR`` null object — the same pattern (and budget) as the
-tracer's.  This benchmark measures the same experiment with the
-default null monitor, an explicitly attached ``NULL_MONITOR``, and an
-armed ``InvariantMonitor``, and asserts the disabled-path overhead
-stays under 2% wall time.
-
-Measured like ``bench_tracer_overhead``: alternating repetitions,
-best-of (minimum is the least-noise estimator for a deterministic
-workload), threshold on the ratio of minima.
+tracer's.  The guard counts those gates on one run of the guarded
+workload (``benchmarks/_gates.py``) and asserts two bounds: no
+null-monitor method is called, and the gates' estimated cost stays
+under 2% of the bare run's time per kernel event.  A failure names the
+calling sites.
 """
 
 from __future__ import annotations
 
-import gc
-import time
-
+from benchmarks import _gates
 from benchmarks._helpers import emit, run_once
-from repro.check import NULL_MONITOR, InvariantMonitor, attach_monitor
-from repro.nic import NicConfig
-from repro.nic.throughput import ThroughputSimulator
-from repro.units import mhz
-
-# The guarded pair (default vs explicit NULL_MONITOR) runs identical code,
-# so a failure is pure noise.  Many short alternating runs resolve the
-# 2% bound; longer windows do not, because they catch more of a shared
-# host's 0.1-2 s slow bursts.
-REPS = 30
-WARMUP_S = 0.05e-3
-MEASURE_S = 0.25e-3
-MAX_NULL_OVERHEAD = 0.02  # 2%
-
-
-def _run_experiment(monitor=None):
-    config = NicConfig(cores=2, core_frequency_hz=mhz(133))
-    simulator = ThroughputSimulator(config, 1472)
-    if monitor is not None:
-        attach_monitor(simulator, monitor)
-    result = simulator.run(warmup_s=WARMUP_S, measure_s=MEASURE_S)
-    return result, simulator
-
-
-def _time_run(monitor=None) -> float:
-    # A finished simulator holds reference cycles, so the cyclic
-    # collector frees it.  Collect the previous run's garbage (the
-    # armed monitor's is large) here, not inside the next variant's timing.
-    gc.collect()
-    started = time.perf_counter()
-    _run_experiment(monitor=monitor)
-    return time.perf_counter() - started
-
-
-def _measure_overhead():
-    # One untimed run first to warm caches and interpreter state.
-    _run_experiment()
-    baseline, nulled, armed = [], [], []
-    for _ in range(REPS):
-        # Alternate variants to spread slow-host drift evenly.
-        baseline.append(_time_run(monitor=None))
-        nulled.append(_time_run(monitor=NULL_MONITOR))
-        armed.append(_time_run(monitor=InvariantMonitor()))
-    return min(baseline), min(nulled), min(armed)
+from repro.check import InvariantMonitor, attach_monitor
 
 
 def test_null_monitor_overhead_under_two_percent(benchmark):
-    base_s, null_s, armed_s = run_once(benchmark, _measure_overhead)
-    overhead = null_s / base_s - 1.0
-    armed_overhead = armed_s / base_s - 1.0
-    emit(
-        "Disabled-monitor overhead guard\n"
-        f"  no monitor (default):   {base_s * 1e3:8.2f} ms\n"
-        f"  explicit NULL_MONITOR:  {null_s * 1e3:8.2f} ms "
-        f"({overhead:+.2%})\n"
-        f"  armed InvariantMonitor: {armed_s * 1e3:8.2f} ms "
-        f"({armed_overhead:+.2%}, informational)\n"
-        f"  guard threshold:        <{MAX_NULL_OVERHEAD:.0%}"
-    )
-    # The default path and the explicit NULL_MONITOR path are the same
-    # object, so this bounds the cost of every `monitor.enabled` gate.
-    assert overhead < MAX_NULL_OVERHEAD, (
-        f"null monitor added {overhead:.2%} wall time "
-        f"(limit {MAX_NULL_OVERHEAD:.0%}): {null_s:.4f}s vs {base_s:.4f}s"
-    )
+    counts, costs = run_once(benchmark, _gates.measure)
+    emit(_gates.report("monitor", counts, costs))
+    failures = _gates.budget_failures("monitor", counts, costs)
+    assert not failures, "\n".join(failures)
     # Sanity: the armed monitor actually checks (guard is not vacuous),
     # and the monitored run is numerically identical to the bare run.
     monitor = InvariantMonitor()
-    armed_result, _sim = _run_experiment(monitor=monitor)
-    bare_result, _sim = _run_experiment()
+    armed = _gates.guarded_simulator()
+    attach_monitor(armed, monitor)
+    armed_result = _gates.run_guarded(armed)
+    bare_result = _gates.run_guarded(_gates.guarded_simulator())
     assert monitor.total_checks() > 0, "armed monitor checked nothing"
     assert monitor.ok, monitor.violations
     assert armed_result.to_dict() == bare_result.to_dict(), (

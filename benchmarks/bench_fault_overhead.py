@@ -4,86 +4,31 @@ The fault-injection layer's contract (docs/faults.md) is that a run
 without an *enabled* :class:`~repro.faults.FaultPlan` never attaches a
 :class:`~repro.faults.FaultInjector`: every hook is a single
 ``self.faults is not None`` / ``self.injector is not None`` check, and
-the simulation is byte-identical to a pre-fault-layer build.  This
-benchmark measures the same experiment with no plan and with an
-explicit all-zero (disabled) plan, and asserts the disabled-path
-overhead stays under 2% wall time.  An enabled plan is timed too, as
-an informational line (faults legitimately cost work).
-
-Wall-clock measurements on shared CI hosts are noisy, so the guard is
-measured carefully: several alternating repetitions, best-of (the
-minimum is the least-noise estimator for a deterministic workload),
-and the threshold is asserted on the ratio of the minima.
+the simulation is byte-identical to a pre-fault-layer build.  The guard
+counts those checks on one run of the guarded workload with a line
+tracer (``benchmarks/_gates.py``) and asserts that their estimated cost
+stays under 2% of the bare run's time per kernel event.  A failure
+names the calling sites.
 """
 
 from __future__ import annotations
 
-import time
-
+from benchmarks import _gates
 from benchmarks._helpers import emit, run_once
 from repro.faults import FaultPlan
-from repro.nic import NicConfig
-from repro.nic.throughput import ThroughputSimulator
-from repro.units import mhz
-
-REPS = 5
-WARMUP_S = 0.05e-3
-MEASURE_S = 0.25e-3
-MAX_DISABLED_OVERHEAD = 0.02  # 2%
-
-_DISABLED_PLAN = FaultPlan()  # all rates zero => never attaches
-_ENABLED_PLAN = FaultPlan(rx_fcs_rate=0.01, sdram_error_rate=0.002,
-                          pci_stall_rate=0.001)
-
-
-def _run_experiment(fault_plan=None):
-    config = NicConfig(cores=2, core_frequency_hz=mhz(133))
-    simulator = ThroughputSimulator(config, 1472, fault_plan=fault_plan)
-    return simulator.run(warmup_s=WARMUP_S, measure_s=MEASURE_S)
-
-
-def _time_run(fault_plan=None) -> float:
-    started = time.perf_counter()
-    _run_experiment(fault_plan=fault_plan)
-    return time.perf_counter() - started
-
-
-def _measure_overhead():
-    # One untimed run first to warm caches and interpreter state.
-    _run_experiment()
-    baseline, disabled, enabled = [], [], []
-    for _ in range(REPS):
-        # Alternate variants to spread slow-host drift evenly.
-        baseline.append(_time_run(fault_plan=None))
-        disabled.append(_time_run(fault_plan=_DISABLED_PLAN))
-        enabled.append(_time_run(fault_plan=_ENABLED_PLAN))
-    return min(baseline), min(disabled), min(enabled)
 
 
 def test_disabled_fault_plan_overhead_under_two_percent(benchmark):
-    base_s, disabled_s, enabled_s = run_once(benchmark, _measure_overhead)
-    overhead = disabled_s / base_s - 1.0
-    enabled_overhead = enabled_s / base_s - 1.0
-    emit(
-        "Fault-layer overhead guard\n"
-        f"  no plan (default):     {base_s * 1e3:8.2f} ms\n"
-        f"  disabled FaultPlan():  {disabled_s * 1e3:8.2f} ms "
-        f"({overhead:+.2%})\n"
-        f"  enabled plan:          {enabled_s * 1e3:8.2f} ms "
-        f"({enabled_overhead:+.2%}, informational)\n"
-        f"  guard threshold:       <{MAX_DISABLED_OVERHEAD:.0%}"
-    )
-    assert overhead < MAX_DISABLED_OVERHEAD, (
-        f"disabled fault plan added {overhead:.2%} wall time "
-        f"(limit {MAX_DISABLED_OVERHEAD:.0%}): "
-        f"{disabled_s:.4f}s vs {base_s:.4f}s"
-    )
+    counts, costs = run_once(benchmark, _gates.measure)
+    emit(_gates.report("faults", counts, costs))
+    failures = _gates.budget_failures("faults", counts, costs)
+    assert not failures, "\n".join(failures)
     # Sanity both ways: a disabled plan must not attach the layer, an
     # enabled one must actually inject (the guard is not vacuous).
-    config = NicConfig(cores=2, core_frequency_hz=mhz(133))
-    assert ThroughputSimulator(config, 1472,
-                               fault_plan=_DISABLED_PLAN).faults is None
-    simulator = ThroughputSimulator(config, 1472, fault_plan=_ENABLED_PLAN)
-    simulator.run(warmup_s=WARMUP_S, measure_s=MEASURE_S)
+    assert _gates.guarded_simulator(fault_plan=FaultPlan()).faults is None
+    simulator = _gates.guarded_simulator(fault_plan=FaultPlan(
+        rx_fcs_rate=0.01, sdram_error_rate=0.002, pci_stall_rate=0.001,
+    ))
+    _gates.run_guarded(simulator)
     assert simulator.faults is not None
     assert any(simulator.faults.counters.values()), "enabled plan injected nothing"

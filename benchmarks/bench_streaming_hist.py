@@ -4,8 +4,7 @@ The :class:`repro.obs.hist.StreamingHistogram` is the fabric's default
 latency estimator, so its ``record()`` sits on the per-delivered-frame
 hot path.  This bench measures the ingest rate over a heavy-tailed
 sample stream, checks the merged-shard path, and re-asserts the
-documented relative-error bound end to end — the qualitative shape the
-observatory trajectory tracks.
+documented relative-error bound end to end.
 """
 
 from __future__ import annotations

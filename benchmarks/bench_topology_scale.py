@@ -1,12 +1,12 @@
 """Endpoints-vs-wallclock scaling of the composed-topology fabric.
 
-The ISSUE 10 tentpole's performance claim is architectural, not
+The composed-topology fabric's performance claim is architectural, not
 constant-factor: per-link ports are lazily materialized, flow state is
 sharded, and routes are memoized per flow tuple, so wall time grows
 near-linearly in offered frames — not in ``endpoints x flows``.  This
 bench drives the :class:`~repro.fabric.scale.ScaleFabric` harness at
-three fabric sizes with a proportional flow population and records the
-curve as a trajectory point (``repro bench --compare`` guards it).
+three fabric sizes with a proportional flow population and prints the
+curve.
 
 Assertions are qualitative shape, not absolute speed:
 

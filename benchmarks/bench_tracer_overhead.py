@@ -2,86 +2,27 @@
 
 The telemetry layer's contract (docs/observability.md) is that a run
 without a tracer attached pays essentially nothing for the
-instrumentation sites: every site is a single attribute check against
-the shared ``NULL_TRACER`` null object.  This benchmark measures the
-same experiment with and without an explicit null tracer and asserts
-the disabled-path overhead stays under 2% wall time.
-
-Wall-clock measurements on shared CI hosts are noisy, so the guard is
-measured carefully: several alternating repetitions, best-of (the
-minimum is the least-noise estimator for a deterministic workload),
-and the threshold is asserted on the ratio of the minima.
+instrumentation sites: every site is a single ``tracer.enabled`` check
+against the shared ``NULL_TRACER`` null object.  The guard counts those
+gates on one run of the guarded workload (``benchmarks/_gates.py``)
+and asserts two bounds: no null-tracer method is called, and the
+gates' estimated cost stays under 2% of the bare run's time per kernel
+event.  A failure names the calling sites.
 """
 
 from __future__ import annotations
 
-import gc
-import time
-
+from benchmarks import _gates
 from benchmarks._helpers import emit, run_once
-from repro.nic import NicConfig
-from repro.nic.throughput import ThroughputSimulator
-from repro.obs import NULL_TRACER, Tracer
-from repro.units import mhz
-
-# The guarded pair (default vs explicit NULL_TRACER) runs identical code,
-# so a failure is pure noise.  Many short alternating runs resolve the
-# 2% bound; longer windows do not, because they catch more of a shared
-# host's 0.1-2 s slow bursts.
-REPS = 30
-WARMUP_S = 0.05e-3
-MEASURE_S = 0.25e-3
-MAX_NULL_OVERHEAD = 0.02  # 2%
-
-
-def _run_experiment(tracer=None):
-    config = NicConfig(cores=2, core_frequency_hz=mhz(133))
-    simulator = ThroughputSimulator(config, 1472, tracer=tracer)
-    return simulator.run(warmup_s=WARMUP_S, measure_s=MEASURE_S)
-
-
-def _time_run(tracer=None) -> float:
-    # A finished simulator holds reference cycles, so the cyclic
-    # collector frees it.  Collect the previous run's garbage (the
-    # tracer's is large) here, not inside the next variant's timing.
-    gc.collect()
-    started = time.perf_counter()
-    _run_experiment(tracer=tracer)
-    return time.perf_counter() - started
-
-
-def _measure_overhead():
-    # One untimed run first to warm caches and interpreter state.
-    _run_experiment()
-    baseline, nulled, traced = [], [], []
-    for _ in range(REPS):
-        # Alternate variants to spread slow-host drift evenly.
-        baseline.append(_time_run(tracer=None))
-        nulled.append(_time_run(tracer=NULL_TRACER))
-        traced.append(_time_run(tracer=Tracer()))
-    return min(baseline), min(nulled), min(traced)
+from repro.obs import Tracer
 
 
 def test_null_tracer_overhead_under_two_percent(benchmark):
-    base_s, null_s, traced_s = run_once(benchmark, _measure_overhead)
-    overhead = null_s / base_s - 1.0
-    enabled_overhead = traced_s / base_s - 1.0
-    emit(
-        "Null-tracer overhead guard\n"
-        f"  no tracer (default):   {base_s * 1e3:8.2f} ms\n"
-        f"  explicit NULL_TRACER:  {null_s * 1e3:8.2f} ms "
-        f"({overhead:+.2%})\n"
-        f"  enabled Tracer():      {traced_s * 1e3:8.2f} ms "
-        f"({enabled_overhead:+.2%}, informational)\n"
-        f"  guard threshold:       <{MAX_NULL_OVERHEAD:.0%}"
-    )
-    # The default path and the explicit NULL_TRACER path are the same
-    # object, so this bounds the cost of every `tracer.enabled` gate.
-    assert overhead < MAX_NULL_OVERHEAD, (
-        f"null tracer added {overhead:.2%} wall time "
-        f"(limit {MAX_NULL_OVERHEAD:.0%}): {null_s:.4f}s vs {base_s:.4f}s"
-    )
+    counts, costs = run_once(benchmark, _gates.measure)
+    emit(_gates.report("tracer", counts, costs))
+    failures = _gates.budget_failures("tracer", counts, costs)
+    assert not failures, "\n".join(failures)
     # Sanity: the enabled tracer actually records (guard is not vacuous).
     tracer = Tracer()
-    _run_experiment(tracer=tracer)
+    _gates.run_guarded(_gates.guarded_simulator(tracer=tracer))
     assert tracer.events, "enabled tracer recorded nothing"

@@ -11,7 +11,7 @@ Subcommands::
     repro rss      host-interface ablation: paper single ring vs multi-queue RSS
     repro report   regenerate the paper's whole evaluation
     repro check    conformance: oracles, golden corpus, fuzz, replay
-    repro bench    benchmark observatory: run benches, emit/compare BENCH JSON
+    repro bench    run the bench modules once each for their shape assertions
     repro asm      assemble and run a MIPS firmware file
     repro ilp      IPC-limit analysis of a firmware trace
 
@@ -392,41 +392,19 @@ def _add_check_parser(subparsers) -> None:
 def _add_bench_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "bench",
-        help="benchmark observatory: run benchmarks/bench_*.py, emit "
-             "BENCH_<name>.json, compare trajectory points "
-             "(docs/observability.md)",
+        help="run benchmarks/bench_*.py once each for their shape "
+             "assertions (docs/observability.md)",
     )
     parser.add_argument("--bench-dir", type=str, default="benchmarks",
                         metavar="DIR",
                         help="directory holding bench_*.py modules "
                              "(default: ./benchmarks)")
-    parser.add_argument("--out-dir", type=str, default="bench-results",
-                        metavar="DIR",
-                        help="where BENCH_<name>.json reports are written")
-    parser.add_argument("--quick", action="store_true",
-                        help="run only the fast overhead/perf subset "
-                             "(suitable for per-PR CI)")
     parser.add_argument("--only", type=str, nargs="+", default=[],
                         metavar="SUBSTR",
                         help="run only benches whose module name contains "
                              "one of these substrings")
-    parser.add_argument("--rounds", type=int, default=None, metavar="K",
-                        help="rounds per benchmark function for median-of-k "
-                             "(default: 3 full, 2 with --quick)")
     parser.add_argument("--list", action="store_true", dest="listing",
                         help="list discovered benches and exit")
-    parser.add_argument("--compare", type=str, nargs=2, default=None,
-                        metavar=("OLD", "NEW"),
-                        help="compare two trajectory points (BENCH_*.json "
-                             "files or directories of them) and exit "
-                             "nonzero on regression; no benches are run")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="default relative regression tolerance for "
-                             "--compare (default: 0.25; per-metric "
-                             "tolerances in the reports take precedence)")
-    parser.add_argument("--stat", choices=["median", "min"], default="median",
-                        help="which statistic --compare diffs "
-                             "(default: median, the noise-aware choice)")
 
 
 def _add_asm_parser(subparsers) -> None:
@@ -1368,54 +1346,24 @@ def _run_checks(args, golden_path, golden_mod, write_digest) -> bool:
 def _cmd_bench(args) -> int:
     from repro.obs import bench as bench_mod
 
-    # -- compare two trajectory points and exit ----------------------------
-    if args.compare:
-        old_path, new_path = args.compare
-        try:
-            comparison = bench_mod.compare_reports(
-                old_path,
-                new_path,
-                tolerance=(bench_mod.DEFAULT_TOLERANCE
-                           if args.tolerance is None else args.tolerance),
-                stat=f"{args.stat}_s",
-            )
-        except (OSError, ValueError) as error:
-            print(f"bench compare failed: {error}", file=sys.stderr)
-            return 2
-        print(comparison.summary())
-        return 0 if comparison.ok else 1
-
     try:
-        names = bench_mod.select_benches(
-            args.bench_dir, quick=args.quick, only=args.only
-        )
+        names = bench_mod.select_benches(args.bench_dir, only=args.only)
     except (OSError, ValueError) as error:
         print(f"bench discovery failed: {error}", file=sys.stderr)
         return 2
     if args.listing:
-        for name in names:
-            marker = "quick" if name in bench_mod.QUICK_BENCHES else "full"
-            print(f"{name}  [{marker}]")
+        print("\n".join(names))
         return 0
 
-    rounds = args.rounds
-    if rounds is None:
-        rounds = 2 if args.quick else bench_mod.DEFAULT_ROUNDS
     failed = False
     for name in names:
         print(f"bench {name} ...", file=sys.stderr, flush=True)
-        report = bench_mod.run_bench(
-            name, args.bench_dir, rounds=rounds, progress=sys.stderr
-        )
-        path = bench_mod.write_report(report, args.out_dir)
-        status = "ok" if report.ok else "FAILED"
-        print(f"  {status}: {len(report.functions)} metrics, "
-              f"{report.wall_s:.1f}s -> {path}", file=sys.stderr)
-        for record in report.functions.values():
-            if record.status == "failed":
-                print(f"    {record.name}: {record.error}", file=sys.stderr)
+        for function, error in bench_mod.run_bench(name, args.bench_dir):
+            if error:
+                print(f"  FAILED {function}: {error}", file=sys.stderr)
                 failed = True
-    print(f"bench: {len(names)} modules -> {args.out_dir}", file=sys.stderr)
+    print(f"bench: {len(names)} modules, "
+          f"{'some FAILED' if failed else 'all passed'}", file=sys.stderr)
     return 1 if failed else 0
 
 

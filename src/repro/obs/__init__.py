@@ -19,10 +19,8 @@ code:
 * :class:`StreamingHistogram` (:mod:`repro.obs.hist`) — mergeable,
   bounded-memory quantile sketches with a documented relative-error
   bound, the default latency estimator of the fabric;
-* :mod:`repro.obs.bench` — the benchmark observatory: discovers
-  ``benchmarks/bench_*.py``, emits structured ``BENCH_<name>.json``
-  trajectory points and compares two runs with noise-aware
-  thresholds (``repro bench`` / ``repro bench --compare``).
+* :mod:`repro.obs.bench` — runs every ``benchmarks/bench_*.py`` module
+  once outside pytest, for its shape assertions (``repro bench``).
 """
 
 from repro.obs.hist import (

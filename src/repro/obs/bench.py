@@ -1,491 +1,103 @@
-"""The benchmark observatory: structured perf trajectory for the repo.
+"""Run the ``benchmarks/bench_*.py`` modules for their shape assertions.
 
-The repo has ~25 ``benchmarks/bench_*.py`` modules, but until this
-layer existed their numbers evaporated into pytest's console output —
-there was no machine-readable performance trajectory, so "make the hot
-path 10x faster" (ROADMAP item 1) had no baseline to be judged against.
-This module closes the loop:
+Every bench module regenerates one of the paper's tables or figures (or
+guards a disabled path) and asserts the qualitative shape it should
+have.  ``repro bench`` runs them without pytest: :func:`discover` finds
+the modules, :func:`run_bench` imports one and calls each benchmark
+function once with :class:`RunOnce` standing in for the
+pytest-benchmark fixture, and reports the functions that raised.
 
-* :func:`discover` finds every ``benchmarks/bench_*.py`` module;
-* :func:`run_bench` imports one and executes its benchmark functions
-  under a lightweight pytest-benchmark-compatible timer
-  (:class:`BenchTimer` supports the ``benchmark(fn, *args)`` and
-  ``benchmark.pedantic(...)`` idioms the suite uses), collecting
-  median-of-k wall-time samples per function;
-* :func:`write_report` emits one ``BENCH_<name>.json`` per module —
-  metric values with units, plus an environment fingerprint (python,
-  platform, CPU count, git sha, timestamp) so a trajectory point is
-  interpretable months later;
-* :func:`compare_reports` diffs two trajectory points with
-  *noise-aware* thresholds — medians compared under a per-metric
-  relative tolerance (modules can widen theirs via a
-  ``BENCH_TOLERANCE`` dict) — and reports regressions, which the CLI
-  (``repro bench --compare OLD NEW``) turns into a nonzero exit code.
-
-Wall-clock on shared CI hosts is noisy; the defaults (median of k
-rounds, 25% tolerance) follow the calibration of the existing
-``bench_tracer_overhead`` guard.  For deterministic workloads the
-minimum is the least-noise estimator, so both are recorded and
-``--stat min`` selects it.
+Nothing here times anything.  The simulator's one perf ledger is
+``simbench/``, compared across commits by ``scripts/simbench_pairs.py``;
+``pytest benchmarks/ --benchmark-only`` still times every bench module
+through pytest-benchmark.
 """
 
 from __future__ import annotations
 
 import importlib
-import json
+import inspect
 import os
-import platform
-import statistics
-import subprocess
 import sys
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-#: Schema version of the BENCH_*.json files.
-BENCH_SCHEMA = 1
-
-#: File-name pattern of emitted trajectory points.
-REPORT_PREFIX = "BENCH_"
-
-#: Default relative tolerance for regression detection (see module
-#: docstring for the noise rationale).
-DEFAULT_TOLERANCE = 0.25
-
-#: Default rounds per benchmark function (median-of-k).  ``pedantic``
-#: calls — the "measurement, not microbenchmark" idiom — keep their
-#: explicitly requested round count.
-DEFAULT_ROUNDS = 3
-
-#: The fast subset: modules cheap enough for a per-PR CI job.  These
-#: are the simulator/overhead benches (the perf-trajectory core); the
-#: paper table/figure regenerations stay full-mode only.
-QUICK_BENCHES = (
-    "bench_simulator_performance",
-    "bench_tracer_overhead",
-    "bench_fault_overhead",
-    "bench_check_overhead",
-    "bench_fabric_overhead",
-    "bench_streaming_hist",
-    "bench_qos_isolation",
-    "bench_topology_scale",
-)
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
-# ----------------------------------------------------------------------
-# The pytest-benchmark-compatible timer
-# ----------------------------------------------------------------------
-class BenchTimer:
-    """Stand-in for the pytest-benchmark fixture, recording wall times.
+class RunOnce:
+    """Stand-in for the pytest-benchmark fixture: runs the function once.
 
-    Supports the two idioms the suite uses::
+    Supports the two idioms the suite uses, and returns the function's
+    result so the benches' shape assertions run against real output::
 
-        result = benchmark(fn, *args)                  # timed k rounds
+        result = benchmark(fn, *args)
         result = benchmark.pedantic(fn, args=..., kwargs=...,
                                     rounds=1, iterations=1)
-
-    Returns the last round's result so the benches' own shape
-    assertions still run against real output.
     """
 
-    def __init__(self, rounds: int = DEFAULT_ROUNDS) -> None:
-        self.default_rounds = max(1, rounds)
-        self.samples_s: List[float] = []
-
-    def _measure(
-        self,
-        function: Callable,
-        args: tuple,
-        kwargs: dict,
-        rounds: int,
-        iterations: int,
-    ):
-        result = None
-        for _round in range(rounds):
-            started = time.perf_counter()
-            for _iteration in range(iterations):
-                result = function(*args, **kwargs)
-            elapsed = time.perf_counter() - started
-            self.samples_s.append(elapsed / max(1, iterations))
-        return result
-
     def __call__(self, function: Callable, *args, **kwargs):
-        return self._measure(function, args, kwargs, self.default_rounds, 1)
+        return function(*args, **kwargs)
 
-    def pedantic(
-        self,
-        function: Callable,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        rounds: int = 1,
-        iterations: int = 1,
-        warmup_rounds: int = 0,
-    ):
-        for _ in range(warmup_rounds):
-            function(*args, **(kwargs or {}))
-        return self._measure(
-            function, tuple(args), dict(kwargs or {}), max(1, rounds),
-            max(1, iterations),
-        )
+    def pedantic(self, function: Callable, args: tuple = (),
+                 kwargs: Optional[dict] = None, **_timing):
+        return function(*args, **(kwargs or {}))
 
 
-# ----------------------------------------------------------------------
-# Environment fingerprint
-# ----------------------------------------------------------------------
-def git_sha(cwd: Optional[str] = None) -> str:
-    """Current commit sha, or ``"unknown"`` outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
-
-
-def env_fingerprint(repo_dir: Optional[str] = None) -> Dict[str, object]:
-    """Who/where/when of a trajectory point, for later interpretation."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count() or 1,
-        "git_sha": git_sha(repo_dir),
-        "timestamp": time.time(),
-    }
-
-
-# ----------------------------------------------------------------------
-# Discovery and execution
-# ----------------------------------------------------------------------
 def discover(bench_dir: str) -> List[str]:
     """Sorted ``bench_*`` module names found in ``bench_dir``."""
     if not os.path.isdir(bench_dir):
         raise FileNotFoundError(f"benchmark directory not found: {bench_dir}")
-    names = []
-    for entry in sorted(os.listdir(bench_dir)):
-        if entry.startswith("bench_") and entry.endswith(".py"):
-            names.append(entry[: -len(".py")])
-    return names
+    return [
+        entry[: -len(".py")]
+        for entry in sorted(os.listdir(bench_dir))
+        if entry.startswith("bench_") and entry.endswith(".py")
+    ]
 
 
-def bench_label(module_name: str) -> str:
-    """``bench_tracer_overhead`` -> ``tracer_overhead``."""
-    return module_name[len("bench_"):] if module_name.startswith("bench_") else module_name
-
-
-@dataclass
-class FunctionRecord:
-    """One benchmark function's measured samples."""
-
-    name: str
-    status: str = "ok"             # "ok" | "failed" | "skipped"
-    error: str = ""
-    samples_s: List[float] = field(default_factory=list)
-    tolerance: Optional[float] = None
-
-    @property
-    def min_s(self) -> float:
-        return min(self.samples_s) if self.samples_s else 0.0
-
-    @property
-    def median_s(self) -> float:
-        return statistics.median(self.samples_s) if self.samples_s else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "status": self.status,
-            "unit": "s",
-            "direction": "lower",
-            "rounds": len(self.samples_s),
-            "samples_s": self.samples_s,
-            "min_s": self.min_s,
-            "median_s": self.median_s,
-            "mean_s": (
-                sum(self.samples_s) / len(self.samples_s)
-                if self.samples_s else 0.0
-            ),
-        }
-        if self.error:
-            out["error"] = self.error
-        if self.tolerance is not None:
-            out["tolerance"] = self.tolerance
-        return out
-
-
-@dataclass
-class BenchReport:
-    """One module's trajectory point."""
-
-    bench: str
-    module: str
-    wall_s: float
-    env: Dict[str, object]
-    functions: Dict[str, FunctionRecord]
-
-    @property
-    def ok(self) -> bool:
-        return all(f.status != "failed" for f in self.functions.values())
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": BENCH_SCHEMA,
-            "bench": self.bench,
-            "module": self.module,
-            "wall_s": self.wall_s,
-            "env": dict(self.env),
-            "functions": {
-                name: record.to_dict()
-                for name, record in sorted(self.functions.items())
-            },
-        }
+def select_benches(bench_dir: str, only: Sequence[str] = ()) -> List[str]:
+    """Module names to run: all, or those containing one of ``only``."""
+    names = discover(bench_dir)
+    if not only:
+        return names
+    picked = [name for name in names if any(token in name for token in only)]
+    if not picked:
+        raise ValueError(
+            f"no benchmark matches {list(only)} in {bench_dir} "
+            f"(available: {', '.join(names)})"
+        )
+    return picked
 
 
 def _benchmark_functions(module) -> List[Tuple[str, Callable]]:
     """Benchmark entry points: ``test_*``/``bench_*`` callables whose
     only parameter is the ``benchmark`` fixture."""
-    import inspect
-
     found = []
     for name in sorted(vars(module)):
         if not (name.startswith("test_") or name.startswith("bench_")):
             continue
         function = getattr(module, name)
-        if not callable(function) or not inspect.isfunction(function):
+        if not inspect.isfunction(function):
             continue
-        parameters = list(inspect.signature(function).parameters)
-        if parameters == ["benchmark"]:
+        if list(inspect.signature(function).parameters) == ["benchmark"]:
             found.append((name, function))
     return found
 
 
-def run_bench(
-    module_name: str,
-    bench_dir: str,
-    rounds: int = DEFAULT_ROUNDS,
-    progress=None,
-) -> BenchReport:
-    """Import one bench module and execute its benchmark functions."""
+def run_bench(module_name: str, bench_dir: str) -> List[Tuple[str, str]]:
+    """Import one bench module and run each benchmark function once.
+
+    Returns ``(function name, error)`` for every function, with an
+    empty error for one that passed.
+    """
     parent = os.path.dirname(os.path.abspath(bench_dir))
     if parent not in sys.path:
         sys.path.insert(0, parent)
     package = os.path.basename(os.path.abspath(bench_dir))
-    started = time.perf_counter()
     module = importlib.import_module(f"{package}.{module_name}")
-    tolerances = getattr(module, "BENCH_TOLERANCE", {}) or {}
-    functions: Dict[str, FunctionRecord] = {}
+    outcomes = []
     for name, function in _benchmark_functions(module):
-        if progress is not None:
-            print(f"  {module_name}::{name} ...", file=progress, flush=True)
-        timer = BenchTimer(rounds=rounds)
-        record = FunctionRecord(name=name, tolerance=tolerances.get(name))
         try:
-            function(timer)
+            function(RunOnce())
         except Exception as error:  # keep the run going; report the failure
-            record.status = "failed"
-            record.error = f"{type(error).__name__}: {error}"
-        record.samples_s = timer.samples_s
-        functions[name] = record
-    return BenchReport(
-        bench=bench_label(module_name),
-        module=f"{package}.{module_name}",
-        wall_s=time.perf_counter() - started,
-        env=env_fingerprint(parent),
-        functions=functions,
-    )
-
-
-# ----------------------------------------------------------------------
-# Report I/O
-# ----------------------------------------------------------------------
-def report_path(out_dir: str, bench: str) -> str:
-    return os.path.join(out_dir, f"{REPORT_PREFIX}{bench}.json")
-
-
-def write_report(report: BenchReport, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = report_path(out_dir, report.bench)
-    with open(path, "w") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_report(path: str) -> Dict[str, object]:
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path}: not valid bench JSON ({error})") from error
-    if data.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported bench schema {data.get('schema')!r} "
-            f"(expected {BENCH_SCHEMA})"
-        )
-    return data
-
-
-def _collect_reports(path: str) -> Dict[str, Dict[str, object]]:
-    """``path`` may be one BENCH_*.json file or a directory of them."""
-    if os.path.isdir(path):
-        reports = {}
-        for entry in sorted(os.listdir(path)):
-            if entry.startswith(REPORT_PREFIX) and entry.endswith(".json"):
-                data = load_report(os.path.join(path, entry))
-                reports[str(data["bench"])] = data
-        if not reports:
-            raise FileNotFoundError(f"no {REPORT_PREFIX}*.json files in {path}")
-        return reports
-    data = load_report(path)
-    return {str(data["bench"]): data}
-
-
-# ----------------------------------------------------------------------
-# Comparison (the regression gate)
-# ----------------------------------------------------------------------
-@dataclass
-class MetricDelta:
-    """One metric's old-vs-new comparison."""
-
-    metric: str                    # "<bench>::<function>"
-    old_s: float
-    new_s: float
-    tolerance: float
-    verdict: str                   # "ok" | "regression" | "improvement"
-
-    @property
-    def ratio(self) -> float:
-        return self.new_s / self.old_s if self.old_s else float("inf")
-
-    def line(self) -> str:
-        arrow = {"regression": "▲", "improvement": "▼", "ok": " "}[self.verdict]
-        return (
-            f"{arrow} {self.metric}: {self.old_s:.4f}s -> {self.new_s:.4f}s "
-            f"({self.ratio - 1.0:+.1%}, tolerance ±{self.tolerance:.0%})"
-        )
-
-
-@dataclass
-class CompareResult:
-    deltas: List[MetricDelta]
-    missing_old: List[str]
-    missing_new: List[str]
-
-    @property
-    def regressions(self) -> List[MetricDelta]:
-        return [d for d in self.deltas if d.verdict == "regression"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def summary(self) -> str:
-        lines = [
-            f"bench compare: {len(self.deltas)} metrics, "
-            f"{len(self.regressions)} regressions"
-        ]
-        for delta in self.deltas:
-            if delta.verdict != "ok":
-                lines.append("  " + delta.line())
-        for metric in self.missing_old:
-            lines.append(f"  ? {metric}: only in NEW (no baseline)")
-        for metric in self.missing_new:
-            lines.append(f"  ? {metric}: only in OLD (dropped)")
-        return "\n".join(lines)
-
-
-def compare_reports(
-    old_path: str,
-    new_path: str,
-    tolerance: float = DEFAULT_TOLERANCE,
-    stat: str = "median_s",
-) -> CompareResult:
-    """Diff two trajectory points (files or directories of files).
-
-    A metric regresses when ``new > old * (1 + tol)`` with ``tol`` the
-    per-metric tolerance recorded in the report (a module's
-    ``BENCH_TOLERANCE``) or the given default.  Improvements beyond the
-    same band are reported informationally; metrics present on only one
-    side are noted, never failures (benches come and go).
-    """
-    if stat not in ("median_s", "min_s"):
-        raise ValueError(f"stat must be median_s or min_s, got {stat!r}")
-    old_reports = _collect_reports(old_path)
-    new_reports = _collect_reports(new_path)
-    deltas: List[MetricDelta] = []
-    missing_old: List[str] = []
-    missing_new: List[str] = []
-    for bench, new_report in sorted(new_reports.items()):
-        old_report = old_reports.get(bench)
-        new_functions = dict(new_report.get("functions", {}))
-        if old_report is None:
-            missing_old.extend(f"{bench}::{name}" for name in sorted(new_functions))
-            continue
-        old_functions = dict(old_report.get("functions", {}))
-        for name, new_record in sorted(new_functions.items()):
-            metric = f"{bench}::{name}"
-            old_record = old_functions.get(name)
-            if old_record is None:
-                missing_old.append(metric)
-                continue
-            if (new_record.get("status") != "ok"
-                    or old_record.get("status") != "ok"):
-                continue
-            old_value = float(old_record.get(stat, 0.0))
-            new_value = float(new_record.get(stat, 0.0))
-            if old_value <= 0.0:
-                continue
-            allowed = new_record.get("tolerance")
-            if allowed is None:
-                allowed = old_record.get("tolerance")
-            allowed = tolerance if allowed is None else float(allowed)
-            ratio = new_value / old_value
-            if ratio > 1.0 + allowed:
-                verdict = "regression"
-            elif ratio < 1.0 - allowed:
-                verdict = "improvement"
-            else:
-                verdict = "ok"
-            deltas.append(
-                MetricDelta(metric, old_value, new_value, allowed, verdict)
-            )
-        for name in sorted(old_functions):
-            if name not in new_functions:
-                missing_new.append(f"{bench}::{name}")
-    for bench, old_report in sorted(old_reports.items()):
-        if bench not in new_reports:
-            missing_new.extend(
-                f"{bench}::{name}"
-                for name in sorted(dict(old_report.get("functions", {})))
-            )
-    return CompareResult(deltas, missing_old, missing_new)
-
-
-# ----------------------------------------------------------------------
-# Selection helpers for the CLI
-# ----------------------------------------------------------------------
-def select_benches(
-    bench_dir: str,
-    quick: bool = False,
-    only: Sequence[str] = (),
-) -> List[str]:
-    """Module names to run: all, the quick subset, or substring picks."""
-    names = discover(bench_dir)
-    if only:
-        picked = [
-            name for name in names
-            if any(token in name for token in only)
-        ]
-        if not picked:
-            raise ValueError(
-                f"no benchmark matches {list(only)} in {bench_dir} "
-                f"(available: {', '.join(names)})"
-            )
-        return picked
-    if quick:
-        return [name for name in names if name in QUICK_BENCHES]
-    return names
+            outcomes.append((name, f"{type(error).__name__}: {error}"))
+        else:
+            outcomes.append((name, ""))
+    return outcomes

@@ -1,31 +1,19 @@
-"""Tests for the benchmark observatory (`repro.obs.bench`).
+"""Tests for the bench runner (`repro.obs.bench`, `repro bench`).
 
-Exercises the pytest-benchmark-compatible timer shim, discovery of
-``bench_*.py`` modules, structured BENCH_<name>.json emission (schema,
-env fingerprint), and the noise-aware regression comparator — including
-the acceptance gate that an injected synthetic regression is flagged
-with a nonzero exit through the CLI.
+Exercises discovery of ``bench_*.py`` modules, the ``--only`` and
+``--list`` selections, the run-once stand-in for the pytest-benchmark
+fixture, and the exit status: 1 when a bench's assertion fails, 2 when
+discovery does.
 """
 
-import json
+import importlib
 import os
 import textwrap
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs.bench import (
-    BENCH_SCHEMA,
-    BenchTimer,
-    QUICK_BENCHES,
-    compare_reports,
-    discover,
-    env_fingerprint,
-    load_report,
-    run_bench,
-    select_benches,
-    write_report,
-)
+from repro.obs.bench import discover, run_bench, select_benches
 
 REPO_BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -40,23 +28,23 @@ def _make_bench_dir(tmp_path, name, body):
 
 
 TINY_BENCH = """
-    BENCH_TOLERANCE = {"test_widened": 0.75}
+    CALLS = []
 
-    def _work():
+    def _work(tag):
+        CALLS.append(tag)
         return sum(range(2000))
 
     def test_direct_call(benchmark):
-        result = benchmark(_work)
+        result = benchmark(_work, "direct")
         assert result == sum(range(2000))
 
     def test_pedantic_call(benchmark):
-        benchmark.pedantic(_work, rounds=2, iterations=1)
-
-    def test_widened(benchmark):
-        benchmark(_work)
+        result = benchmark.pedantic(_work, args=("pedantic",), rounds=2,
+                                    iterations=3)
+        assert result == sum(range(2000))
 
     def test_boom(benchmark):
-        benchmark(_work)
+        benchmark(_work, "boom")
         raise AssertionError("shape check failed")
 
     def not_a_bench():
@@ -67,22 +55,6 @@ TINY_BENCH = """
 """
 
 
-class TestBenchTimer:
-    def test_call_records_default_rounds_and_returns_result(self):
-        timer = BenchTimer(rounds=4)
-        result = timer(lambda value: value * 2, 21)
-        assert result == 42
-        assert len(timer.samples_s) == 4
-        assert all(sample >= 0.0 for sample in timer.samples_s)
-
-    def test_pedantic_honors_rounds_and_iterations(self):
-        timer = BenchTimer(rounds=9)
-        calls = []
-        timer.pedantic(calls.append, args=(1,), rounds=2, iterations=3)
-        assert len(calls) == 6
-        assert len(timer.samples_s) == 2
-
-
 class TestDiscovery:
     def test_discovers_repo_benches(self):
         names = discover(REPO_BENCH_DIR)
@@ -90,13 +62,6 @@ class TestDiscovery:
         assert "bench_streaming_hist" in names
         assert all(name.startswith("bench_") for name in names)
         assert names == sorted(names)
-
-    def test_quick_subset_names_exist(self):
-        names = set(discover(REPO_BENCH_DIR))
-        missing = [name for name in QUICK_BENCHES if name not in names]
-        assert not missing, f"QUICK_BENCHES lists unknown modules: {missing}"
-        quick = select_benches(REPO_BENCH_DIR, quick=True)
-        assert set(quick) == set(QUICK_BENCHES)
 
     def test_only_filter(self):
         picked = select_benches(REPO_BENCH_DIR, only=["tracer"])
@@ -109,143 +74,36 @@ class TestDiscovery:
             discover("/no/such/dir")
 
 
-class TestRunAndEmit:
-    def test_run_writes_valid_report(self, tmp_path):
+class TestRunOnce:
+    def test_each_entry_point_runs_once(self, tmp_path):
         bench_dir = _make_bench_dir(tmp_path, "obsbench_run", TINY_BENCH)
-        report = run_bench("bench_tiny", bench_dir, rounds=3)
-        assert report.bench == "tiny"
-        assert not report.ok  # test_boom failed
+        outcomes = dict(run_bench("bench_tiny", bench_dir))
         # Only single-parameter `benchmark` functions are entry points.
-        assert set(report.functions) == {
-            "test_direct_call", "test_pedantic_call", "test_widened",
-            "test_boom",
-        }
-        assert report.functions["test_direct_call"].status == "ok"
-        assert len(report.functions["test_direct_call"].samples_s) == 3
-        assert len(report.functions["test_pedantic_call"].samples_s) == 2
-        assert report.functions["test_widened"].tolerance == 0.75
-        boom = report.functions["test_boom"]
-        assert boom.status == "failed"
-        assert "shape check failed" in boom.error
-
-        path = write_report(report, str(tmp_path / "out"))
-        assert os.path.basename(path) == "BENCH_tiny.json"
-        data = load_report(path)
-        assert data["schema"] == BENCH_SCHEMA
-        env = data["env"]
-        for key in ("python", "platform", "cpu_count", "git_sha", "timestamp"):
-            assert key in env, key
-        record = data["functions"]["test_direct_call"]
-        assert record["unit"] == "s"
-        assert record["median_s"] >= record["min_s"] >= 0.0
-        assert record["rounds"] == 3
-
-    def test_env_fingerprint_git_sha(self):
-        repo_root = os.path.dirname(REPO_BENCH_DIR)
-        sha = env_fingerprint(repo_root)["git_sha"]
-        assert sha == "unknown" or len(str(sha)) == 40
-
-    def test_load_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({"schema": 99, "bench": "x"}))
-        with pytest.raises(ValueError, match="unsupported bench schema"):
-            load_report(str(path))
-
-
-def _fake_report(tmp_path, directory, values, tolerance=None):
-    """Write a synthetic BENCH_fake.json with the given median seconds."""
-    out_dir = tmp_path / directory
-    out_dir.mkdir(exist_ok=True)
-    functions = {}
-    for name, median in values.items():
-        record = {
-            "status": "ok", "unit": "s", "direction": "lower",
-            "rounds": 3, "samples_s": [median] * 3,
-            "min_s": median, "median_s": median, "mean_s": median,
-        }
-        if tolerance and name in tolerance:
-            record["tolerance"] = tolerance[name]
-        functions[name] = record
-    payload = {
-        "schema": BENCH_SCHEMA, "bench": "fake", "module": "x.bench_fake",
-        "wall_s": 1.0, "env": {}, "functions": functions,
-    }
-    path = out_dir / "BENCH_fake.json"
-    path.write_text(json.dumps(payload))
-    return str(out_dir)
-
-
-class TestCompare:
-    def test_identical_reports_pass(self, tmp_path):
-        old = _fake_report(tmp_path, "old", {"t": 1.0})
-        comparison = compare_reports(old, old)
-        assert comparison.ok
-        assert comparison.deltas[0].verdict == "ok"
-
-    def test_regression_flagged_beyond_tolerance(self, tmp_path):
-        old = _fake_report(tmp_path, "old", {"t": 1.0})
-        new = _fake_report(tmp_path, "new", {"t": 1.5})
-        comparison = compare_reports(old, new, tolerance=0.25)
-        assert not comparison.ok
-        assert comparison.regressions[0].metric == "fake::t"
-        assert "regression" in comparison.summary() or "▲" in comparison.summary()
-        # Within tolerance: fine.
-        assert compare_reports(old, new, tolerance=0.6).ok
-
-    def test_improvement_is_not_a_failure(self, tmp_path):
-        old = _fake_report(tmp_path, "old", {"t": 1.0})
-        new = _fake_report(tmp_path, "new", {"t": 0.5})
-        comparison = compare_reports(old, new)
-        assert comparison.ok
-        assert comparison.deltas[0].verdict == "improvement"
-
-    def test_per_metric_tolerance_overrides_default(self, tmp_path):
-        old = _fake_report(tmp_path, "old", {"t": 1.0}, tolerance={"t": 2.0})
-        new = _fake_report(tmp_path, "new", {"t": 2.5}, tolerance={"t": 2.0})
-        # +150% but the metric allows +200%.
-        assert compare_reports(old, new, tolerance=0.25).ok
-
-    def test_missing_metrics_are_noted_not_failed(self, tmp_path):
-        old = _fake_report(tmp_path, "old", {"gone": 1.0})
-        new = _fake_report(tmp_path, "new", {"added": 1.0})
-        comparison = compare_reports(old, new)
-        assert comparison.ok
-        assert "fake::added" in comparison.missing_old
-        assert "fake::gone" in comparison.missing_new
-
-    def test_min_stat_selection(self, tmp_path):
-        old = _fake_report(tmp_path, "old", {"t": 1.0})
-        new = _fake_report(tmp_path, "new", {"t": 1.5})
-        assert not compare_reports(old, new, stat="min_s").ok
-        with pytest.raises(ValueError):
-            compare_reports(old, new, stat="mean_s")
+        assert set(outcomes) == {"test_direct_call", "test_pedantic_call",
+                                 "test_boom"}
+        assert outcomes["test_direct_call"] == ""
+        assert outcomes["test_pedantic_call"] == ""
+        assert outcomes["test_boom"] == "AssertionError: shape check failed"
+        module = importlib.import_module("obsbench_run.bench_tiny")
+        assert sorted(module.CALLS) == ["boom", "direct", "pedantic"]
 
 
 class TestBenchCli:
     def test_list_exits_zero(self, capsys):
         assert cli_main(["bench", "--bench-dir", REPO_BENCH_DIR, "--list"]) == 0
         out = capsys.readouterr().out
-        assert "bench_tracer_overhead" in out
-        assert "[quick]" in out
+        assert out.split() == discover(REPO_BENCH_DIR)
 
-    def test_compare_exit_codes(self, tmp_path, capsys):
-        old = _fake_report(tmp_path, "old", {"t": 1.0})
-        new = _fake_report(tmp_path, "new", {"t": 3.0})
-        assert cli_main(["bench", "--compare", old, old]) == 0
-        # The acceptance gate: a synthetic regression yields exit 1.
-        assert cli_main(["bench", "--compare", old, new]) == 1
-        assert "regressions" in capsys.readouterr().out
-        # Loosening the default tolerance clears it.
-        assert cli_main(["bench", "--compare", old, new,
-                         "--tolerance", "5.0"]) == 0
-        # Unreadable inputs are a usage error, not a crash.
-        assert cli_main(["bench", "--compare", "/no/old", "/no/new"]) == 2
-
-    def test_run_tiny_bench_end_to_end(self, tmp_path):
+    def test_run_tiny_bench_end_to_end(self, tmp_path, capsys):
         bench_dir = _make_bench_dir(tmp_path, "obsbench_cli", TINY_BENCH)
-        out_dir = str(tmp_path / "results")
-        code = cli_main(["bench", "--bench-dir", bench_dir,
-                         "--out-dir", out_dir, "--rounds", "2"])
+        code = cli_main(["bench", "--bench-dir", bench_dir])
         assert code == 1  # test_boom fails
-        data = load_report(os.path.join(out_dir, "BENCH_tiny.json"))
-        assert data["functions"]["test_direct_call"]["rounds"] == 2
+        err = capsys.readouterr().err
+        assert "FAILED test_boom: AssertionError: shape check failed" in err
+        assert "test_direct_call" not in err
+        assert cli_main(["bench", "--bench-dir", bench_dir,
+                         "--only", "tiny", "--list"]) == 0
+        assert cli_main(["bench", "--bench-dir", bench_dir,
+                         "--only", "nothing"]) == 2
+        assert cli_main(["bench", "--bench-dir",
+                         str(tmp_path / "absent")]) == 2
