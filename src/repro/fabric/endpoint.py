@@ -323,14 +323,3 @@ class NicEndpoint(ThroughputSimulator):
         frame = self._rx_frames.pop(seq)
         self.rx_sizes.release(seq)  # the commit pass read it last
         self.fabric.frame_delivered(frame, now_ps)
-
-    # ==================================================================
-    # Accounting fixes for flow-driven sequence semantics
-    # ==================================================================
-    def _outstanding_frames(self) -> int:
-        # MAC drops never consumed sequence numbers here, so the base
-        # ``- _rx_dropped`` correction would double-count them.
-        return (
-            (self.driver._next_send_seq - self._tx_done_frames)
-            + (self.mac_rx._next_seq - self.board_rx.commit_seq)
-        )

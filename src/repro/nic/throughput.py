@@ -1549,15 +1549,13 @@ class ThroughputSimulator:
     # Contention feedback
     # ==================================================================
     def _outstanding_frames(self) -> int:
-        """Outstanding-frame population for the contention sampler.
-
-        Subclasses with different sequence-number semantics (e.g. the
-        fabric endpoint, where MAC drops do not consume sequence
-        numbers) override this.
-        """
+        """Outstanding-frame population for the contention sampler:
+        sends posted but not done, plus receives accepted by the MAC
+        but not committed.  Counting accepted frames, not sequence
+        numbers, holds whether or not the MAC numbers its tail drops."""
         return (
             (self.driver._next_send_seq - self._tx_done_frames)
-            + (self.mac_rx._next_seq - self.board_rx.commit_seq - self._rx_dropped)
+            + (self.mac_rx.frames_accepted - self.board_rx.commit_seq)
         )
 
     def _update_contention(self) -> None:
