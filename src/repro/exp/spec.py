@@ -43,7 +43,11 @@ from repro.units import check_int_fields
 #: imem bandwidth of single-NIC results differ (by ~1e-10 relative) from
 #: v2's float sums; no constant changed, so only this bump keeps a warm
 #: cache from serving v2 statistics beside v3 ones.
-CACHE_SCHEMA_VERSION = 3
+#: v4: the implicit FIFO switch resolves a frame's hop when the frame
+#: reaches the switch, as a one-switch topology does, not when it is
+#: transmitted, so its ports serve arrival order and its fabric results
+#: change with no constant changing.
+CACHE_SCHEMA_VERSION = 4
 
 
 # ----------------------------------------------------------------------

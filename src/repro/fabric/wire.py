@@ -46,13 +46,6 @@ destination NIC's ``switch_tail_drops`` fault counter (tail drops,
 when that NIC carries a fault injector), and is reported to its flow
 as a loss.
 
-One shim: the implicit FIFO switch resolves its single hop inside
-:meth:`FabricWire.transmit`, not at the frame's arrival at the switch.
-Its port contention order is therefore *transmit* order — a short
-frame that reaches the switch first still queues behind a long frame
-transmitted before it — where a one-switch topology serves arrival
-order.  The golden ``fabric-rpc-switched`` digest pins that order.
-
 All arithmetic is integer picoseconds, so two identically configured
 runs are byte-identical.
 """
@@ -196,18 +189,9 @@ class FabricWire:
         if self.monitor.enabled:
             self.monitor.wire_injected(self, src, frame.dst)
         route = self.route_ports(frame.flow, src, frame.dst)
-        spec = self.spec
         if not route:
-            self._deliver(frame, wire.wire_start_ps + spec.propagation_delay_ps,
+            self._deliver(frame, wire.wire_start_ps + self.spec.propagation_delay_ps,
                           wire.wire_start_ps)
-        elif self.router is None and self.qos is None:
-            # The shim: the implicit FIFO switch resolves its one hop
-            # now, at transmit time, so its ports serve frames in
-            # transmit order rather than arrival order.  The golden
-            # ``fabric-rpc-switched`` digest pins that order.
-            ready_ps = (wire.wire_end_ps + spec.propagation_delay_ps
-                        + spec.switch_latency_ps)
-            self._fifo_hop(frame, route, 0, ready_ps, wire.wire_start_ps)
         else:
             self._fly(frame, route, 0, wire.wire_end_ps, wire.wire_start_ps)
 

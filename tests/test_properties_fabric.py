@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the fabric wire/switch model.
 
 These drive :class:`repro.fabric.wire.FabricWire` directly against a
-stub fabric (no NIC endpoints, no kernel) so hypothesis can explore
-thousands of frame schedules per second.  Properties:
+stub fabric on the real event kernel (no NIC endpoints), so hypothesis
+can explore thousands of frame schedules per second.  Properties:
 
 * conservation: ``injected == delivered + switch_tail_drops`` on every
   schedule, and direct links never drop;
@@ -23,10 +23,11 @@ from repro.fabric.flows import FabricFrame
 from repro.fabric.spec import FabricSpec
 from repro.fabric.wire import FabricWire
 from repro.net.ethernet import EthernetTiming
+from repro.sim.kernel import Simulator
 
 
 # ----------------------------------------------------------------------
-# Stub fabric: records scheduling/arrival/loss instead of simulating
+# Stub fabric: records arrivals and losses instead of simulating NICs
 # ----------------------------------------------------------------------
 class _StubEndpoint:
     faults = None
@@ -42,18 +43,10 @@ class _StubTracer:
     enabled = False
 
 
-class _StubSim:
-    def __init__(self) -> None:
-        self.pending = []
-
-    def schedule_at(self, when_ps, callback):
-        self.pending.append(callback)
-
-
 class _StubFabric:
     def __init__(self, spec) -> None:
         self.endpoints = [_StubEndpoint() for _ in range(spec.nics)]
-        self.sim = _StubSim()
+        self.sim = Simulator()
         self.tracer = _StubTracer()
         self.timing = EthernetTiming()
         self.lost = []
@@ -62,15 +55,8 @@ class _StubFabric:
         self.lost.append((frame, now_ps, reason))
 
     def drain(self):
-        # Transmits happen in global wire_start order, so executing the
-        # deferred callbacks in schedule order preserves per-link and
-        # per-port delivery order (what the kernel's stable heap does).
-        for callback in self.pending_callbacks():
-            callback()
-
-    def pending_callbacks(self):
-        drained, self.sim.pending = self.sim.pending, []
-        return drained
+        # Every hop and delivery the wire scheduled, in time order.
+        self.sim.run()
 
 
 # ----------------------------------------------------------------------
