@@ -5,10 +5,11 @@ without an *enabled* :class:`~repro.faults.FaultPlan` never attaches a
 :class:`~repro.faults.FaultInjector`: every hook is a single
 ``self.faults is not None`` / ``self.injector is not None`` check, and
 the simulation is byte-identical to a pre-fault-layer build.  The guard
-counts those checks on one run of the guarded workload with a line
-tracer (``benchmarks/_gates.py``) and asserts that their estimated cost
-stays under 2% of the bare run's time per kernel event.  A failure
-names the calling sites.
+counts those checks on one run of each guarded workload with a line
+tracer (``benchmarks/_gates.py``: one NIC at line rate, and a
+leaf-spine QoS fabric) and asserts that their estimated cost stays
+under 2% of that workload's bare run time per kernel event.  A failure
+names the workload and the calling sites.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from repro.faults import FaultPlan
 
 
 def test_disabled_fault_plan_overhead_under_two_percent(benchmark):
-    counts, costs = run_once(benchmark, _gates.measure)
-    emit(_gates.report("faults", counts, costs))
-    failures = _gates.budget_failures("faults", counts, costs)
+    measured = run_once(benchmark, _gates.measure)
+    emit(_gates.report("faults", measured))
+    failures = _gates.budget_failures("faults", measured)
     assert not failures, "\n".join(failures)
     # Sanity both ways: a disabled plan must not attach the layer, an
     # enabled one must actually inject (the guard is not vacuous).

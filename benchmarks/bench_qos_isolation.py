@@ -61,7 +61,7 @@ def _base_spec() -> FabricSpec:
 def _run_arm(load: float):
     spec = _base_spec().with_load(load, flows=["bulk"])
     config = NicConfig(cores=4, core_frequency_hz=mhz(133))
-    simulator = FabricSimulator(config, spec, estimator="exact")
+    simulator = FabricSimulator(config, spec)
     return simulator.run(warmup_s=WARMUP_S, measure_s=MEASURE_S)
 
 

@@ -1,10 +1,11 @@
 """Streaming-histogram ingest/merge microbenchmark and accuracy guard.
 
-The :class:`repro.obs.hist.StreamingHistogram` is the fabric's default
-latency estimator, so its ``record()`` sits on the per-delivered-frame
-hot path.  This bench measures the ingest rate over a heavy-tailed
-sample stream, checks the merged-shard path, and re-asserts the
-documented relative-error bound end to end.
+The :class:`repro.obs.hist.StreamingHistogram` is the latency sketch of
+each shard of a topology fabric's flow table, so its ``record()`` sits
+on the per-delivered-frame hot path of every topology run.  This bench
+measures the ingest rate over a heavy-tailed sample stream, checks the
+merged-shard path, and re-asserts the documented relative-error bound
+end to end.
 """
 
 from __future__ import annotations

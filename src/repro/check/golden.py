@@ -160,12 +160,9 @@ def _run_faulted():
 def _run_fabric():
     from repro.fabric import FabricSimulator, FabricSpec
 
-    # estimator="exact": the corpus digests full result dicts, and only
-    # exact nearest-rank percentiles are byte-stable across estimator
-    # tuning (docs/observability.md, "Streaming quantiles").
-    return FabricSimulator(
-        _config(), FabricSpec.rpc_pair(seed=11), estimator="exact"
-    ).run(WARMUP_S, MEASURE_S)
+    return FabricSimulator(_config(), FabricSpec.rpc_pair(seed=11)).run(
+        WARMUP_S, MEASURE_S
+    )
 
 
 def _run_fabric_rss():
@@ -177,7 +174,7 @@ def _run_fabric_rss():
     # host cores.
     return FabricSimulator(
         _config(), FabricSpec.rpc_pair(concurrency=8, seed=5),
-        rss=RssSpec(rings=4, hash_seed=2), estimator="exact",
+        rss=RssSpec(rings=4, hash_seed=2),
     ).run(WARMUP_S, MEASURE_S)
 
 
@@ -194,7 +191,7 @@ def _run_fabric_faulted():
     )
     return FabricSimulator(
         _config(), FabricSpec.rpc_pair(concurrency=8, seed=3),
-        fault_plan=plan, estimator="exact",
+        fault_plan=plan,
     ).run(WARMUP_S, MEASURE_S)
 
 
@@ -204,9 +201,7 @@ def _run_fabric_switched():
     spec = dataclasses.replace(
         FabricSpec.rpc_pair(seed=3), switch=True, port_queue_frames=4
     )
-    return FabricSimulator(_config(), spec, estimator="exact").run(
-        WARMUP_S, MEASURE_S
-    )
+    return FabricSimulator(_config(), spec).run(WARMUP_S, MEASURE_S)
 
 
 def _run_fabric_qos():
@@ -235,9 +230,7 @@ def _run_fabric_qos():
         ),
     )
     config = NicConfig(cores=4, core_frequency_hz=mhz(133))
-    return FabricSimulator(config, spec, estimator="exact").run(
-        WARMUP_S, MEASURE_S
-    )
+    return FabricSimulator(config, spec).run(WARMUP_S, MEASURE_S)
 
 
 def _run_fabric_topology():
@@ -268,9 +261,7 @@ def _run_fabric_topology():
             StreamFlowSpec(src=2, dst=3, offered_fraction=0.4, name="in2"),
         ),
     )
-    return FabricSimulator(_config(), spec, estimator="exact").run(
-        WARMUP_S, MEASURE_S
-    )
+    return FabricSimulator(_config(), spec).run(WARMUP_S, MEASURE_S)
 
 
 def _run_fabric_topology_qos():
@@ -323,9 +314,7 @@ def _run_fabric_topology_qos():
         ),
     )
     config = NicConfig(cores=4, core_frequency_hz=mhz(133))
-    return FabricSimulator(config, spec, estimator="exact").run(
-        WARMUP_S, MEASURE_S
-    )
+    return FabricSimulator(config, spec).run(WARMUP_S, MEASURE_S)
 
 
 def golden_specs() -> Dict[str, Callable]:

@@ -11,7 +11,6 @@ Subcommands::
     repro rss      host-interface ablation: paper single ring vs multi-queue RSS
     repro report   regenerate the paper's whole evaluation
     repro check    conformance: oracles, golden corpus, fuzz, replay
-    repro bench    run the bench modules once each for their shape assertions
     repro asm      assemble and run a MIPS firmware file
     repro ilp      IPC-limit analysis of a firmware trace
 
@@ -71,14 +70,6 @@ def _add_output_flags(parser, csv: bool = True) -> None:
                             dest="csv_out",
                             help="write per-point sweep rows as CSV "
                                  "('-' = stdout)")
-
-
-def _add_estimator_flag(parser) -> None:
-    """``--estimator`` of the in-process ablations (:func:`_run_arms`)."""
-    parser.add_argument("--estimator", choices=["streaming", "exact"],
-                        default="exact",
-                        help="latency percentile estimator (default exact: "
-                             "the ablation's JSON is byte-compared in CI)")
 
 
 def _add_run_parser(subparsers) -> None:
@@ -201,12 +192,6 @@ def _add_fabric_parser(subparsers) -> None:
     parser.add_argument("--warmup-millis", type=float, default=0.2)
     parser.add_argument("--seed", type=int, default=0,
                         help="fabric seed (salts per-endpoint fault streams)")
-    parser.add_argument("--estimator", choices=["streaming", "exact"],
-                        default="streaming",
-                        help="latency percentile estimator: 'streaming' "
-                             "(bounded memory, documented relative-error "
-                             "bound) or 'exact' (full sample buffers; "
-                             "single-run path only)")
     # -- sweep mode -------------------------------------------------------
     parser.add_argument("--sweep-loads", type=float, nargs="+", default=[],
                         metavar="FRACTION",
@@ -258,7 +243,6 @@ def _add_qos_parser(subparsers) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="keys the RED drop decisions (same seed => "
                              "byte-identical runs)")
-    _add_estimator_flag(parser)
     _add_output_flags(parser, csv=False)
 
 
@@ -302,7 +286,6 @@ def _add_topology_parser(subparsers) -> None:
     parser.add_argument("--seed", type=int, default=17,
                         help="keys the ECMP route draws (same seed => "
                              "byte-identical runs)")
-    _add_estimator_flag(parser)
     _add_output_flags(parser, csv=False)
 
 
@@ -389,24 +372,6 @@ def _add_check_parser(subparsers) -> None:
                              "scripts/result_diff.py")
 
 
-def _add_bench_parser(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "bench",
-        help="run benchmarks/bench_*.py once each for their shape "
-             "assertions (docs/observability.md)",
-    )
-    parser.add_argument("--bench-dir", type=str, default="benchmarks",
-                        metavar="DIR",
-                        help="directory holding bench_*.py modules "
-                             "(default: ./benchmarks)")
-    parser.add_argument("--only", type=str, nargs="+", default=[],
-                        metavar="SUBSTR",
-                        help="run only benches whose module name contains "
-                             "one of these substrings")
-    parser.add_argument("--list", action="store_true", dest="listing",
-                        help="list discovered benches and exit")
-
-
 def _add_asm_parser(subparsers) -> None:
     parser = subparsers.add_parser("asm", help="assemble and run a MIPS file")
     parser.add_argument("file", help="assembly source file")
@@ -446,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rss_parser(subparsers)
     _add_report_parser(subparsers)
     _add_check_parser(subparsers)
-    _add_bench_parser(subparsers)
     _add_asm_parser(subparsers)
     _add_ilp_parser(subparsers)
     return parser
@@ -503,7 +467,7 @@ def _write_json(path: str, payload, sort_keys: bool = False) -> bool:
 
 
 # ----------------------------------------------------------------------
-# The two ways a command runs a sweep
+# Running a sweep's points through the engine
 # ----------------------------------------------------------------------
 def _run_sweep(args, sweep, render, **header) -> int:
     """Run ``sweep`` through the cached experiment engine
@@ -545,20 +509,6 @@ def _run_sweep(args, sweep, render, **header) -> int:
         file=sys.stderr,
     )
     return 0
-
-
-def _run_arms(sweep, estimator: str) -> list:
-    """Run a fabric sweep's points in this process, uncached, with the
-    chosen latency estimator.  The engine always runs the streaming
-    estimator; ``repro qos``/``topology`` default to exact so their
-    JSON is byte-stable across versions."""
-    from repro.fabric import FabricSimulator
-
-    return [
-        FabricSimulator(spec.config, spec.fabric_spec, estimator=estimator)
-        .run(warmup_s=spec.warmup_s, measure_s=spec.measure_s)
-        for spec in sweep
-    ]
 
 
 def _cmd_run(args) -> int:
@@ -799,8 +749,7 @@ def _fabric_single(args, config, spec) -> int:
         tracer = Tracer()
     with _validating():
         check_window(args.warmup_millis * 1e-3, args.millis * 1e-3)
-        fabric = FabricSimulator(config, spec, tracer=tracer,
-                                 estimator=args.estimator)
+        fabric = FabricSimulator(config, spec, tracer=tracer)
     result = fabric.run(
         warmup_s=args.warmup_millis * 1e-3, measure_s=args.millis * 1e-3
     )
@@ -893,8 +842,9 @@ def _cmd_qos(args) -> int:
     saturation the per-class queueing must keep the guaranteed tail
     inside its provisioned p999 bound while every loss (RED or tail)
     lands on best-effort — the Papaefstathiou-style guarantee this
-    subsystem exists to demonstrate.  Runs in-process,
-    deterministically for a given ``--seed``.
+    subsystem exists to demonstrate.  The arms run through the
+    experiment engine (workers and cache from ``REPRO_SWEEP_JOBS`` and
+    ``REPRO_CACHE_DIR``), deterministically for a given ``--seed``.
     """
     from repro.analysis import format_table
     from repro.exp import Sweep
@@ -930,7 +880,7 @@ def _cmd_qos(args) -> int:
             warmup_s=args.warmup_millis * 1e-3,
             measure_s=args.millis * 1e-3,
         )
-    arms = list(zip(args.loads, _run_arms(sweep, args.estimator)))
+    arms = list(zip(args.loads, sweep.run()))
 
     bound_ok = True
     rows = []
@@ -1007,6 +957,7 @@ def _cmd_topology(args) -> int:
       spine's first-hop share is within ``--spread-tolerance`` of the
       uniform share.
 
+    The arms run through the experiment engine, as ``repro qos``'s do.
     Deterministic for a given ``--seed``.
     """
     from repro.analysis import format_table
@@ -1061,7 +1012,7 @@ def _cmd_topology(args) -> int:
             warmup_s=args.warmup_millis * 1e-3,
             measure_s=args.millis * 1e-3,
         )
-    arms = list(zip(spine_counts, _run_arms(sweep, args.estimator)))
+    arms = list(zip(spine_counts, sweep.run()))
 
     ok = True
     rows = []
@@ -1343,30 +1294,6 @@ def _run_checks(args, golden_path, golden_mod, write_digest) -> bool:
     return failed
 
 
-def _cmd_bench(args) -> int:
-    from repro.obs import bench as bench_mod
-
-    try:
-        names = bench_mod.select_benches(args.bench_dir, only=args.only)
-    except (OSError, ValueError) as error:
-        print(f"bench discovery failed: {error}", file=sys.stderr)
-        return 2
-    if args.listing:
-        print("\n".join(names))
-        return 0
-
-    failed = False
-    for name in names:
-        print(f"bench {name} ...", file=sys.stderr, flush=True)
-        for function, error in bench_mod.run_bench(name, args.bench_dir):
-            if error:
-                print(f"  FAILED {function}: {error}", file=sys.stderr)
-                failed = True
-    print(f"bench: {len(names)} modules, "
-          f"{'some FAILED' if failed else 'all passed'}", file=sys.stderr)
-    return 1 if failed else 0
-
-
 def _cmd_asm(args) -> int:
     from repro.isa import assemble
     from repro.isa.debugger import Debugger
@@ -1458,7 +1385,6 @@ _COMMANDS = {
     "rss": _cmd_rss,
     "report": _cmd_report,
     "check": _cmd_check,
-    "bench": _cmd_bench,
     "asm": _cmd_asm,
     "ilp": _cmd_ilp,
 }

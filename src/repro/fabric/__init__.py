@@ -25,7 +25,6 @@ the ``repro fabric`` CLI subcommand for JSON/CSV reports.
 
 from repro.fabric.endpoint import FabricMacReceiver, NicEndpoint, RecordedSizeModel
 from repro.fabric.flows import (
-    ESTIMATORS,
     FabricFrame,
     LATENCY_SIGNIFICANT_DIGITS,
     LatencySummary,
@@ -38,7 +37,6 @@ from repro.fabric.topology import TopologyRouter, TopologySpec, ecmp_hash
 from repro.fabric.wire import FabricWire
 
 __all__ = [
-    "ESTIMATORS",
     "FabricFrame",
     "FabricMacReceiver",
     "FabricResult",

@@ -9,31 +9,25 @@ flow may reply (closed-loop RPC) or simply account it (open-loop
 stream).  Latency is measured host-to-host: from ``created_ps`` (the
 source driver posting the frame) to the destination commit, so NIC
 processing, wire time, switch queueing, and loss recovery all land in
-the histogram, which is exactly the end-to-end number the paper's
-throughput accounting cannot produce.
+the flow's samples, which is exactly the end-to-end number the paper's
+throughput accounting cannot produce.  Samples are kept exactly, as
+integer picoseconds, and summarized by nearest rank when the result is
+built.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from repro.net.ethernet import frame_bytes_for_udp_payload
 from repro.net.workload import ConstantSize, ImixSize
 from repro.fabric.spec import RpcFlowSpec, StreamFlowSpec
 from repro.obs.hist import StreamingHistogram, exact_percentile
 
-#: Latency-estimator modes a fabric can run with.  ``"streaming"`` (the
-#: default) keeps one bounded-memory quantile sketch per flow —
-#: O(buckets) state however many frames are delivered, percentiles
-#: within :data:`LATENCY_SIGNIFICANT_DIGITS` significant digits.
-#: ``"exact"`` keeps every sample (unbounded memory) and computes exact
-#: nearest-rank percentiles — required wherever results must be
-#: byte-identical across code versions (the golden-trace corpus).
-ESTIMATORS = ("streaming", "exact")
-
-#: Resolution of the streaming latency sketches: 3 significant digits
-#: = 0.1% relative error on every reported percentile.
+#: Resolution of the flow table's streaming latency sketches: 3
+#: significant digits = 0.1% relative error on every reported percentile.
 LATENCY_SIGNIFICANT_DIGITS = 3
 
 
@@ -69,14 +63,11 @@ class FabricFrame:
 class LatencySummary:
     """Latency statistics, in microseconds.
 
-    ``estimator`` records how the percentiles were computed:
-    ``"exact"`` (nearest rank over every sample) or ``"streaming"``
-    (bounded-memory sketch, within 10^-3 relative error; see
-    :class:`repro.obs.hist.StreamingHistogram`).  ``count``, ``mean``,
-    ``min`` and ``max`` are exact in both modes.  The field is
-    deliberately excluded from :meth:`to_dict` so exact-mode result
-    dicts stay byte-identical to the pre-streaming layout (golden
-    corpus, cached sweep results).
+    A fabric's flows build theirs from exact samples
+    (:meth:`from_samples_ps`, nearest rank over every sample); the flow
+    table builds its own from a bounded-memory sketch
+    (:meth:`from_streaming`, within 10^-3 relative error; see
+    :class:`repro.obs.hist.StreamingHistogram`).
     """
 
     count: int = 0
@@ -87,7 +78,27 @@ class LatencySummary:
     p999_us: float = 0.0
     min_us: float = 0.0
     max_us: float = 0.0
-    estimator: str = "exact"
+
+    @staticmethod
+    def from_samples_ps(samples: Iterable[int]) -> "LatencySummary":
+        """Summary of integer-picosecond samples.  Only the picked
+        ranks become µs, and the mean adds every sample's µs value in
+        sorted order: the floats :meth:`from_samples_us` would give for
+        ``[s / 1e6 for s in samples]``, bit for bit."""
+        ordered = sorted(samples)
+        if not ordered:
+            return LatencySummary()
+        count = len(ordered)
+        return LatencySummary(
+            count=count,
+            mean_us=sum(s / 1e6 for s in ordered) / count,
+            p50_us=exact_percentile(ordered, 0.50) / 1e6,
+            p90_us=exact_percentile(ordered, 0.90) / 1e6,
+            p99_us=exact_percentile(ordered, 0.99) / 1e6,
+            p999_us=exact_percentile(ordered, 0.999) / 1e6,
+            min_us=ordered[0] / 1e6,
+            max_us=ordered[-1] / 1e6,
+        )
 
     @staticmethod
     def from_samples_us(samples: List[float]) -> "LatencySummary":
@@ -110,7 +121,7 @@ class LatencySummary:
         """Summary of a bounded-memory sketch (percentiles within the
         sketch's documented relative-error bound)."""
         if histogram.total == 0:
-            return LatencySummary(estimator="streaming")
+            return LatencySummary()
         return LatencySummary(
             count=histogram.total,
             mean_us=histogram.mean,
@@ -120,7 +131,6 @@ class LatencySummary:
             p999_us=histogram.percentile(0.999),
             min_us=histogram.min if histogram.min is not None else 0.0,
             max_us=histogram.max if histogram.max is not None else 0.0,
-            estimator="streaming",
         )
 
     def to_dict(self) -> Dict[str, float]:
@@ -137,7 +147,7 @@ class LatencySummary:
 
 
 #: Microsecond bucket bounds for the StatRegistry latency histograms
-#: (metrics/Prometheus export; exact percentiles come from the samples).
+#: (the live sampler's view; exact percentiles come from the samples).
 LATENCY_BUCKETS_US = (
     1, 2, 4, 6, 8, 10, 15, 20, 30, 50, 75, 100, 150, 200, 300, 500,
     1000, 2000, 5000,
@@ -147,15 +157,12 @@ LATENCY_BUCKETS_US = (
 class FlowRuntime:
     """Common bookkeeping for one live flow.
 
-    Latency state depends on the fabric's estimator mode: in the
-    default ``"streaming"`` mode each flow holds one bounded-memory
-    :class:`~repro.obs.hist.StreamingHistogram` per distribution
-    (O(buckets) however long the run — the ROADMAP 2a requirement for
-    million-flow fabrics), registered with the fabric's
-    :class:`~repro.sim.stats.StatRegistry` so warm-up resets and sweep
-    mergers see it.  In ``"exact"`` mode every sample is kept and the
-    sample lists drive exact nearest-rank percentiles (golden-trace
-    byte-identity).
+    Each delivered frame's one-way latency is kept once, as integer
+    picoseconds in a compact ``array("q")``; it becomes µs only when
+    :meth:`oneway_summary` builds the measured window's exact
+    nearest-rank summary.  The ``flow.<name>.oneway_us`` bucket
+    histogram of the fabric's :class:`~repro.sim.stats.StatRegistry` is
+    the live sampler's view of the same samples.
     """
 
     kind = "flow"
@@ -163,20 +170,12 @@ class FlowRuntime:
     def __init__(self, fabric, name: str) -> None:
         self.fabric = fabric
         self.name = name
-        self.streaming = fabric.estimator == "streaming"
         self.posted = 0
         self.delivered = 0
         self.lost = 0
         self.retransmitted = 0
         self.delivered_payload_bytes = 0
-        self.oneway_samples_us: List[float] = []
-        self.oneway_stream = (
-            fabric.stats.streaming_histogram(
-                f"flow.{name}.oneway_us", LATENCY_SIGNIFICANT_DIGITS
-            )
-            if self.streaming
-            else None
-        )
+        self.oneway_ps = array("q")
         self.oneway_histogram = fabric.stats.histogram(
             f"flow.{name}.oneway_us", LATENCY_BUCKETS_US
         )
@@ -193,22 +192,13 @@ class FlowRuntime:
             "lost": self.lost,
             "retransmitted": self.retransmitted,
             "delivered_payload_bytes": self.delivered_payload_bytes,
-            "oneway_index": len(self.oneway_samples_us),
+            "oneway_index": len(self.oneway_ps),
         }
 
     def oneway_summary(self, since_index: int) -> LatencySummary:
-        """Measured-window latency summary.
-
-        Streaming mode reads the sketch (which the registry's
-        warm-up ``reset_window(histograms=True)`` restarted at the
-        window boundary); exact mode slices the sample list from the
-        snapshot index.
-        """
-        if self.streaming:
-            return LatencySummary.from_streaming(self.oneway_stream)
-        return LatencySummary.from_samples_us(
-            self.oneway_samples_us[since_index:]
-        )
+        """Measured-window latency summary: the samples recorded since
+        the snapshot index."""
+        return LatencySummary.from_samples_ps(self.oneway_ps[since_index:])
 
     # -- fabric callbacks -----------------------------------------------
     def start(self) -> None:
@@ -218,12 +208,9 @@ class FlowRuntime:
         """Frame committed to host memory at its destination."""
         self.delivered += 1
         self.delivered_payload_bytes += frame.udp_payload_bytes
-        oneway_us = (now_ps - frame.created_ps) / 1e6
-        if self.streaming:
-            self.oneway_stream.record(oneway_us)
-        else:
-            self.oneway_samples_us.append(oneway_us)
-        self.oneway_histogram.record(oneway_us)
+        oneway_ps = now_ps - frame.created_ps
+        self.oneway_ps.append(oneway_ps)
+        self.oneway_histogram.record(oneway_ps / 1e6)
 
     def on_lost(self, frame: FabricFrame, now_ps: int) -> None:
         """Frame dropped in flight (switch tail-drop, MAC overrun, FCS)."""
@@ -247,14 +234,7 @@ class RpcFlowRuntime(FlowRuntime):
         super().__init__(fabric, name)
         self.spec = spec
         self.completed = 0
-        self.rtt_samples_us: List[float] = []
-        self.rtt_stream = (
-            fabric.stats.streaming_histogram(
-                f"flow.{name}.rtt_us", LATENCY_SIGNIFICANT_DIGITS
-            )
-            if self.streaming
-            else None
-        )
+        self.rtt_ps = array("q")
         self.rtt_histogram = fabric.stats.histogram(
             f"flow.{name}.rtt_us", LATENCY_BUCKETS_US
         )
@@ -263,16 +243,12 @@ class RpcFlowRuntime(FlowRuntime):
     def window_snapshot(self) -> Dict[str, int]:
         snap = super().window_snapshot()
         snap["completed"] = self.completed
-        snap["rtt_index"] = len(self.rtt_samples_us)
+        snap["rtt_index"] = len(self.rtt_ps)
         return snap
 
     def rtt_summary(self, since_index: int) -> LatencySummary:
         """Measured-window RTT summary (see :meth:`oneway_summary`)."""
-        if self.streaming:
-            return LatencySummary.from_streaming(self.rtt_stream)
-        return LatencySummary.from_samples_us(
-            self.rtt_samples_us[since_index:]
-        )
+        return LatencySummary.from_samples_ps(self.rtt_ps[since_index:])
 
     def start(self) -> None:
         for _ in range(self.spec.concurrency):
@@ -316,12 +292,9 @@ class RpcFlowRuntime(FlowRuntime):
             return
         # Client side: one exchange completed.
         self.completed += 1
-        rtt_us = (now_ps - frame.rtt_start_ps) / 1e6
-        if self.streaming:
-            self.rtt_stream.record(rtt_us)
-        else:
-            self.rtt_samples_us.append(rtt_us)
-        self.rtt_histogram.record(rtt_us)
+        rtt_ps = now_ps - frame.rtt_start_ps
+        self.rtt_ps.append(rtt_ps)
+        self.rtt_histogram.record(rtt_ps / 1e6)
         if self.spec.think_ps:
             self.fabric.sim.schedule(self.spec.think_ps, self._issue_request)
         else:
@@ -437,7 +410,6 @@ def build_runtimes(fabric) -> "Dict[str, FlowRuntime]":
 
 
 __all__ = [
-    "ESTIMATORS",
     "FabricFrame",
     "FlowRuntime",
     "LatencySummary",

@@ -24,12 +24,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.fabric.flows import LATENCY_SIGNIFICANT_DIGITS, LatencySummary
 from repro.fabric.topology import ecmp_hash
 from repro.obs.hist import StreamingHistogram
 from repro.sim.stats import StatRegistry
-
-#: Sketch resolution, shared with the flow runtimes' estimator.
-from repro.fabric.flows import LATENCY_SIGNIFICANT_DIGITS, LatencySummary
 
 #: Registry name of each shard's one-way latency sketch.
 SKETCH_NAME = "flowtable.oneway_us"

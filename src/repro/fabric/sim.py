@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Union
 
 from repro.fabric.endpoint import NicEndpoint
 from repro.fabric.flows import (
-    ESTIMATORS,
     FabricFrame,
     FlowRuntime,
     LatencySummary,
@@ -161,20 +160,10 @@ class FabricSimulator:
         spec: FabricSpec,
         tracer=None,
         fault_plan: Optional[FaultPlan] = None,
-        estimator: str = "streaming",
         rss: Optional[RssSpec] = None,
     ) -> None:
-        if estimator not in ESTIMATORS:
-            raise ValueError(
-                f"estimator must be one of {ESTIMATORS}, got {estimator!r}"
-            )
         self.config = config
         self.spec = spec
-        #: Latency-estimator mode: ``"streaming"`` keeps O(buckets)
-        #: quantile sketches per flow (the default; docs/observability.md
-        #: documents the 10^-3 relative-error bound), ``"exact"`` keeps
-        #: every sample for byte-identical results (golden corpus).
-        self.estimator = estimator
         #: Multi-queue host interface applied to every endpoint;
         #: ``None`` keeps the paper's single-ring hosts byte-identical.
         self.rss = rss
@@ -219,9 +208,9 @@ class FabricSimulator:
             else None
         )
         self.flows: Dict[str, FlowRuntime] = build_runtimes(self)
-        #: Per-class accounting + PFC pause routing (``None`` without a
-        #: QoS config; constructing it also stamps every flow's
-        #: ``_qos_tag`` so posted frames carry their class).
+        #: Per-class counts + PFC pause routing (``None`` without a QoS
+        #: config; constructing it also stamps every flow's ``_qos_tag``
+        #: so posted frames carry their class).
         self.qos_runtime: Optional[QosRuntime] = (
             QosRuntime(self) if spec.qos is not None else None
         )
@@ -365,7 +354,7 @@ class FabricSimulator:
             ),
             fault_counters=fault_counters,
             qos=(
-                self.qos_runtime.build_result(qos_snap, measure_ps)
+                self.qos_runtime.build_result(qos_snap, flow_snaps, measure_ps)
                 if self.qos_runtime is not None and qos_snap is not None
                 else None
             ),

@@ -18,9 +18,7 @@ code:
   separately from executed points;
 * :class:`StreamingHistogram` (:mod:`repro.obs.hist`) — mergeable,
   bounded-memory quantile sketches with a documented relative-error
-  bound, the default latency estimator of the fabric;
-* :mod:`repro.obs.bench` — runs every ``benchmarks/bench_*.py`` module
-  once outside pytest, for its shape assertions (``repro bench``).
+  bound, which the fabric's sharded flow table keeps per shard.
 """
 
 from repro.obs.hist import (

@@ -1,10 +1,10 @@
 """Bounded-memory streaming quantile histograms (HDR/DDSketch style).
 
-The fabric's latency percentiles were originally computed from exact
-per-flow sample buffers — every delivered frame appended one float, so
-a long run's memory grew linearly with delivered frames and a
-million-flow fabric was out of reach (ROADMAP item 2a).  This module
-replaces that with a *mergeable, bounded-memory* estimator:
+A fabric's declared flows keep exact latency samples, one integer per
+delivered frame.  That is fine for a handful of flows, but not for the
+sharded flow table of a 10⁵-flow run, whose memory must not grow with
+delivered frames.  This module gives such a store a *mergeable,
+bounded-memory* estimator:
 
 * Values are assigned to geometrically spaced buckets ``(gamma^(i-1),
   gamma^i]`` with ``gamma = (1 + eps) / (1 - eps)`` and ``eps =
@@ -26,11 +26,6 @@ replaces that with a *mergeable, bounded-memory* estimator:
 exactly; only interior quantiles are approximate.  Quantile queries are
 clamped into ``[min, max]``, which preserves the error bound (the true
 value lies in that range too) and makes the extremes exact.
-
-When is exact mode still required?  Whenever a byte-identical result is
-part of the contract: the golden-trace corpus (``tests/golden/``)
-digests full result dicts, so its fabric runs pin
-``estimator="exact"`` — see ``docs/observability.md``.
 
 The nearest-rank helpers shared by every percentile implementation in
 the repo (:func:`exact_percentile`, previously duplicated between

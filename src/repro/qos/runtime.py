@@ -4,47 +4,42 @@ One :class:`QosRuntime` rides inside a
 :class:`~repro.fabric.sim.FabricSimulator` when its spec carries a
 :class:`~repro.qos.spec.QosSpec`.  It resolves every flow's class
 assignment into the (class name, DSCP) tag the flow stamps on posted
-frames, keeps per-class delivery/latency statistics (streaming
-quantile sketches registered as ``qos.<class>.oneway_us``, or exact
-sample lists in the golden-corpus estimator mode), and routes the
-switch's PFC-style XOFF/XON notifications to the stream pacers of the
-paused class whose route crosses the congested port.
+frames, counts each class's delivered frames and payload, and routes
+the switch's PFC-style XOFF/XON notifications to the stream pacers of
+the paused class whose route crosses the congested port.
+
+A class's one-way latency is not recorded a second time: every frame
+of a flow carries the flow's class, so the report reads the class's
+latency from the measured-window samples of its flows.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Tuple, Union
 
 from repro.fabric.flows import (
-    LATENCY_SIGNIFICANT_DIGITS,
     FabricFrame,
+    FlowRuntime,
     LatencySummary,
     StreamFlowRuntime,
 )
 
 
 class QosRuntime:
-    """Per-class statistics + pause routing for one fabric run."""
+    """Per-class counts + pause routing for one fabric run."""
 
     def __init__(self, fabric) -> None:
         qos = fabric.spec.qos
         assert qos is not None
         self.fabric = fabric
         self.qos = qos
-        self.streaming = fabric.estimator == "streaming"
         count = len(qos.classes)
         self._index = {tc.name: index for index, tc in enumerate(qos.classes)}
         self.delivered = [0] * count
         self.delivered_payload_bytes = [0] * count
-        self.oneway_samples_us: List[List[float]] = [[] for _ in range(count)]
-        self.oneway_streams = [
-            fabric.stats.streaming_histogram(
-                f"qos.{tc.name}.oneway_us", LATENCY_SIGNIFICANT_DIGITS
-            )
-            if self.streaming
-            else None
-            for tc in qos.classes
-        ]
+        # Class index -> the flows whose frames carry that class.
+        self._class_flows: List[List[FlowRuntime]] = [[] for _ in range(count)]
         # (port key, class index) -> stream pacers PFC pause can stop.
         # A flow reacts to XOFF from *any* port on its (deterministic,
         # ECMP-resolved) route: the destination's port on the implicit
@@ -58,6 +53,7 @@ class QosRuntime:
             class_name = qos.resolve(runtime.spec.qos_class)
             cls = self._index[class_name]
             runtime._qos_tag = (class_name, qos.classes[cls].dscp)
+            self._class_flows[cls].append(runtime)
             if isinstance(runtime, StreamFlowRuntime):
                 for key in fabric.wire.route_ports(
                     runtime.name, runtime.spec.src, runtime.spec.dst
@@ -69,11 +65,6 @@ class QosRuntime:
         cls = self._index[frame.qos_class]
         self.delivered[cls] += 1
         self.delivered_payload_bytes[cls] += frame.udp_payload_bytes
-        oneway_us = (now_ps - frame.created_ps) / 1e6
-        if self.streaming:
-            self.oneway_streams[cls].record(oneway_us)
-        else:
-            self.oneway_samples_us[cls].append(oneway_us)
 
     def pause(self, port: Union[int, str], cls: int, now_ps: int) -> None:
         for runtime in self._pacers.get((port, cls), ()):
@@ -88,21 +79,27 @@ class QosRuntime:
         return {
             "delivered": list(self.delivered),
             "delivered_payload_bytes": list(self.delivered_payload_bytes),
-            "oneway_index": [len(s) for s in self.oneway_samples_us],
             "wire": self.fabric.wire.qos_window_snapshot(),
         }
 
-    def _oneway_summary(self, cls: int, since_index: int) -> LatencySummary:
-        if self.streaming:
-            return LatencySummary.from_streaming(self.oneway_streams[cls])
-        return LatencySummary.from_samples_us(
-            self.oneway_samples_us[cls][since_index:]
-        )
+    def _oneway_summary(
+        self, cls: int, flow_snaps: Dict[str, Dict[str, int]]
+    ) -> LatencySummary:
+        """The class's measured-window latency: the union of its flows'
+        window samples."""
+        return LatencySummary.from_samples_ps(chain.from_iterable(
+            flow.oneway_ps[flow_snaps[flow.name]["oneway_index"]:]
+            for flow in self._class_flows[cls]
+        ))
 
     def build_result(
-        self, snapshot: Dict[str, object], measure_ps: int
+        self,
+        snapshot: Dict[str, object],
+        flow_snaps: Dict[str, Dict[str, int]],
+        measure_ps: int,
     ) -> Dict[str, object]:
-        """Measured-window per-class report (``FabricResult.qos``)."""
+        """Measured-window per-class report (``FabricResult.qos``);
+        ``flow_snaps`` are the flows' snapshots taken with ``snapshot``."""
         measure_seconds = measure_ps / 1e12
         wire_now = self.fabric.wire.qos_window_snapshot()
         wire_then = snapshot["wire"]
@@ -112,9 +109,7 @@ class QosRuntime:
                 self.delivered_payload_bytes[cls]
                 - snapshot["delivered_payload_bytes"][cls]
             )
-            summary = self._oneway_summary(
-                cls, snapshot["oneway_index"][cls]
-            )
+            summary = self._oneway_summary(cls, flow_snaps)
             entry: Dict[str, object] = {
                 "dscp": tc.dscp,
                 "delivered": self.delivered[cls] - snapshot["delivered"][cls],

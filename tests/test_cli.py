@@ -174,6 +174,33 @@ class TestAblations:
             assert len(data["arms"]) == 2
 
 
+    @pytest.mark.parametrize("argv", [
+        ["qos", "--loads", "0.3", "1.0", "--millis", "0.1",
+         "--warmup-millis", "0.05"],
+        ["topology", "--millis", "0.1", "--warmup-millis", "0.05"],
+    ], ids=lambda argv: argv[0])
+    def test_warm_cache_serves_the_cold_json(self, argv, tmp_path,
+                                             monkeypatch, capsys):
+        """The ablations run their arms through the engine: with
+        ``REPRO_CACHE_DIR`` set, a second run simulates nothing and
+        writes the same bytes."""
+        from repro.exp import runner
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        cold_code = main(argv + ["--json", "-"])
+        cold = capsys.readouterr().out
+        assert len(list(cache.rglob("*.pkl"))) == 2
+
+        def simulate(spec):
+            raise AssertionError("warm run simulated a cached arm")
+
+        monkeypatch.setattr(runner, "execute_spec", simulate)
+        assert main(argv + ["--json", "-"]) == cold_code
+        assert capsys.readouterr().out == cold
+        assert len(json.loads(cold)["arms"]) == 2
+
+
 class TestInvalidFlags:
     @pytest.mark.parametrize("argv", [
         "qos --loads -0.5",

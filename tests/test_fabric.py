@@ -9,9 +9,13 @@ bare single-NIC simulator, and the spec/flow/percentile building
 blocks.
 """
 
+import dataclasses
 import json
+from array import array
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.exp import RunSpec, Sweep, SweepRunner, execute_spec
 from repro.exp.spec import describe
@@ -625,83 +629,53 @@ class TestEngineIntegration:
 
 
 # ----------------------------------------------------------------------
-# Streaming latency estimator (bounded memory, PR: telemetry observatory)
+# Exact latency samples in integer picoseconds
 # ----------------------------------------------------------------------
-class TestStreamingEstimator:
-    """The fabric's default estimator is the bounded-memory streaming
-    sketch; ``estimator="exact"`` preserves the byte-identical legacy
-    path (golden corpus).  Cross-mode percentile agreement must stay
-    within the sketch's documented relative-error bound."""
+def _bits(summary):
+    """Every field of a summary, floats as their exact bit patterns."""
+    return [value.hex() if isinstance(value, float) else value
+            for value in dataclasses.astuple(summary)]
 
-    def _run(self, estimator, seed=11):
-        spec = FabricSpec.rpc_pair(concurrency=4, seed=seed)
-        sim = FabricSimulator(_config(), spec, estimator=estimator)
-        return sim, sim.run(WARMUP_S, MEASURE_S)
 
-    def test_invalid_estimator_rejected(self):
-        spec = FabricSpec.rpc_pair()
-        with pytest.raises(ValueError, match="estimator"):
-            FabricSimulator(_config(), spec, estimator="quantum")
+_PS = st.integers(min_value=0, max_value=10**15)
 
-    def test_default_is_streaming_with_bounded_state(self):
-        spec = FabricSpec.rpc_pair(concurrency=4)
-        sim = FabricSimulator(_config(), spec)
-        assert sim.estimator == "streaming"
+
+class TestExactLatency:
+    """Each flow keeps its one-way and RTT samples once, as integer
+    picoseconds; a summary converts them to µs, and the result equals
+    the float-sample summary bit for bit."""
+
+    @given(st.one_of(
+        st.lists(_PS, max_size=300),
+        # Few distinct values: ranks land inside runs of duplicates.
+        st.lists(st.sampled_from([0, 1, 999_999, 1_000_000, 12_345_678]),
+                 max_size=300),
+    ))
+    @example([])
+    @example([7_654_321])
+    @example([5_000_000] * 1000 + [1])
+    @settings(max_examples=300, deadline=None)
+    def test_ps_summary_equals_us_summary_bit_for_bit(self, samples):
+        summary = LatencySummary.from_samples_ps(array("q", samples))
+        assert _bits(summary) == _bits(
+            LatencySummary.from_samples_us([s / 1e6 for s in samples])
+        )
+        assert summary.count == len(samples)
+
+    def test_flows_keep_integer_ps_and_registry_keeps_buckets(self):
+        sim = FabricSimulator(_config(), FabricSpec.rpc_pair(concurrency=4))
         result = sim.run(WARMUP_S, MEASURE_S)
         flow = sim.flows["rpc0"]
-        assert result.flows["rpc0"].delivered > 50
-        # The unbounded sample buffers are never appended to: per-flow
-        # latency state is O(buckets), not O(delivered frames).
-        assert flow.oneway_samples_us == []
-        assert flow.rtt_samples_us == []
-        assert flow.oneway_stream.total > 0
-        assert flow.oneway_stream.bucket_count < 1000
-        assert result.flows["rpc0"].oneway.estimator == "streaming"
-        assert result.flows["rpc0"].rtt.estimator == "streaming"
-
-    def test_exact_mode_keeps_samples_and_tags_summaries(self):
-        sim, result = self._run("exact")
-        flow = sim.flows["rpc0"]
-        assert len(flow.oneway_samples_us) > 0
-        assert flow.oneway_stream is None
-        assert result.flows["rpc0"].oneway.estimator == "exact"
-
-    def test_streaming_agrees_with_exact_within_bound(self):
-        from repro.fabric import LATENCY_SIGNIFICANT_DIGITS
-
-        _, streaming = self._run("streaming")
-        _, exact = self._run("exact")
-        bound = 10.0 ** -LATENCY_SIGNIFICANT_DIGITS
-        for name in exact.flows:
-            s_flow, e_flow = streaming.flows[name], exact.flows[name]
-            # Counts and exact aggregates are identical: the estimator
-            # changes only how percentiles are summarized.
-            assert s_flow.delivered == e_flow.delivered
-            assert s_flow.oneway.count == e_flow.oneway.count
-            assert s_flow.oneway.min_us == pytest.approx(e_flow.oneway.min_us)
-            assert s_flow.oneway.max_us == pytest.approx(e_flow.oneway.max_us)
-            summaries = [(s_flow.oneway, e_flow.oneway)]
-            if e_flow.rtt is not None:
-                summaries.append((s_flow.rtt, e_flow.rtt))
-            for s_summary, e_summary in summaries:
-                for stat in ("p50_us", "p90_us", "p99_us", "p999_us"):
-                    s_value = getattr(s_summary, stat)
-                    e_value = getattr(e_summary, stat)
-                    assert abs(s_value - e_value) <= bound * e_value + 1e-9, (
-                        f"{name}.{stat}: streaming {s_value} vs exact {e_value}"
-                    )
-
-    def test_estimator_field_excluded_from_to_dict(self):
-        """Result-dict byte-identity: exact-mode dicts must match the
-        pre-streaming layout, so the tag never serializes."""
-        summary = LatencySummary.from_samples_us([1.0, 2.0, 3.0])
-        assert "estimator" not in summary.to_dict()
-        _, result = self._run("streaming")
-        text = json.dumps(result.to_dict())
-        assert "estimator" not in text
-
-    def test_streaming_sketches_visible_in_registry(self):
-        sim, _result = self._run("streaming")
-        snapshot = sim.stats.snapshot()
-        assert "shist.flow.rpc0.oneway_us.p99" in snapshot
-        assert snapshot["shist.flow.rpc0.oneway_us.count"] > 0
+        assert flow.oneway_ps.typecode == "q" and flow.rtt_ps.typecode == "q"
+        # One sample per delivered frame and per completed exchange.
+        assert len(flow.oneway_ps) == flow.delivered
+        assert len(flow.rtt_ps) == flow.completed
+        window = result.flows["rpc0"]
+        assert window.oneway == LatencySummary.from_samples_ps(
+            flow.oneway_ps[-window.delivered:]
+        )
+        # The live sampler's bucket histograms stay; no per-flow sketch.
+        snapshot = sim.metrics_snapshot()
+        assert snapshot["histogram.flow.rpc0.oneway_us.count"] > 0
+        assert snapshot["histogram.flow.rpc0.rtt_us.count"] > 0
+        assert not [key for key in snapshot if key.startswith("shist.")]
