@@ -286,19 +286,18 @@ def run_fault_oracle(
                {k: v for k, v in clean.fault_counters.items() if v}, {})
 
     # Faulted run: exact conservation identity over run *totals* (every
-    # consumed sequence number is delivered, a hole, a tail drop, or
-    # still in flight at the end).
-    in_flight = (
-        fault_sim.mac_rx.frames_accepted - fault_sim.board_rx.commit_seq
-    )
+    # offered frame is delivered, a hole, a tail drop, or still in
+    # flight at the end).
+    accepted = fault_sim.mac_rx.frames_accepted
+    in_flight = accepted - fault_sim.board_rx.commit_seq
     report.add(
         "faulted.identity",
-        fault_sim.mac_rx._next_seq,
+        accepted + fault_sim._rx_dropped,
         fault_sim._rx_done_frames
         + fault_sim._rx_hole_frames
         + fault_sim._rx_dropped
         + in_flight,
-        detail="injected == delivered + holes + drops + in_flight",
+        detail="offered == delivered + holes + drops + in_flight",
     )
     report.add("faulted.in_flight_bound",
                0 <= in_flight <= config.ordering_ring, True,

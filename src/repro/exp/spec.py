@@ -51,7 +51,11 @@ from repro.units import check_int_fields
 #: engine fabric points report exact nearest-rank percentiles where v4
 #: cached the streaming sketch's (within 10**-3 relative of them); no
 #: constant changed.
-CACHE_SCHEMA_VERSION = 5
+#: v6: both MAC receivers number only accepted frames, so a standalone
+#: point whose MAC tail-drops stores, sizes, times and steers each frame
+#: after the first drop under its own number, not a dropped frame's; no
+#: constant changed.
+CACHE_SCHEMA_VERSION = 6
 
 
 # ----------------------------------------------------------------------
