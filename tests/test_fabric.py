@@ -137,6 +137,19 @@ class TestRecordedSizeModel:
             model.frame_bytes(5)
 
 
+def test_endpoint_overrides_nothing_of_the_nic_core():
+    """The fabric endpoint is a traffic edge behind the one NIC core: it
+    adds the edge's calls and redefines none of the core's methods."""
+    from repro.fabric import NicEndpoint
+
+    core = set(dir(ThroughputSimulator))
+    redefined = {
+        name for name, value in vars(NicEndpoint).items()
+        if name in core and (callable(value) or isinstance(value, property))
+    }
+    assert redefined == {"__init__"}
+
+
 class TestEndpointRecordsStayBounded:
     """Per-sequence endpoint records are released at their last reader,
     so they hold frames in flight, not every frame of the run."""
