@@ -107,6 +107,12 @@ def sample_point(rng: random.Random):
                 port_queue_frames=rng.choice([2, 8]),
             )
 
+    if rng.random() < 0.25:
+        # A small receive buffer makes the MAC tail-drop, so the window
+        # commits frames accepted after a drop.  Drawn last, so every
+        # earlier draw of a case is unchanged.
+        config = dataclasses.replace(config, rx_buffer_bytes=16 * 1024)
+
     return RunSpec(
         config=config,
         workload=workload,
