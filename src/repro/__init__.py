@@ -18,14 +18,21 @@ Public API tour:
 * :mod:`repro.analysis` — one generator per paper table/figure.
 """
 
+from repro._lazy import lazy_exports
+
+# Eager on purpose: every run compiles the NIC core here, before a
+# fabric, QoS or fault module imports ``hashlib``.  Compiling the large
+# ``repro.nic.throughput`` after OpenSSL is mapped raises the peak RSS
+# of a fabric set-up (docs/architecture.md, "What a run loads").
 from repro.nic import (
-    MicroNic,
     NicConfig,
     RMW_166MHZ,
     SOFTWARE_200MHZ,
     ThroughputResult,
     ThroughputSimulator,
 )
+
+__getattr__, __dir__ = lazy_exports(__name__, {"MicroNic": "repro.nic.controller"})
 
 __version__ = "1.0.0"
 

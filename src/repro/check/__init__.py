@@ -13,52 +13,38 @@ Three legs (see ``docs/validation.md``):
   failures and writes deterministic replay files
   (``repro check --fuzz N`` / ``--replay FILE``).
 
-Only the monitor layer is imported eagerly (it is dependency-free and
-imported *by* the kernel); the heavier oracle/fuzz machinery loads
-lazily via PEP 562 so ``import repro.sim.kernel`` stays cheap and
-cycle-free.
+Only the null monitor is imported eagerly (it is dependency-free and
+imported *by* the kernel); the armed monitor and the oracle/fuzz
+machinery load on first use (:mod:`repro._lazy`), so ``import
+repro.sim.kernel`` stays cheap and cycle-free.
 """
 
-from repro.check.monitor import (  # noqa: F401
-    NULL_MONITOR,
-    InvariantMonitor,
-    InvariantViolation,
-    NullInvariantMonitor,
-)
+from repro._lazy import lazy_exports
+from repro.check.nullmonitor import NULL_MONITOR, NullInvariantMonitor
 
 _LAZY = {
-    "attach_monitor": ("repro.check.verify", "attach_monitor"),
-    "verify_conservation": ("repro.check.verify", "verify_conservation"),
-    "run_ordering_oracle": ("repro.check.oracles", "run_ordering_oracle"),
-    "run_loopback_oracle": ("repro.check.oracles", "run_loopback_oracle"),
-    "run_fault_oracle": ("repro.check.oracles", "run_fault_oracle"),
-    "run_all_oracles": ("repro.check.oracles", "run_all_oracles"),
-    "OracleReport": ("repro.check.oracles", "OracleReport"),
-    "FuzzReport": ("repro.check.fuzz", "FuzzReport"),
-    "fuzz": ("repro.check.fuzz", "fuzz"),
-    "replay": ("repro.check.fuzz", "replay"),
-    "run_monitored": ("repro.check.fuzz", "run_monitored"),
-    "sample_point": ("repro.check.fuzz", "sample_point"),
-    "golden_digest": ("repro.check.golden", "golden_digest"),
-    "golden_specs": ("repro.check.golden", "golden_specs"),
+    "InvariantMonitor": "repro.check.monitor",
+    "InvariantViolation": "repro.check.monitor",
+    "attach_monitor": "repro.check.verify",
+    "verify_conservation": "repro.check.verify",
+    "run_ordering_oracle": "repro.check.oracles",
+    "run_loopback_oracle": "repro.check.oracles",
+    "run_fault_oracle": "repro.check.oracles",
+    "run_all_oracles": "repro.check.oracles",
+    "OracleReport": "repro.check.oracles",
+    "FuzzReport": "repro.check.fuzz",
+    "fuzz": "repro.check.fuzz",
+    "replay": "repro.check.fuzz",
+    "run_monitored": "repro.check.fuzz",
+    "sample_point": "repro.check.fuzz",
+    "golden_digest": "repro.check.golden",
+    "golden_specs": "repro.check.golden",
 }
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 __all__ = [
     "NULL_MONITOR",
-    "InvariantMonitor",
-    "InvariantViolation",
     "NullInvariantMonitor",
     *sorted(_LAZY),
 ]
-
-
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value

@@ -13,8 +13,16 @@ Two levels:
   of every frame would be intractable.
 """
 
-from repro.cpu.core import CoreStats, LockstepSystem, PipelinedCore
+from repro._lazy import lazy_exports
 from repro.cpu.costmodel import ContentionModel, CoreCostModel, HandlerCost
+
+# The cycle-level core loads on first use: the throughput simulator
+# charges the cost model only.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CoreStats": "repro.cpu.core",
+    "LockstepSystem": "repro.cpu.core",
+    "PipelinedCore": "repro.cpu.core",
+})
 
 __all__ = [
     "ContentionModel",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.fabric.endpoint import NicEndpoint
 from repro.fabric.flows import (
@@ -31,8 +31,6 @@ from repro.fabric.flows import (
 from repro.fabric.flowtable import FlowTable
 from repro.fabric.spec import FabricSpec
 from repro.fabric.wire import FabricWire
-from repro.faults import FaultPlan
-from repro.host.rss import RssSpec
 from repro.net.ethernet import EthernetTiming
 from repro.nic.config import NicConfig
 from repro.nic.throughput import ThroughputResult, check_window
@@ -41,6 +39,10 @@ from repro.qos.runtime import QosRuntime
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatRegistry
 from repro.units import ps_to_seconds
+
+if TYPE_CHECKING:
+    from repro.faults import FaultPlan
+    from repro.host.rss import RssSpec
 
 
 # ----------------------------------------------------------------------

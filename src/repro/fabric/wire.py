@@ -56,7 +56,7 @@ from typing import Deque, Dict, List, Optional, Union
 from collections import deque
 
 from repro.assists.mac import WireEvent
-from repro.check.monitor import NULL_MONITOR
+from repro.check.nullmonitor import NULL_MONITOR
 from repro.fabric.flows import FabricFrame
 from repro.fabric.spec import FabricSpec
 from repro.fabric.topology import TopologyRouter

@@ -27,8 +27,14 @@ With no plan attached the simulator takes none of these code paths and
 its outputs stay byte-identical to the fault-free build.
 """
 
-from repro.faults.injector import FAULT_COUNTER_KEYS, FaultInjector
-from repro.faults.plan import FaultPlan
+from repro._lazy import lazy_exports
+
+# A run without a fault plan compiles neither module.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "FAULT_COUNTER_KEYS": "repro.faults.injector",
+    "FaultInjector": "repro.faults.injector",
+    "FaultPlan": "repro.faults.plan",
+})
 
 __all__ = [
     "FAULT_COUNTER_KEYS",

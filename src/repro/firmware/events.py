@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional
 
-from repro.check.monitor import NULL_MONITOR
+from repro.check.nullmonitor import NULL_MONITOR
 
 
 class EventKind(enum.Enum):

@@ -23,7 +23,7 @@ Two implementations of the same contract:
 
 Both keep the bitmap as ``ring_size // 32`` Python-int words, set a
 slot's bit with the ``setb`` word operation, and harvest a word's run of
-set bits through :func:`~repro.isa.machine.update_run`, the closed form
+set bits through :func:`~repro.isa.rmw.update_run`, the closed form
 the ISA's ``update`` uses too, so the functional behaviour here and in
 assembly firmware kernels cannot diverge.  Each operation returns an
 :class:`OrderingCost` with the instruction/load/store counts the
@@ -37,9 +37,9 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.check.monitor import NULL_MONITOR
+from repro.check.nullmonitor import NULL_MONITOR
 from repro.cpu.costmodel import OpProfile
-from repro.isa.machine import update_run
+from repro.isa.rmw import update_run
 
 
 class OrderingMode(enum.Enum):

@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.check.monitor import NULL_MONITOR
+from repro.check.nullmonitor import NULL_MONITOR
 from repro.firmware.profiles import BDS_PER_SENT_FRAME
 from repro.host.descriptors import DescriptorRing
 from repro.host.driver import DriverModel, DriverStats

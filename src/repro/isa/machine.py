@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.assembler import Program
 from repro.isa.instructions import Instruction
+from repro.isa.rmw import update_run
 from repro.isa.trace import TraceEntry
 
 WORD_MASK = 0xFFFFFFFF
@@ -128,20 +129,6 @@ def apply_setb(memory: Memory, base: int, index: int) -> None:
     word_address = base + 4 * (index // 32)
     word = memory.load_word(word_address)
     memory.store_word(word_address, word | (1 << (index % 32)))
-
-
-def update_run(word: int, bit: int) -> int:
-    """Length of the run of consecutive set bits of ``word`` that starts
-    at bit ``bit``: what ``update`` harvests from one word.
-
-    Closed form: with ``x = word >> bit``, the lowest clear bit of ``x``
-    is ``~x & (x + 1)``, and its index is the run's length.  A 32-bit
-    ``word`` gives at most ``32 - bit``.  The ordering boards of
-    :mod:`repro.firmware.ordering` harvest their words through this
-    same function.
-    """
-    x = word >> bit
-    return (~x & (x + 1)).bit_length() - 1
 
 
 def apply_update(memory: Memory, base: int, last: int) -> int:

@@ -9,18 +9,22 @@ provides the trace-driven MESI cache simulator used to justify the
 scratchpad over coherent caches (Figure 3).
 """
 
-from repro.mem.coherence import (
-    CoherenceStats,
-    CoherentCacheSystem,
-    MesiState,
-    TraceAccess,
-    sweep_cache_sizes,
-)
-from repro.mem.crossbar import Crossbar
-from repro.mem.icache import InstructionCache
-from repro.mem.imem import InstructionMemory
-from repro.mem.scratchpad import Scratchpad
+from repro._lazy import lazy_exports
 from repro.mem.sdram import GddrSdram, SdramRequest
+
+# The throughput simulator models only the SDRAM; the micro tier's
+# memories and the Figure 3 cache study load on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CoherenceStats": "repro.mem.coherence",
+    "CoherentCacheSystem": "repro.mem.coherence",
+    "MesiState": "repro.mem.coherence",
+    "TraceAccess": "repro.mem.coherence",
+    "sweep_cache_sizes": "repro.mem.coherence",
+    "Crossbar": "repro.mem.crossbar",
+    "InstructionCache": "repro.mem.icache",
+    "InstructionMemory": "repro.mem.imem",
+    "Scratchpad": "repro.mem.scratchpad",
+})
 
 __all__ = [
     "CoherenceStats",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.check.monitor import NULL_MONITOR
+from repro.check.nullmonitor import NULL_MONITOR
 from repro.isa.machine import Memory, apply_setb, apply_update
 from repro.mem.crossbar import Crossbar, TOTAL_ACCESS_LATENCY
 from repro.units import KIB

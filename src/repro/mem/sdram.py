@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.check.monitor import NULL_MONITOR
+from repro.check.nullmonitor import NULL_MONITOR
 from repro.units import align_down, align_up
 
 

@@ -29,14 +29,13 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.assists.dma import DmaAssist
 from repro.assists.mac import MacReceiver, MacTransmitter, WireEvent
 from repro.assists.pci import PciInterface
-from repro.check.monitor import NULL_MONITOR
+from repro.check.nullmonitor import NULL_MONITOR
 from repro.cpu.costmodel import NANO, ChargeTable, ContentionModel, HandlerCost, OpProfile
-from repro.faults import FaultInjector, FaultPlan
 from repro.firmware.events import DistributedEventQueue, EventKind, FrameEvent
 from repro.firmware.ordering import OrderingBoard
 from repro.firmware.profiles import (
@@ -48,7 +47,6 @@ from repro.firmware.profiles import (
 )
 from repro.host.descriptors import DESCRIPTOR_BYTES
 from repro.host.driver import DriverModel
-from repro.host.rss import HostQueueModel, RssSpec
 from repro.mem.sdram import GddrSdram
 from repro.net.ethernet import (
     EthernetTiming,
@@ -56,11 +54,15 @@ from repro.net.ethernet import (
 )
 from repro.net.workload import ConstantSize, FrameSizeModel, RecordedSizeModel
 from repro.nic.config import NicConfig
-from repro.obs.metrics import MetricsSampler
 from repro.obs.tracer import NULL_TRACER, FrameStage
 from repro.sim.kernel import Simulator
 from repro.sim.stats import StatRegistry
 from repro.units import ps_to_seconds, to_gbps
+
+if TYPE_CHECKING:
+    from repro.faults import FaultPlan
+    from repro.host.rss import RssSpec
+    from repro.obs.metrics import MetricsSampler
 
 # The split of the Send/Receive Frame task between its initiation part
 # (claim frames, program the DMA assist) and its completion part
@@ -471,11 +473,13 @@ class ThroughputSimulator:
         #: kernel / boards / queue / memories this simulator owns.
         self.monitor = NULL_MONITOR
         self.fault_plan = fault_plan
-        self.faults: Optional[FaultInjector] = (
-            FaultInjector(fault_plan, tracer=self.tracer)
-            if fault_plan is not None and fault_plan.enabled
-            else None
-        )
+        # The fault and multi-queue host layers are imported here, when
+        # a run asks for them, so a run without them never compiles them.
+        self.faults: Optional[FaultInjector] = None
+        if fault_plan is not None and fault_plan.enabled:
+            from repro.faults.injector import FaultInjector
+
+            self.faults = FaultInjector(fault_plan, tracer=self.tracer)
         self._edge = edge
         self.tx_sizes = edge.tx_sizes
         # Received frames are numbered at acceptance, so on both edges
@@ -524,6 +528,8 @@ class ThroughputSimulator:
         self.rss = rss
         self.rss_host: Optional[HostQueueModel] = None
         if rss is not None:
+            from repro.host.rss import HostQueueModel
+
             self.rss_host = HostQueueModel(
                 rss,
                 sim=self.sim,
@@ -1669,6 +1675,8 @@ class ThroughputSimulator:
         event queue, reads :meth:`metrics_snapshot`, and never perturbs
         simulated timing.
         """
+        from repro.obs.metrics import MetricsSampler
+
         sampler = MetricsSampler(self.sim, self.metrics_snapshot, interval_ps)
         return sampler.start()
 

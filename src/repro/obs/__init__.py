@@ -21,6 +21,7 @@ code:
   bound, which the fabric's sharded flow table keeps per shard.
 """
 
+from repro._lazy import lazy_exports
 from repro.obs.hist import (
     StreamingHistogram,
     exact_percentile,
@@ -28,14 +29,6 @@ from repro.obs.hist import (
     nearest_rank,
     rank_bucket,
 )
-from repro.obs.metrics import (
-    MetricsSampler,
-    prometheus_metric_name,
-    prometheus_text,
-)
-from repro.obs.perfetto import chrome_trace_dict, write_chrome_trace
-from repro.obs.profiler import SimProfiler, describe_callback, phase_of
-from repro.obs.progress import ProgressReporter
 from repro.obs.tracer import (
     NULL_TRACER,
     FrameStage,
@@ -47,6 +40,20 @@ from repro.obs.tracer import (
     TraceEvent,
     Tracer,
 )
+
+# The exporters, the profiler and the sweep progress lines load on
+# first use; a run without them needs only the tracer and the sketches.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "MetricsSampler": "repro.obs.metrics",
+    "prometheus_metric_name": "repro.obs.metrics",
+    "prometheus_text": "repro.obs.metrics",
+    "chrome_trace_dict": "repro.obs.perfetto",
+    "write_chrome_trace": "repro.obs.perfetto",
+    "SimProfiler": "repro.obs.profiler",
+    "describe_callback": "repro.obs.profiler",
+    "phase_of": "repro.obs.profiler",
+    "ProgressReporter": "repro.obs.progress",
+})
 
 __all__ = [
     "FrameStage",

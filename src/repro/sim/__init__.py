@@ -9,9 +9,16 @@ That choice is what makes sustained 10 Gb/s traffic tractable in Python
 while preserving cycle-accurate ordering within each clock domain.
 """
 
+from repro._lazy import lazy_exports
 from repro.sim.kernel import ClockDomain, Simulator
-from repro.sim.module import Port, SimModule
 from repro.sim.stats import Counter, Histogram, RateMeter, StatRegistry
+
+# The port/module composition layer serves the cycle-level datapath
+# model only; it loads on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Port": "repro.sim.module",
+    "SimModule": "repro.sim.module",
+})
 
 __all__ = [
     "ClockDomain",

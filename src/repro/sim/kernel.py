@@ -19,7 +19,7 @@ import operator
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
-from repro.check.monitor import NULL_MONITOR
+from repro.check.nullmonitor import NULL_MONITOR
 from repro.units import cycle_time_ps
 
 

@@ -22,14 +22,59 @@ PACKAGES = [
     "repro.firmware",
     "repro.nic",
     "repro.analysis",
+    "repro.obs",
+    "repro.faults",
+    "repro.check",
+    "repro.fabric",
+    "repro.qos",
 ]
+
+#: Modules a throughput or fabric run without a fault plan, an RSS spec,
+#: a monitor or an exporter must not load: the micro tier (the ISA
+#: beyond the ``update`` closed form, the cycle-level core, the MESI
+#: caches, the scratchpad, ``MicroNic``), the armed monitor, and the
+#: optional layers.
+LEAN_RUN_EXCLUDES = (
+    "repro.cpu.core",
+    "repro.mem.coherence",
+    "repro.mem.scratchpad",
+    "repro.nic.controller",
+    "repro.check.monitor",
+    "repro.faults.injector",
+    "repro.faults.plan",
+    "repro.host.rss",
+    "repro.obs.metrics",
+    "repro.obs.perfetto",
+    "repro.obs.profiler",
+    "repro.obs.progress",
+)
+
+
+def _run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter on this tree's ``src``;
+    return its stdout."""
+    import repro
+
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src_dir, env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
 
 
 class TestPublicApi:
     @pytest.mark.parametrize("package", PACKAGES)
     def test_all_exports_resolve(self, package):
         module = importlib.import_module(package)
-        for name in getattr(module, "__all__", []):
+        exported = getattr(module, "__all__", [])
+        assert set(exported) <= set(dir(module))
+        for name in exported:
             assert hasattr(module, name), f"{package}.{name} missing"
 
     def test_readme_entry_points_exist(self):
@@ -84,9 +129,7 @@ class TestPublicApi:
         """The simulator is stdlib-only: building and running both
         simulators never imports numpy.  A fresh interpreter keeps the
         check independent of what other tests (or plugins) loaded."""
-        import repro
-
-        script = textwrap.dedent(
+        _run_fresh(
             """
             import sys
 
@@ -109,13 +152,39 @@ class TestPublicApi:
             assert "numpy" not in sys.modules, "numpy was imported"
             """
         )
-        env = dict(os.environ)
-        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src_dir, env.get("PYTHONPATH")])
+
+    def test_runs_load_only_the_modules_they_execute(self):
+        """A plain throughput or fabric run imports none of the micro
+        tier, the armed monitor or the optional layers; a run given a
+        fault plan or an RSS spec loads the module it uses."""
+        out = _run_fresh(
+            """
+            import sys
+
+            from repro.fabric import FabricSimulator, FabricSpec
+            from repro.nic import NicConfig, ThroughputSimulator
+
+            def loaded():
+                print(" ".join(sorted(m for m in sys.modules if m.startswith("repro"))))
+
+            assert ThroughputSimulator(NicConfig(), 1472).run(20e-6, 50e-6).tx_frames > 0
+            assert FabricSimulator(NicConfig(), FabricSpec.rpc_pair()).run(
+                20e-6, 50e-6
+            ).primary_flow.delivered > 0
+            loaded()
+
+            from repro.faults import FaultPlan
+            from repro.host import RssSpec
+
+            plan = FaultPlan(seed=3, rx_fcs_rate=0.01)
+            assert ThroughputSimulator(NicConfig(), 1472, fault_plan=plan).faults
+            assert ThroughputSimulator(NicConfig(), 1472, rss=RssSpec(rings=2)).rss_host
+            loaded()
+            """
         )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
+        plain, optional = (set(line.split()) for line in out.splitlines())
+        assert "repro.nic.throughput" in plain and "repro.fabric.sim" in plain
+        isa = sorted(m for m in plain if m.startswith("repro.isa."))
+        assert isa == ["repro.isa.rmw"]
+        assert sorted(plain.intersection(LEAN_RUN_EXCLUDES)) == []
+        assert {"repro.faults.injector", "repro.host.rss"} <= optional
