@@ -94,19 +94,32 @@ class MacReceiver:
         gaps = (interarrival_ps,) if gaps is None else tuple(gaps)
         if not gaps or min(gaps) <= 0:
             raise ValueError("interarrival gaps must be positive")
-        self.sdram = sdram
-        self.sdram_clock = sdram_clock
+        self._init_receiver(sdram, sdram_clock, timing)
+        # Pacing: the gap period, the size pattern and the arrival slot.
         self.gaps = gaps
         self.period_ps = sum(gaps)
-        self.timing = timing if timing is not None else EthernetTiming()
         self._slot_sizes = () if sizes is None else tuple(
             (sizes.frame_bytes(slot), sizes.payload_bytes(slot))
             for slot in range(sizes.pattern_length)
         )
-        self.frames_accepted = 0
-        self._next_seq = 0             # next accepted frame's number
         self._slot = 0                 # next arrival slot
         self._next_arrival_ps = start_ps
+
+    def _init_receiver(self, sdram: GddrSdram, sdram_clock: ClockDomain,
+                       timing: Optional[EthernetTiming]) -> None:
+        """The state every receiver shares: the rx buffer's SDRAM and
+        clock, the wire timing and the numbering of accepted frames."""
+        self.sdram = sdram
+        self.sdram_clock = sdram_clock
+        self.timing = timing if timing is not None else EthernetTiming()
+        self.frames_accepted = 0
+        self._next_seq = 0             # next accepted frame's number
+
+    @property
+    def frames_disposed(self) -> int:
+        """Frames this MAC has taken or tail-dropped, by its own count:
+        the arrival slots it has passed."""
+        return self._slot
 
     def next_arrival_ps(self) -> int:
         """Earliest time the next frame can be taken off the wire."""

@@ -11,9 +11,9 @@ Two entry points:
 * :func:`verify_conservation` checks the *end-state* identities that
   per-event hooks cannot see: frame/byte conservation through the
   queue → boards → MAC datapath, buffer-space bounds, the faulted
-  accounting identity ``delivered + holes + drops + in_flight ==
-  injected``, and the exact integer statistics (function sums against
-  run totals).
+  accounting identity ``delivered + holes + drops + in_flight`` against
+  the MAC's own count of the frames it took or dropped, and the exact
+  integer statistics (function sums against run totals).
 
 Both work on :class:`~repro.nic.throughput.ThroughputSimulator` and
 :class:`~repro.fabric.sim.FabricSimulator` (duck-typed on
@@ -116,16 +116,16 @@ def _verify_throughput(simulator: Any, checker: _Checker) -> None:
         f"accepted frames behind deliveries (in_flight={in_flight})",
     )
     # Faulted accounting identity (also holds fault-free with holes=0):
-    # every offered frame is delivered, a hole, tail-dropped, or still
-    # in flight.
+    # every frame the MAC took or tail-dropped, by the MAC's own count,
+    # is delivered, a hole, a drop the core counted, or still in flight.
     checker.equal(
         "rx.fault_identity",
-        accepted + simulator._rx_dropped,
+        mac_rx.frames_disposed,
         simulator._rx_done_frames
         + simulator._rx_hole_frames
         + simulator._rx_dropped
         + in_flight,
-        "offered == delivered + holes + drops + in_flight",
+        "MAC frames taken or dropped == delivered + holes + drops + in_flight",
     )
     # Per-frame receive records are keyed by sequence number and live
     # from acceptance to commit: a key outside that window belongs to

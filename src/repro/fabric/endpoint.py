@@ -48,14 +48,23 @@ class FabricMacReceiver(MacReceiver):
 
     def __init__(self, sdram, sdram_clock, timing,
                  drop_fn: Callable[[FabricFrame], None]) -> None:
-        super().__init__(sdram, sdram_clock, interarrival_ps=1, timing=timing)
+        # The wire paces arrivals: none of the paced receiver's state.
+        self._init_receiver(sdram, sdram_clock, timing)
         self._pending: Deque[Tuple[int, FabricFrame]] = deque()
         self.frames: Dict[int, FabricFrame] = {}
         self.drop_fn = drop_fn
+        self.frames_pushed = 0
 
     # -- wire side ------------------------------------------------------
     def push(self, available_ps: int, frame: FabricFrame) -> None:
         self._pending.append((available_ps, frame))
+        self.frames_pushed += 1
+
+    @property
+    def frames_disposed(self) -> int:
+        """Frames this MAC has taken or tail-dropped, by its own count:
+        those the wire pushed that no longer queue."""
+        return self.frames_pushed - len(self._pending)
 
     @property
     def has_pending(self) -> bool:

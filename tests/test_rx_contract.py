@@ -120,3 +120,49 @@ def test_fabric_nic_counts_every_offered_frame():
     assert window.rx_offered - window.rx_dropped >= window.rx_frames
     offered = nic.metrics_snapshot()["counter.rx_offered_frames"]
     assert offered == nic.mac_rx.frames_accepted + nic._rx_dropped == 956
+
+
+def _uncounted_wake_rx(self) -> None:
+    """``_wake_rx`` with one defect: it skips the backlog but never adds
+    the tail drops to ``_rx_dropped``."""
+    if not self._rx_pump_active:
+        self.mac_rx.skip_backlog(self.sim.now_ps)
+        self._rx_pump_active = True
+        self._rx_pump()
+
+
+def test_fault_identity_catches_uncounted_tail_drops(monkeypatch):
+    """``rx.fault_identity`` sets the MAC's own count of the frames it
+    took or tail-dropped against the core's accounting.  When it counted
+    offered frames as ``accepted + _rx_dropped`` it reduced to
+    ``rx.commit_accounting``, and this mutant, which loses every tail
+    drop, passed every check."""
+    monkeypatch.setattr(ThroughputSimulator, "_wake_rx", _uncounted_wake_rx)
+    simulator = _imix_bursty(_config(rx_buffer_bytes=16 * 1024))
+    simulator.run(WARMUP_S, MEASURE_S)
+    mac = simulator.mac_rx
+    assert (mac.frames_disposed, mac.frames_accepted, simulator._rx_dropped) == (861, 154, 0)
+    checked = verify_conservation(simulator, raise_on_failure=False)
+    assert [name for name, ok in checked.items() if not ok] == ["rx.fault_identity"]
+
+
+def test_fabric_mac_counts_the_frames_it_disposed_of(monkeypatch):
+    """On a fabric NIC the MAC's count is the frames the wire pushed
+    less those still queued; the same mutant fails the identity there."""
+    spec = FabricSpec(
+        nics=4,
+        stream_flows=tuple(StreamFlowSpec(src=src, dst=3) for src in range(3)),
+    )
+    simulator = FabricSimulator(NicConfig(rx_buffer_bytes=16 * 1024), spec)
+    simulator.run(WARMUP_S, MEASURE_S)
+    nic = simulator.endpoints[3]
+    mac = nic.mac_rx
+    assert mac.frames_disposed == mac.frames_pushed - len(mac._pending)
+    assert mac.frames_disposed == mac.frames_accepted + nic._rx_dropped == 956
+    assert verify_conservation(simulator)["nic3.rx.fault_identity"]
+
+    monkeypatch.setattr(ThroughputSimulator, "_wake_rx", _uncounted_wake_rx)
+    simulator = FabricSimulator(NicConfig(rx_buffer_bytes=16 * 1024), spec)
+    simulator.run(WARMUP_S, MEASURE_S)
+    checked = verify_conservation(simulator, raise_on_failure=False)
+    assert checked["nic3.rx.fault_identity"] is False
