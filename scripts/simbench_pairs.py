@@ -9,9 +9,14 @@ This is the "Comparing two commits" protocol of ``simbench/README.md``:
           --workload nic-minframe-rss --seed 1 --pairs 10 --out runs.jsonl
 
 Both trees must hold byte-identical ``simbench/`` directories (protocol
-step 1); otherwise the script exits 2 before running anything.  Pair
-``i`` (from 1) runs the parent first when ``i`` is odd and the change
-first when it is even.  Each run is
+step 1), and neither tree's ``src/`` may hold compiled bytecode
+(``.pyc``): a worker that finds bytecode skips compiling the modules it
+imports, which cuts ``setup_s`` by about 0.1 s and would fake a gain or
+hide a regression.  Otherwise the script exits 2 before running
+anything.  Every run has ``PYTHONDONTWRITEBYTECODE=1``, so each worker
+compiles what it imports, as in a fresh checkout.  Pair ``i`` (from 1)
+runs the parent first when ``i`` is odd and the change first when it is
+even.  Each run is
 ``python -m simbench --workload W --seed S --seconds T --trace 0`` in
 its tree, and its JSON line, tagged with the pair, the side and the
 printed result digest, is appended to ``--out``.
@@ -69,12 +74,23 @@ def simbench_difference(parent: str, change: str) -> Optional[str]:
     return None
 
 
+def compiled_source(tree: str) -> Optional[str]:
+    """The first ``.pyc`` under ``tree``'s ``src/``, or ``None``."""
+    for directory, subdirs, names in os.walk(os.path.join(tree, "src")):
+        subdirs.sort()
+        for name in sorted(names):
+            if name.endswith(".pyc"):
+                return os.path.join(directory, name)
+    return None
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> Dict[str, object]:
-    """One ``python -m simbench`` run in ``tree``: its last JSON line
-    plus the result digest it printed."""
+    """One ``python -m simbench`` run in ``tree``, writing no bytecode:
+    its last JSON line plus the result digest it printed."""
     command = [sys.executable, "-m", "simbench", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    completed = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    completed = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     lines = completed.stdout.strip().splitlines()
     try:
         record = json.loads(lines[-1])
@@ -188,6 +204,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     difference = simbench_difference(args.parent, args.change)
+    if difference is None:
+        for tree in (args.parent, args.change):
+            compiled = compiled_source(tree)
+            if compiled is not None:
+                difference = (f"{compiled} is compiled bytecode; setup_s "
+                              "compares only trees that compile their source")
+                break
     if difference is not None:
         print(f"simbench_pairs: refusing: {difference}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
 """``scripts/simbench_pairs.py``: the alternating-pairs summary and its
-refusal to compare trees whose ``simbench/`` differ."""
+refusal to compare trees whose ``simbench/`` differ or whose ``src/``
+holds compiled bytecode."""
 
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -89,9 +91,9 @@ def test_missing_metric_is_reported(pairs):
     assert row["verdict"] == "missing"
 
 
-def _tree(root, files):
+def _tree(root, files, top="simbench"):
     for name, text in files.items():
-        path = os.path.join(root, "simbench", name)
+        path = os.path.join(root, top, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -120,3 +122,42 @@ def test_refuses_trees_whose_simbench_differs(pairs, tmp_path, monkeypatch, caps
     assert status == 2
     assert "refusing" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_refuses_a_tree_whose_src_holds_bytecode(pairs, tmp_path, monkeypatch, capsys):
+    files = {"__main__.py": "a = 1\n"}
+    parent = _tree(tmp_path / "parent", files)
+    change = _tree(tmp_path / "change", files)
+    _tree(parent, {"repro/__init__.py": ""}, top="src")
+    _tree(change, {"repro/__init__.py": "",
+                   "repro/__pycache__/__init__.cpython-311.pyc": "junk"}, top="src")
+    assert pairs.simbench_difference(parent, change) is None
+    assert pairs.compiled_source(parent) is None
+    assert pairs.compiled_source(change).endswith("__init__.cpython-311.pyc")
+
+    def no_runs(*_args):
+        raise AssertionError("ran a workload on a tree holding bytecode")
+
+    monkeypatch.setattr(pairs, "run_once", no_runs)
+    out = tmp_path / "runs.jsonl"
+    for first, second in ((parent, change), (change, parent)):
+        status = pairs.main(["--parent", first, "--change", second, "--workload",
+                             "nic-saturation", "--seed", "1", "--out", str(out)])
+        assert status == 2
+        assert "compiled bytecode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_runs_write_no_bytecode(pairs, monkeypatch):
+    seen = {}
+
+    def fake_run(command, cwd, env, capture_output, text):
+        seen.update(env=env, cwd=cwd)
+        return subprocess.CompletedProcess(command, 0, stdout='{"metrics": {}}\n', stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    record = pairs.run_once("tree", "nic-saturation", 1, 1.0)
+    assert record["returncode"] == 0
+    assert seen["cwd"] == "tree"
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
