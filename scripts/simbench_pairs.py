@@ -24,11 +24,15 @@ printed result digest, is appended to ``--out``.
 For every end-to-end metric of ``BENCHMARK.json`` the summary prints
 each side's median and quartiles, the change's wins (ties count for
 neither side; the direction comes from ``better``) and the median gap
-against the parent's quartile spread.  A metric is flagged "worse
-beyond bound" when the change's median is worse than the parent's by
-more than its bound, and "unresolved" when either side's quartile
-spread, as a share of its median, is wider than the bound.  The exit
-status is 1 when a metric is worse beyond bound or a run failed.
+against the parent's quartile spread.  The verdicts are tested in the
+order of the README's steps 4 and 5: "worse beyond bound" when the
+change's median is worse than the parent's by more than its bound;
+else "gain" when the change wins at least 9 of 10 pairs and the medians
+differ by more than the parent's quartile spread; else "unresolved"
+when either side's quartile spread, as a share of its median, is wider
+than the bound, unless every change run beats every parent run; else
+"within bound".  The exit status is 1 when a metric is worse beyond
+bound or a run failed.
 """
 
 from __future__ import annotations
@@ -153,12 +157,14 @@ def summarize(records: List[Dict[str, object]],
         worse_share = -sign * gap / abs(p_med) if p_med else 0.0
         spread = max(parent_iqr / abs(p_med) if p_med else math.inf,
                      (c_q3 - c_q1) / abs(c_med) if c_med else math.inf)
+        dominates = (min(sign * value for value in change.values())
+                     > max(sign * value for value in parent.values()))
         if worse_share > bound:
             verdict = "worse beyond bound"
-        elif spread > bound:
-            verdict = "unresolved"
         elif wins >= math.ceil(WIN_SHARE * len(pairs)) and sign * gap > parent_iqr:
             verdict = "gain"
+        elif spread > bound and not dominates:
+            verdict = "unresolved"
         else:
             verdict = "within bound"
         row.update(

@@ -70,7 +70,7 @@ class MacReceiver:
     NIC falls behind, :meth:`skip_backlog` drops the expired slots in
     O(one period), however many there are.  The NIC core drives every
     receiver alike: while :attr:`has_pending`, it peeks the next
-    frame's sizes and, once the frame fits and has arrived, takes it.
+    frame and, once the frame fits and has arrived, takes it.
     """
 
     #: A paced source always has a next frame.
@@ -99,7 +99,7 @@ class MacReceiver:
         self.gaps = gaps
         self.period_ps = sum(gaps)
         self._slot_sizes = () if sizes is None else tuple(
-            (sizes.frame_bytes(slot), sizes.payload_bytes(slot))
+            (sizes.frame_bytes(slot), sizes.payload_bytes(slot), None)
             for slot in range(sizes.pattern_length)
         )
         self._slot = 0                 # next arrival slot
@@ -125,8 +125,8 @@ class MacReceiver:
         """Earliest time the next frame can be taken off the wire."""
         return self._next_arrival_ps
 
-    def peek_frame(self) -> Tuple[int, int]:
-        """The next frame's ``(frame bytes, UDP payload bytes)``."""
+    def peek_frame(self) -> Tuple[int, int, None]:
+        """The next frame's ``(frame bytes, UDP payload bytes, None)``."""
         sizes = self._slot_sizes
         return sizes[self._slot % len(sizes)]
 

@@ -33,7 +33,6 @@ _LAZY = {
     "run_all_oracles": "repro.check.oracles",
     "OracleReport": "repro.check.oracles",
     "FuzzReport": "repro.check.fuzz",
-    "fuzz": "repro.check.fuzz",
     "replay": "repro.check.fuzz",
     "run_monitored": "repro.check.fuzz",
     "sample_point": "repro.check.fuzz",

@@ -32,7 +32,7 @@ Neither imports anything else from ``repro``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.check.nullmonitor import NULL_MONITOR, NullInvariantMonitor  # noqa: F401
 
@@ -714,8 +714,3 @@ class InvariantMonitor(NullInvariantMonitor):
             f"{self.total_checks()} checks across {families} invariant "
             f"families, {len(self.violations)} violation(s)"
         )
-
-
-def monitor_or_null(monitor: Optional[NullInvariantMonitor]) -> NullInvariantMonitor:
-    """Normalize an optional monitor argument to the null singleton."""
-    return NULL_MONITOR if monitor is None else monitor

@@ -127,15 +127,11 @@ def _verify_throughput(simulator: Any, checker: _Checker) -> None:
         + in_flight,
         "MAC frames taken or dropped == delivered + holes + drops + in_flight",
     )
-    # Per-frame receive records are keyed by sequence number and live
-    # from acceptance to commit: a key outside that window belongs to
-    # no frame in flight.
-    records = (
-        simulator._rx_landed_at, simulator._rx_landed_flags,
-        simulator._rx_holes_uncommitted, simulator._rx_holes_completion,
-    )
+    # Each accepted frame has one receive record, keyed by its sequence
+    # number, from acceptance to commit: a key outside that window
+    # belongs to no frame in flight.
     stray = sorted(
-        seq for keys in records for seq in keys
+        seq for seq in simulator._rx_records
         if not board_rx.commit_seq <= seq < accepted
     )
     checker.check(

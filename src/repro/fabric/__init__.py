@@ -23,7 +23,7 @@ See ``docs/fabric.md`` for the topology/flow/latency methodology and
 the ``repro fabric`` CLI subcommand for JSON/CSV reports.
 """
 
-from repro.fabric.endpoint import FabricMacReceiver, NicEndpoint
+from repro.fabric.endpoint import FabricMacReceiver, NicEndpoint, PostedFrames
 from repro.fabric.flows import (
     FabricFrame,
     LATENCY_SIGNIFICANT_DIGITS,
@@ -35,7 +35,6 @@ from repro.fabric.sim import FabricResult, FabricSimulator, FlowResult
 from repro.fabric.spec import FabricSpec, RpcFlowSpec, StreamFlowSpec
 from repro.fabric.topology import TopologyRouter, TopologySpec, ecmp_hash
 from repro.fabric.wire import FabricWire
-from repro.net.workload import RecordedSizeModel
 
 __all__ = [
     "FabricFrame",
@@ -50,7 +49,7 @@ __all__ = [
     "LATENCY_SIGNIFICANT_DIGITS",
     "LatencySummary",
     "NicEndpoint",
-    "RecordedSizeModel",
+    "PostedFrames",
     "RpcFlowSpec",
     "StreamFlowSpec",
     "TopologyRouter",

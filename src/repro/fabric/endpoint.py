@@ -15,8 +15,10 @@ traffic; :class:`NicEndpoint` is the edge with *correlated* traffic:
   sent.  Only accepted frames are numbered; a tail-dropped frame is
   reported to its flow, so frame identity survives loss.
 
-Per-frame sizes are recorded (:class:`~repro.net.workload.RecordedSizeModel`)
-as flows post frames and as the core accepts them.
+Each posted frame waits in one store (:class:`PostedFrames`, which
+sizes the core's transmit side) until its wire hand-off; the receiver
+hands each accepted frame to the core, which keeps it in the frame's
+receive record until the commit pass.
 """
 
 from __future__ import annotations
@@ -29,8 +31,44 @@ from repro.assists.mac import MacReceiver, WireEvent
 from repro.fabric.flows import FabricFrame
 from repro.firmware.events import EventKind, FrameEvent
 from repro.firmware.profiles import BDS_PER_SENT_FRAME, SEND_FRAMES_PER_BD_FETCH
-from repro.net.workload import RecordedSizeModel
+from repro.net.ethernet import EthernetTiming, frame_bytes_for_udp_payload
+from repro.net.workload import FrameSizeModel
 from repro.nic.throughput import ThroughputSimulator
+
+#: The nominal payload whose means normalize a fabric NIC's results
+#: and seed its contention estimate.
+_NOMINAL_PAYLOAD_BYTES = 1472
+_NOMINAL_FRAME_BYTES = frame_bytes_for_udp_payload(_NOMINAL_PAYLOAD_BYTES)
+
+
+class PostedFrames(FrameSizeModel):
+    """The frames flows posted to one NIC, by transmit sequence number,
+    from :meth:`NicEndpoint.post_tx` to the wire hand-off.
+
+    It is the NIC's transmit size model: per-frame timing reads each
+    frame's own size (an unposted or handed-off sequence raises
+    ``KeyError``), while the means are the nominal 1472 B payload's.
+    """
+
+    def __init__(self) -> None:
+        self.frames: Dict[int, FabricFrame] = {}
+
+    def payload_bytes(self, seq: int) -> int:
+        return self.frames[seq].udp_payload_bytes
+
+    def frame_bytes(self, seq: int) -> int:
+        return self.frames[seq].frame_bytes
+
+    @property
+    def mean_payload_bytes(self) -> float:
+        return float(_NOMINAL_PAYLOAD_BYTES)
+
+    @property
+    def mean_frame_bytes(self) -> float:
+        return float(_NOMINAL_FRAME_BYTES)
+
+    def mean_wire_bytes(self, timing: EthernetTiming) -> float:
+        return float(timing.wire_bytes(_NOMINAL_FRAME_BYTES))
 
 
 class FabricMacReceiver(MacReceiver):
@@ -41,9 +79,8 @@ class FabricMacReceiver(MacReceiver):
     acceptance, and :meth:`skip_backlog` (called when the receive
     buffer was full across arrival slots) drops expired frames without
     numbering them — each drop is reported through ``drop_fn`` so the
-    owning flow sees the loss.  :attr:`frames` keeps each accepted
-    frame's identity under its number until the endpoint delivers or
-    loses it.
+    owning flow sees the loss.  The peeked frame is the identity the
+    core keeps in the frame's receive record.
     """
 
     def __init__(self, sdram, sdram_clock, timing,
@@ -51,7 +88,6 @@ class FabricMacReceiver(MacReceiver):
         # The wire paces arrivals: none of the paced receiver's state.
         self._init_receiver(sdram, sdram_clock, timing)
         self._pending: Deque[Tuple[int, FabricFrame]] = deque()
-        self.frames: Dict[int, FabricFrame] = {}
         self.drop_fn = drop_fn
         self.frames_pushed = 0
 
@@ -71,18 +107,16 @@ class FabricMacReceiver(MacReceiver):
         return bool(self._pending)
 
     # -- NIC side -------------------------------------------------------
-    def peek_frame(self) -> Tuple[int, int]:
+    def peek_frame(self) -> Tuple[int, int, FabricFrame]:
         frame = self._pending[0][1]
-        return frame.frame_bytes, frame.udp_payload_bytes
+        return frame.frame_bytes, frame.udp_payload_bytes, frame
 
     def next_arrival_ps(self) -> int:
         return self._pending[0][0]
 
     def take_frame(self, now_ps: int, frame_bytes: int) -> WireEvent:
-        available, frame = self._pending[0]
-        wire = self._accept(now_ps, available, frame_bytes)
+        wire = self._accept(now_ps, self._pending[0][0], frame_bytes)
         self._pending.popleft()
-        self.frames[wire.seq] = frame
         return wire
 
     def skip_backlog(self, now_ps: int) -> int:
@@ -102,10 +136,10 @@ class NicEndpoint(ThroughputSimulator):
 
     It shares the fabric's event kernel and is its own traffic edge
     (the calls :class:`~repro.nic.throughput.LineRateEdge` lists): it
-    owns the wire-fed :class:`FabricMacReceiver` and the per-frame
-    records, steers RSS by the frames' flows, budgets the driver by
-    posted frames, hands sent frames to the wire, and reports
-    deliveries and losses.  It overrides nothing of the core.
+    owns the wire-fed :class:`FabricMacReceiver` and the posted frames,
+    steers RSS by the frames' flows, budgets the driver by posted
+    frames, hands sent frames to the wire, and reports deliveries and
+    losses.  It overrides nothing of the core.
     """
 
     #: Flow-driven transmit: no frames exist until a flow posts one.
@@ -115,16 +149,8 @@ class NicEndpoint(ThroughputSimulator):
                  fault_plan=None, rss=None) -> None:
         self.fabric = fabric
         self.index = index
-        # Transmit sizes, recorded as flows post frames; the nominal
-        # 1472 B payload normalizes the results.
-        self.tx_sizes = RecordedSizeModel()
-        # Posted frames' identities, by transmit sequence number (the
-        # receiver keeps the received ones).
-        self._tx_frames: Dict[int, FabricFrame] = {}
+        self.tx_sizes = PostedFrames()
         self._tx_post_seq = 0
-        # RSS steering resolved at post time (the frame record may be
-        # gone by completion time); keyed by tx sequence number.
-        self._tx_ring_cache: Dict[int, int] = {}
         self._build(config, self, fabric.sim, f"nic{index}/", tracer, fault_plan, rss)
 
     def receiver(self, sdram, sdram_clock, timing) -> FabricMacReceiver:
@@ -137,8 +163,7 @@ class NicEndpoint(ThroughputSimulator):
         """A flow hands one frame to this NIC's host driver."""
         seq = self._tx_post_seq
         self._tx_post_seq += 1
-        self.tx_sizes.record(seq, frame.udp_payload_bytes)
-        self._tx_frames[seq] = frame
+        self.tx_sizes.frames[seq] = frame
         self.driver.max_frames = self._tx_post_seq
         self.fetch_send_bds()  # posts the frame's descriptors first
 
@@ -164,8 +189,10 @@ class NicEndpoint(ThroughputSimulator):
         self._push_event(FrameEvent(EventKind.FETCH_SEND_BD, count=frames))
 
     def tx_wire(self, seq: int, wire: WireEvent) -> None:
-        self.tx_sizes.release(seq)  # the core has read its sizes
-        self.fabric.wire.transmit(self.index, self._tx_frames.pop(seq), wire)
+        # The core has read the frame's sizes and its send completion
+        # steered it: the MAC pump runs after the commit pass that
+        # marked both send boards.
+        self.fabric.wire.transmit(self.index, self.tx_sizes.frames.pop(seq), wire)
 
     # ==================================================================
     # RSS steering from real flow identities
@@ -179,19 +206,10 @@ class NicEndpoint(ThroughputSimulator):
         return (0x0A00_0000 + frame.src + 1, 0x0A00_0000 + frame.dst + 1, port, 9999)
 
     def tx_ring(self, seq: int) -> int:
-        ring = self._tx_ring_cache.get(seq)
-        if ring is None:
-            ring = self.rss_host.ring_for(*self._flow_tuple(self._tx_frames[seq]))
-            self._tx_ring_cache[seq] = ring
-        return ring
+        return self.rss_host.ring_for(*self._flow_tuple(self.tx_sizes.frames[seq]))
 
-    def tx_ring_completed(self, seq: int) -> int:
-        # The send completion is the last steering read of a frame.
-        return self._tx_ring_cache.pop(seq)
-
-    def rx_ring(self, seq: int) -> int:
-        # Read in the commit pass before rx_delivered takes the frame.
-        return self.rss_host.ring_for(*self._flow_tuple(self.mac_rx.frames[seq]))
+    def rx_ring(self, seq: int, frame: FabricFrame) -> int:
+        return self.rss_host.ring_for(*self._flow_tuple(frame))
 
     # ==================================================================
     # Receive side: wire -> driver
@@ -201,12 +219,12 @@ class NicEndpoint(ThroughputSimulator):
         self.mac_rx.push(available_ps, frame)
         self._wake_rx()
 
-    def rx_delivered(self, seq: int, now_ps: int) -> None:
-        self.fabric.frame_delivered(self.mac_rx.frames.pop(seq), now_ps)
+    def rx_delivered(self, frame: FabricFrame, now_ps: int) -> None:
+        self.fabric.frame_delivered(frame, now_ps)
 
-    def rx_lost(self, seq: int, now_ps: int) -> None:
+    def rx_lost(self, frame: FabricFrame, now_ps: int) -> None:
         # The MAC numbered the frame before its checksum failed.
-        self.fabric.frame_lost(self.mac_rx.frames.pop(seq), now_ps, "rx_fcs")
+        self.fabric.frame_lost(frame, now_ps, "rx_fcs")
 
     def _mac_tail_drop(self, frame: FabricFrame) -> None:
         self.fabric.frame_lost(frame, self.sim.now_ps, "mac_overrun")

@@ -148,11 +148,11 @@ class FlowTable:
             "payload_bytes": self.payload_bytes,
         }
 
-    def reset_window(self, now_ps: int) -> None:
+    def reset_window(self) -> None:
         """Restart every shard's latency sketch at the warm-up boundary
         (the fabric's measured-window registry semantics)."""
         for registry in self.registries:
-            registry.reset_window(now_ps, histograms=True)
+            registry.reset_window(histograms=True)
 
     def summary(self, snapshot: Dict[str, int]) -> Dict[str, object]:
         """Measured-window report for ``FabricResult.topology``."""

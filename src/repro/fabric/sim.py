@@ -294,9 +294,9 @@ class FabricSimulator:
         # Measured-window registry semantics: histograms restart so the
         # percentile snapshots (and the metrics sampler) exclude cold
         # warm-up samples.
-        self.stats.reset_window(self.sim.now_ps, histograms=True)
+        self.stats.reset_window(histograms=True)
         if self.flow_table is not None:
-            self.flow_table.reset_window(self.sim.now_ps)
+            self.flow_table.reset_window()
         self.sim.run(until_ps=warmup_ps + measure_ps)
         return self._build_result(
             nic_snaps, flow_snaps, wire_snap, measure_ps, qos_snap,

@@ -1,4 +1,4 @@
-"""Ethernet link model and workload generators."""
+"""Ethernet link model and workload frame sizes."""
 
 from repro.net.ethernet import (
     ETHERNET_HEADER_BYTES,
@@ -12,20 +12,16 @@ from repro.net.ethernet import (
     frame_bytes_for_udp_payload,
     udp_payload_for_frame_bytes,
 )
-from repro.net.workload import FrameSpec, UdpStreamWorkload, WorkloadShaper
 
 __all__ = [
     "ETHERNET_HEADER_BYTES",
     "ETHERNET_CRC_BYTES",
     "EthernetTiming",
-    "FrameSpec",
     "INTERFRAME_GAP_BYTES",
     "MAX_FRAME_BYTES",
     "MAX_UDP_PAYLOAD_BYTES",
     "MIN_FRAME_BYTES",
     "PREAMBLE_BYTES",
-    "UdpStreamWorkload",
-    "WorkloadShaper",
     "frame_bytes_for_udp_payload",
     "udp_payload_for_frame_bytes",
 ]

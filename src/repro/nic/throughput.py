@@ -29,7 +29,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.assists.dma import DmaAssist
 from repro.assists.mac import MacReceiver, MacTransmitter, WireEvent
@@ -52,7 +52,7 @@ from repro.net.ethernet import (
     EthernetTiming,
     TX_HEADER_REGION_BYTES,
 )
-from repro.net.workload import ConstantSize, FrameSizeModel, RecordedSizeModel
+from repro.net.workload import ConstantSize, FrameSizeModel
 from repro.nic.config import NicConfig
 from repro.obs.tracer import NULL_TRACER, FrameStage
 from repro.sim.kernel import Simulator
@@ -313,6 +313,21 @@ class _Lock:
         self.total_wait_cycles = 0.0
 
 
+class _RxRecord:
+    """One received frame from its acceptance at the MAC to its commit:
+    its sizes, the edge's identity for it (``None`` on the line-rate
+    edge), its landing time in the receive buffer, and its FCS hole."""
+
+    __slots__ = ("frame_bytes", "payload_bytes", "identity", "landed_ps", "hole")
+
+    def __init__(self, frame_bytes: int, payload_bytes: int, identity) -> None:
+        self.frame_bytes = frame_bytes
+        self.payload_bytes = payload_bytes
+        self.identity = identity
+        self.landed_ps: Optional[int] = None
+        self.hole = False
+
+
 class LineRateEdge:
     """The paper's traffic edge (Section 5): a paced line-rate source.
 
@@ -323,9 +338,10 @@ class LineRateEdge:
     whose means normalize the results), ``driver_budget`` (``None`` is
     endless), its MAC :meth:`receiver`, its :meth:`fetch_send_bds`
     policy, and the per-frame calls: a sent frame's :meth:`tx_wire`
-    hand-off, RSS steering (:meth:`tx_ring`,
-    :meth:`tx_ring_completed`, :meth:`rx_ring`), and a received frame's
-    :meth:`rx_delivered` commit or :meth:`rx_lost` FCS hole.
+    hand-off, RSS steering (:meth:`tx_ring`, :meth:`rx_ring`), and a
+    received frame's :meth:`rx_delivered` commit or :meth:`rx_lost` FCS
+    hole.  A received frame's calls carry the identity its receiver
+    peeked with the frame.
     """
 
     #: Endless send traffic: the driver always has the next frame.
@@ -401,18 +417,15 @@ class LineRateEdge:
         flow = seq % host.spec.synthetic_flows
         return host.ring_for(0x0A000001, 0x0A000002, 0x8000 + flow, 9999)
 
-    #: A send completion reads the same synthetic ring again.
-    tx_ring_completed = tx_ring
-
-    def rx_ring(self, seq: int) -> int:
+    def rx_ring(self, seq: int, identity: None) -> int:
         host = self.nic.rss_host
         flow = seq % host.spec.synthetic_flows
         return host.ring_for(0x0A000002, 0x0A000001, 9999, 0x8000 + flow)
 
-    def rx_delivered(self, seq: int, now_ps: int) -> None:
+    def rx_delivered(self, identity: None, now_ps: int) -> None:
         """A committed frame leaves the model."""
 
-    def rx_lost(self, seq: int, now_ps: int) -> None:
+    def rx_lost(self, identity: None, now_ps: int) -> None:
         """An FCS hole is only counted."""
 
 
@@ -483,9 +496,9 @@ class ThroughputSimulator:
         self._edge = edge
         self.tx_sizes = edge.tx_sizes
         # Received frames are numbered at acceptance, so on both edges
-        # each accepted frame's sizes are recorded under its sequence
-        # number until its commit or its hole.
-        self.rx_sizes = RecordedSizeModel()
+        # each accepted frame has one record under its sequence number,
+        # which only the commit pass removes (holes included).
+        self._rx_records: Dict[int, _RxRecord] = {}
         self.udp_payload_bytes = round(self.tx_sizes.mean_payload_bytes)
         self.frame_bytes = round(self.tx_sizes.mean_frame_bytes)
         self.timing = EthernetTiming()
@@ -613,16 +626,6 @@ class ThroughputSimulator:
         self._recv_event_queued = False
         # Event types a core is handling; task-level firmware only.
         self._task_claims: Dict[EventKind, bool] = {kind: False for kind in EventKind}
-        # -- fault-recovery state (only touched when self.faults is set) --
-        # Frames landed (or hole-punched) out of order, waiting for the
-        # contiguous _rx_written watermark to reach them.
-        self._rx_landed_flags: Set[int] = set()
-        # FCS-dropped sequence holes, by recovery phase: removed from
-        # *_uncommitted* when the commit pointer passes them (goodput
-        # accounting) and from *_completion* when the receive handler
-        # resequences past them (skip-mark, no BD, no DMA).
-        self._rx_holes_uncommitted: Set[int] = set()
-        self._rx_holes_completion: Set[int] = set()
 
         # -- measurement ----------------------------------------------------
         self._tx_done_frames = 0       # wire-complete transmit frames
@@ -631,7 +634,6 @@ class ThroughputSimulator:
         self._rx_hole_frames = 0       # FCS holes the commit pointer passed
         self._tx_payload_done = 0      # UDP payload bytes on the wire
         self._rx_payload_done = 0      # UDP payload bytes delivered
-        self._rx_landed_at: Dict[int, int] = {}   # seq -> SDRAM-landed time
         self._rx_latency_sum_ps = 0.0
         self._rx_latency_samples = 0
         # Registry feeding the metrics sampler / Prometheus exporter;
@@ -774,14 +776,15 @@ class ThroughputSimulator:
         self._contention_window_accesses += count
 
     def _checksum_profile(
-        self, first: int, batch: int, sizes: FrameSizeModel, skip: Set[int] = frozenset()
+        self, first: int, batch: int, payload_bytes: Callable[[int], int],
+        skip: Set[int] = frozenset(),
     ) -> Optional[OpProfile]:
         """Per-batch cost of the configured checksum service (§8
         extension).  'assist' folds the sum into the data stream and
         leaves only a status check; 'firmware' walks the payload one
-        word at a time on a core.  ``sizes`` is the direction's size
-        model; ``skip`` excludes sequence holes (FCS-dropped frames
-        carry no payload to checksum)."""
+        word at a time on a core.  ``payload_bytes`` gives a frame's
+        UDP payload by sequence number; ``skip`` excludes sequence holes
+        (FCS-dropped frames carry no payload to checksum)."""
         mode = self.config.checksum_offload
         if mode == "none":
             return None
@@ -804,7 +807,7 @@ class ThroughputSimulator:
         for seq in range(first, first + batch):
             if seq in skip:
                 continue
-            words = sizes.payload_bytes(seq) / 4.0
+            words = payload_bytes(seq) / 4.0
             instructions += 12.0 + 7.0 * words
         return OpProfile(instructions=instructions, loads=0.0, stores=0.0)
 
@@ -1004,7 +1007,7 @@ class ThroughputSimulator:
             batch * _START_FRACTION, frames=batch,
         )
         if self._checksum_on:
-            checksum = self._checksum_profile(first, batch, self.tx_sizes)
+            checksum = self._checksum_profile(first, batch, self.tx_sizes.payload_bytes)
             if checksum is not None:
                 cycles += self._charge("send_frame", checksum, transient=True)
 
@@ -1118,9 +1121,7 @@ class ThroughputSimulator:
             self._assist_touch(self.config.assist_accesses_per_dma)
             if self.rss_host is not None:
                 first = self.board_tx_notify.commit_seq - notified
-                self.rss_host.complete_tx(
-                    first, notified, self._edge.tx_ring_completed, done_ps
-                )
+                self.rss_host.complete_tx(first, notified, self._edge.tx_ring, done_ps)
                 self._refill_send()
             else:
                 interrupt = (
@@ -1161,7 +1162,7 @@ class ThroughputSimulator:
                     "tx", seq, FrameStage.WIRE, wire.wire_end_ps, track="mac-tx"
                 )
             # Sizes are read before the hand-off: the fabric edge
-            # releases them there.
+            # pops the posted frame there.
             self._edge.tx_wire(seq, wire)
             self.sim.schedule_at(
                 wire.wire_end_ps,
@@ -1188,7 +1189,7 @@ class ThroughputSimulator:
             # restarts the pump.
             self._rx_pump_active = False
             return
-        frame_size, payload = mac.peek_frame()
+        frame_size, payload, identity = mac.peek_frame()
         if self._rx_space < frame_size:
             # Buffer full: the wire does not wait.  Sleep until space
             # frees (wake comes from _wake_rx); frames whose slot passes
@@ -1202,7 +1203,7 @@ class ThroughputSimulator:
         self._rx_space -= frame_size
         wire = mac.take_frame(now, frame_size)
         seq = wire.seq
-        self.rx_sizes.record(seq, payload)
+        self._rx_records[seq] = _RxRecord(frame_size, payload, identity)
         self._assist_touch(self.config.assist_accesses_per_mac_frame)
         if self.tracer.enabled:
             self.tracer.complete(
@@ -1249,21 +1250,20 @@ class ThroughputSimulator:
             self._rx_fault_drop(seq)
             return
         done_ps = self.mac_rx.store(
-            self.sim.now_ps, self._rx_slot_address(seq), self.rx_sizes.frame_bytes(seq)
+            self.sim.now_ps, self._rx_slot_address(seq), self._rx_records[seq].frame_bytes
         )
         self.sim.schedule_at(done_ps, lambda s=seq: self._rx_frame_landed(s))
 
     def _rx_fault_drop(self, seq: int) -> None:
         """Recovery bookkeeping for an FCS-dropped receive frame."""
         # No store happened: refund the buffer space claimed at arrival
-        # and wake the pump if the full buffer had put it to sleep.  A
-        # hole's sizes are never read again.
-        self._rx_space += self.rx_sizes.release(seq)[0]
-        self._rx_holes_uncommitted.add(seq)
-        self._rx_holes_completion.add(seq)
-        self._rx_frame_landed(seq, hole=True)
+        # and wake the pump if the full buffer had put it to sleep.
+        record = self._rx_records[seq]
+        record.hole = True
+        self._rx_space += record.frame_bytes
+        self._rx_frame_landed(seq)
         self._wake_rx()
-        self._edge.rx_lost(seq, self.sim.now_ps)
+        self._edge.rx_lost(record.identity, self.sim.now_ps)
 
     def _wake_rx(self) -> None:
         """Restart a sleeping receive pump (at start, when buffer space
@@ -1279,24 +1279,21 @@ class ThroughputSimulator:
             self._rx_pump_active = True
             self._rx_pump()
 
-    def _rx_frame_landed(self, seq: int, hole: bool = False) -> None:
-        if not hole:
-            self._rx_landed_at[seq] = self.sim.now_ps
-            if self.tracer.enabled:
-                self.tracer.frame_stage(
-                    "rx", seq, FrameStage.RX_LANDED, self.sim.now_ps, track="mac-rx"
-                )
-        if self.faults is None:
-            # SDRAM stores complete in order, so landings are contiguous.
-            self._rx_written += 1
-        else:
-            # A hole "lands" at wire end while an earlier frame's store
-            # may still be in flight, so landings can arrive out of
-            # order; advance the contiguous watermark explicitly.
-            self._rx_landed_flags.add(seq)
-            while self._rx_written in self._rx_landed_flags:
-                self._rx_landed_flags.remove(self._rx_written)
-                self._rx_written += 1
+    def _rx_frame_landed(self, seq: int) -> None:
+        records = self._rx_records
+        record = records[seq]
+        record.landed_ps = self.sim.now_ps
+        if not record.hole and self.tracer.enabled:
+            self.tracer.frame_stage(
+                "rx", seq, FrameStage.RX_LANDED, self.sim.now_ps, track="mac-rx"
+            )
+        # A hole lands at wire end while an earlier frame's store may
+        # still be in flight, so landings can arrive out of order: the
+        # watermark advances over the contiguous landed records.
+        written = self._rx_written
+        while written in records and records[written].landed_ps is not None:
+            written += 1
+        self._rx_written = written
         self._queue_recv_frame_event()
 
     def _queue_recv_frame_event(self) -> None:
@@ -1307,37 +1304,31 @@ class ThroughputSimulator:
         self._recv_event_queued = True
         self._push_event(FrameEvent(EventKind.RECV_FRAME))
 
-    def _rx_claim_window(self, available: int) -> "tuple":
-        """Fault-path batch selection over the claim window.
+    def _rx_claim_window(self) -> "tuple":
+        """Batch selection over the landed, unclaimed frames.
 
         Sequence holes (FCS drops) occupy slots in the window but need
         no receive BD and no host DMA, so they never count against
         ``_rx_bds_onboard``.  Returns ``(batch, holes)`` where ``holes``
         is the tuple of hole sequence numbers inside the batch."""
-        limit = min(available, self.config.recv_batch_max)
-        batch = 0
+        first = self._rx_claim_seq
+        limit = min(self._rx_written - first, self.config.recv_batch_max)
+        records = self._rx_records
         real = 0
         holes = []
-        while batch < limit:
-            seq = self._rx_claim_seq + batch
-            if seq in self._rx_holes_completion:
+        for seq in range(first, first + limit):
+            if records[seq].hole:
                 holes.append(seq)
-            else:
-                if real >= self._rx_bds_onboard:
-                    break
+            elif real < self._rx_bds_onboard:
                 real += 1
-            batch += 1
-        return batch, tuple(holes)
+            else:
+                break
+        return real + len(holes), tuple(holes)
 
     def _handle_recv_frame(self, now: int) -> float:
         fw = self.config.firmware
         self._recv_event_queued = False
-        available = self._rx_written - self._rx_claim_seq
-        if self.faults is None:
-            batch = min(available, self.config.recv_batch_max, self._rx_bds_onboard)
-            holes: "tuple" = ()
-        else:
-            batch, holes = self._rx_claim_window(available)
+        batch, holes = self._rx_claim_window()
         real = batch - len(holes)
         cycles = self._charge("recv_dispatch_ordering", fw.dispatch_per_event)
         if self.board_rx.requires_lock:
@@ -1359,7 +1350,6 @@ class ThroughputSimulator:
                 cycles += self._charge(
                     "recv_dispatch_ordering", self.board_rx.skip(seq)
                 )
-                self._rx_holes_completion.discard(seq)
         if real <= 0:
             # Nothing but holes in the window: commit straight past them.
             self._rx_claim_seq += batch
@@ -1380,9 +1370,10 @@ class ThroughputSimulator:
             "recv_frame", self._reentrant_per_frame["recv_frame"],
             real * _START_FRACTION, frames=real,
         )
+        records = self._rx_records
         if self._checksum_on:
             checksum = self._checksum_profile(
-                first, batch, self.rx_sizes, skip=set(holes)
+                first, batch, lambda seq: records[seq].payload_bytes, skip=set(holes)
             )
             if checksum is not None:
                 cycles += self._charge("recv_frame", checksum, transient=True)
@@ -1427,15 +1418,15 @@ class ThroughputSimulator:
             )
 
         layout = self.driver.layout
-        frame_bytes = self.rx_sizes.frame_bytes
         touches = self.config.assist_accesses_per_dma
         regions = []
         for seq in range(first, first + batch):
             if seq in holes:
                 continue
-            regions.append(
-                (layout.rx_buffer_address(seq), self._rx_slot_address(seq), frame_bytes(seq))
-            )
+            regions.append((
+                layout.rx_buffer_address(seq), self._rx_slot_address(seq),
+                records[seq].frame_bytes,
+            ))
             self._assist_touch(touches)
         self.dma_write.frame_transfer(issue_ps, regions, bundle_done)
         if self._rx_written > self._rx_claim_seq:
@@ -1445,9 +1436,11 @@ class ThroughputSimulator:
     def _handle_recv_complete(self, now: int, event: FrameEvent) -> float:
         fw = self.config.firmware
         batch = event.count
-        # Sequence holes inside the bundle (fault path) were already
-        # skip-marked at claim time: no per-frame completion work, and
-        # marking them again would corrupt the ordering bitmap.
+        # Sequence holes inside the bundle were already skip-marked at
+        # claim time: no per-frame completion work, and marking them
+        # again would corrupt the ordering bitmap.  The event carries
+        # them because a hole that leads its bundle can commit, and
+        # lose its record, before the bundle completes.
         holes = event.payload or ()
         real = batch - len(holes)
         cycles = self._charge("recv_dispatch_ordering", fw.dispatch_per_event)
@@ -1491,30 +1484,29 @@ class ThroughputSimulator:
         # back: the fabric edge steers by the frame the delivery
         # consumes.
         ring_runs: List[List[int]] = []
+        records = self._rx_records
         for seq in range(self.board_rx.commit_seq - committed, self.board_rx.commit_seq):
-            if self.faults is not None and seq in self._rx_holes_uncommitted:
+            record = records.pop(seq)  # the record's only exit
+            if record.hole:
                 # A hole commits (the pointer passes it) but delivers
                 # nothing: no payload, no descriptor, no driver notify.
-                self._rx_holes_uncommitted.discard(seq)
                 holes += 1
                 continue
             if rss_on:
-                ring = self._edge.rx_ring(seq)
+                ring = self._edge.rx_ring(seq, record.identity)
                 if ring_runs and ring_runs[-1][0] == ring:
                     ring_runs[-1][1] += 1
                 else:
                     ring_runs.append([ring, 1])
-            frame_bytes, payload = self.rx_sizes.release(seq)  # the last read
-            freed_bytes += frame_bytes
-            self._rx_payload_done += payload
+            freed_bytes += record.frame_bytes
+            self._rx_payload_done += record.payload_bytes
             if trace_on:
                 self.tracer.frame_stage("rx", seq, FrameStage.COMMITTED, now)
-            landed = self._rx_landed_at.pop(seq, None)
-            if landed is not None:
-                self._rx_latency_sum_ps += now - landed
-                self._rx_latency_samples += 1
-                self.rx_latency_histogram.record((now - landed) / 1e6)  # us
-            self._edge.rx_delivered(seq, now)
+            latency_ps = now - record.landed_ps
+            self._rx_latency_sum_ps += latency_ps
+            self._rx_latency_samples += 1
+            self.rx_latency_histogram.record(latency_ps / 1e6)  # us
+            self._edge.rx_delivered(record.identity, now)
         delivered = committed - holes
         self._rx_hole_frames += holes
         if delivered:

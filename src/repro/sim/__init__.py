@@ -11,7 +11,7 @@ while preserving cycle-accurate ordering within each clock domain.
 
 from repro._lazy import lazy_exports
 from repro.sim.kernel import ClockDomain, Simulator
-from repro.sim.stats import Counter, Histogram, RateMeter, StatRegistry
+from repro.sim.stats import Counter, Histogram, StatRegistry
 
 # The port/module composition layer serves the cycle-level datapath
 # model only; it loads on first use.
@@ -25,7 +25,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "Port",
-    "RateMeter",
     "SimModule",
     "Simulator",
     "StatRegistry",

@@ -14,7 +14,6 @@ from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.hist import StreamingHistogram, rank_bucket
-from repro.units import ps_to_seconds
 
 
 class Counter:
@@ -34,33 +33,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
-
-
-class RateMeter:
-    """Tracks a quantity accumulated over simulated time.
-
-    ``rate_per_second`` divides by the *observed window*, so a meter can
-    be reset at the end of warm-up and read at the end of the measured
-    region — which is how all throughput numbers are produced.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.total = 0.0
-        self.window_start_ps = 0
-
-    def add(self, amount: float) -> None:
-        self.total += amount
-
-    def reset(self, now_ps: int) -> None:
-        self.total = 0.0
-        self.window_start_ps = now_ps
-
-    def rate_per_second(self, now_ps: int) -> float:
-        elapsed = ps_to_seconds(now_ps - self.window_start_ps)
-        if elapsed <= 0:
-            return 0.0
-        return self.total / elapsed
 
 
 class Histogram:
@@ -115,11 +87,10 @@ class Histogram:
 
 
 class StatRegistry:
-    """A namespaced collection of counters/meters/histograms."""
+    """A namespaced collection of counters and histograms."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
-        self.meters: Dict[str, RateMeter] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.streaming: Dict[str, StreamingHistogram] = {}
 
@@ -127,11 +98,6 @@ class StatRegistry:
         if name not in self.counters:
             self.counters[name] = Counter(name)
         return self.counters[name]
-
-    def meter(self, name: str) -> RateMeter:
-        if name not in self.meters:
-            self.meters[name] = RateMeter(name)
-        return self.meters[name]
 
     def histogram(self, name: str, bucket_bounds: Iterable[float]) -> Histogram:
         if name not in self.histograms:
@@ -159,23 +125,17 @@ class StatRegistry:
             else:
                 self.streaming[name] = histogram.copy()
 
-    def reset_meters(self, now_ps: int) -> None:
-        """Restart every rate meter's observation window (end of warm-up)."""
-        for meter in self.meters.values():
-            meter.reset(now_ps)
-
     def reset_counters(self) -> None:
         """Zero every counter (end of warm-up)."""
         for counter in self.counters.values():
             counter.reset()
 
-    def reset_window(self, now_ps: int, histograms: bool = False) -> None:
-        """End-of-warm-up reset: counters *and* meters restart together,
-        so measured-region accounting excludes warm-up events
-        consistently.  Pass ``histograms=True`` to also clear recorded
-        distributions (e.g. warm-up latency samples)."""
+    def reset_window(self, histograms: bool = False) -> None:
+        """End-of-warm-up reset: counters restart, so measured-region
+        accounting excludes warm-up events.  Pass ``histograms=True`` to
+        also clear recorded distributions (e.g. warm-up latency
+        samples)."""
         self.reset_counters()
-        self.reset_meters(now_ps)
         if histograms:
             for histogram in self.histograms.values():
                 histogram.reset()
@@ -183,13 +143,11 @@ class StatRegistry:
                 streaming.reset()
 
     def snapshot(self) -> Dict[str, float]:
-        """Flat name → value view of counters, meter totals, and
-        histogram summaries (``histogram.<name>.{count,mean,p50,p99,max}``)."""
+        """Flat name → value view of counters and histogram summaries
+        (``histogram.<name>.{count,mean,p50,p99,max}``)."""
         values: Dict[str, float] = {}
         for name, counter in self.counters.items():
             values[f"counter.{name}"] = counter.value
-        for name, meter in self.meters.items():
-            values[f"meter.{name}"] = meter.total
         for name, histogram in self.histograms.items():
             values[f"histogram.{name}.count"] = histogram.total
             values[f"histogram.{name}.mean"] = histogram.mean

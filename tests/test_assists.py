@@ -443,7 +443,7 @@ class TestMacReceiver:
         dropped = mac.skip_backlog(1000)
         slot = 1 + dropped
         assert dropped > 0
-        assert mac.peek_frame() == (sizes.frame_bytes(slot), sizes.payload_bytes(slot))
+        assert mac.peek_frame() == (sizes.frame_bytes(slot), sizes.payload_bytes(slot), None)
 
     @staticmethod
     def _reference_skip(gaps, slot, arrival, now_ps):

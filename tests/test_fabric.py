@@ -20,11 +20,12 @@ from hypothesis import example, given, settings
 from repro.exp import RunSpec, Sweep, SweepRunner, execute_spec
 from repro.exp.spec import describe
 from repro.fabric import (
+    FabricFrame,
     FabricResult,
     FabricSimulator,
     FabricSpec,
     LatencySummary,
-    RecordedSizeModel,
+    PostedFrames,
     RpcFlowSpec,
     StreamFlowSpec,
     exact_percentile,
@@ -102,39 +103,45 @@ class TestLatencySummary:
         assert summary.min_us == 1.0 and summary.p50_us == 5.0
 
 
-class TestRecordedSizeModel:
-    def test_lookup_reads_recorded_value(self):
-        model = RecordedSizeModel(nominal_payload_bytes=1472)
-        model.record(0, 64)
-        model.record(1, 1472)
-        assert model.payload_bytes(0) == 64
-        assert model.payload_bytes(1) == 1472
+def _frame(payload: int) -> FabricFrame:
+    return FabricFrame("f", 0, 1, payload, "stream", 0, 0)
 
-    def test_unrecorded_sequence_raises(self):
-        model = RecordedSizeModel()
+
+class TestPostedFrames:
+    def test_lookup_reads_the_posted_frame(self):
+        posted = PostedFrames()
+        posted.frames[0] = _frame(64)
+        posted.frames[1] = _frame(1472)
+        assert posted.payload_bytes(0) == 64
+        assert posted.payload_bytes(1) == 1472
+
+    def test_unposted_sequence_raises(self):
+        posted = PostedFrames()
         with pytest.raises(KeyError):
-            model.payload_bytes(3)
+            posted.payload_bytes(3)
 
     def test_nominal_feeds_aggregates(self):
-        model = RecordedSizeModel(nominal_payload_bytes=256)
-        assert model.mean_payload_bytes == 256.0
+        posted = PostedFrames()
+        posted.frames[0] = _frame(256)
+        assert posted.mean_payload_bytes == 1472.0
+        assert posted.mean_frame_bytes == 1518.0
 
-    def test_frame_bytes_recorded_with_the_payload(self):
-        model = RecordedSizeModel()
-        model.record(0, 18)
-        model.record(1, 1472)
-        assert (model.frame_bytes(0), model.frame_bytes(1)) == (64, 1518)
+    def test_frame_bytes_come_with_the_payload(self):
+        posted = PostedFrames()
+        posted.frames[0] = _frame(18)
+        posted.frames[1] = _frame(1472)
+        assert (posted.frame_bytes(0), posted.frame_bytes(1)) == (64, 1518)
         with pytest.raises(ValueError):
-            model.record(2, 1473)
-        assert model.records == 2
+            _frame(1473)
+        assert len(posted.frames) == 2
 
-    def test_release_forgets_the_sequence(self):
-        model = RecordedSizeModel()
-        model.record(5, 100)
-        model.release(5)
-        assert model.records == 0
+    def test_hand_off_forgets_the_sequence(self):
+        posted = PostedFrames()
+        posted.frames[5] = _frame(100)
+        posted.frames.pop(5)
+        assert not posted.frames
         with pytest.raises(KeyError):
-            model.frame_bytes(5)
+            posted.frame_bytes(5)
 
 
 def test_endpoint_overrides_nothing_of_the_nic_core():
@@ -151,8 +158,9 @@ def test_endpoint_overrides_nothing_of_the_nic_core():
 
 
 class TestEndpointRecordsStayBounded:
-    """Per-sequence endpoint records are released at their last reader,
-    so they hold frames in flight, not every frame of the run."""
+    """A posted frame leaves at its wire hand-off and a receive record
+    at its commit, so the endpoint holds frames in flight, not every
+    frame of the run."""
 
     @staticmethod
     def _record_counts(measure_s, rss):
@@ -163,10 +171,7 @@ class TestEndpointRecordsStayBounded:
             _config(), spec, rss=RssSpec(rings=4) if rss else None
         )
         sim.run(WARMUP_S, measure_s)
-        return [
-            (nic.tx_sizes.records, nic.rx_sizes.records, len(nic._tx_ring_cache))
-            for nic in sim.endpoints
-        ]
+        return [(len(nic.tx_sizes.frames), len(nic._rx_records)) for nic in sim.endpoints]
 
     @pytest.mark.parametrize("rss", [False, True], ids=["single-ring", "rss"])
     def test_counts_do_not_grow_with_the_window(self, rss):

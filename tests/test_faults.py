@@ -190,13 +190,13 @@ class TestRxHoleRecovery:
         assert sim.board_rx.commit_seq > drops[0]
         behind_frontier = [s for s in drops if s < sim.board_rx.commit_seq]
         assert behind_frontier, "some holes must have been committed past"
-        assert all(s >= sim.board_rx.commit_seq
-                   for s in sim._rx_holes_uncommitted)
+        holes = [seq for seq, record in sim._rx_records.items() if record.hole]
+        assert all(s >= sim.board_rx.commit_seq for s in holes)
         # Bounded in-flight window: the gap never exceeded the ring.
         assert sim._rx_claim_seq - sim.board_rx.commit_seq <= config.ordering_ring
-        assert sim.board_rx.skipped == sim.faults.counters["rx_fcs_drops"] - len(
-            sim._rx_holes_completion
-        )
+        # Holes the receive handler has not yet resequenced past.
+        unclaimed = [s for s in holes if s >= sim._rx_claim_seq]
+        assert sim.board_rx.skipped == sim.faults.counters["rx_fcs_drops"] - len(unclaimed)
         assert result.rx_holes > 0
 
     def test_goodput_excludes_holes(self):

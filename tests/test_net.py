@@ -1,4 +1,4 @@
-"""Ethernet line-rate arithmetic (Section 2.1) and workload generators."""
+"""Ethernet line-rate arithmetic (Section 2.1)."""
 
 import dataclasses
 
@@ -6,12 +6,9 @@ import pytest
 
 from repro.net import (
     EthernetTiming,
-    FrameSpec,
     MAX_FRAME_BYTES,
     MAX_UDP_PAYLOAD_BYTES,
     MIN_FRAME_BYTES,
-    UdpStreamWorkload,
-    WorkloadShaper,
     frame_bytes_for_udp_payload,
     udp_payload_for_frame_bytes,
 )
@@ -116,58 +113,3 @@ class TestFrameTimeMemo:
         ]
         with pytest.raises(dataclasses.FrozenInstanceError):
             used.link_bits_per_second = 1e9
-
-
-class TestWorkloads:
-    def test_stream_is_deterministic(self):
-        workload = UdpStreamWorkload(1472, "tx")
-        first = [next(workload.frames()) for _ in range(1)]
-        again = [next(workload.frames()) for _ in range(1)]
-        assert first == again
-
-    def test_frame_spec_sequence(self):
-        workload = UdpStreamWorkload(100, "rx")
-        frames = workload.frames()
-        specs = [next(frames) for _ in range(3)]
-        assert [s.sequence for s in specs] == [0, 1, 2]
-        assert all(s.frame_bytes == 146 for s in specs)
-
-    def test_direction_validation(self):
-        with pytest.raises(ValueError):
-            UdpStreamWorkload(100, "sideways")
-
-    def test_payload_range_validation(self):
-        with pytest.raises(ValueError):
-            UdpStreamWorkload(4, "tx")
-
-    def test_frame_spec_direction_validation(self):
-        with pytest.raises(ValueError):
-            FrameSpec(0, 100, 146, "up")
-
-    def test_shaper_line_rate_interarrival(self):
-        shaper = WorkloadShaper(UdpStreamWorkload(1472, "rx"))
-        assert shaper.interarrival_ps == EthernetTiming().frame_time_ps(1518)
-
-    def test_shaper_half_rate(self):
-        shaper = WorkloadShaper(
-            UdpStreamWorkload(1472, "rx"), offered_fraction_of_line_rate=0.5
-        )
-        assert shaper.interarrival_ps == 2 * EthernetTiming().frame_time_ps(1518)
-
-    def test_shaper_arrivals_monotonic(self):
-        shaper = WorkloadShaper(UdpStreamWorkload(800, "rx"))
-        arrivals = shaper.arrivals()
-        times = [next(arrivals)[0] for _ in range(10)]
-        assert times == sorted(times)
-        assert len(set(times)) == 10
-
-    def test_offered_fps(self):
-        shaper = WorkloadShaper(
-            UdpStreamWorkload(1472, "rx"), offered_fraction_of_line_rate=0.25
-        )
-        line = EthernetTiming().frames_per_second(1518)
-        assert shaper.offered_fps() == pytest.approx(line / 4)
-
-    def test_overload_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadShaper(UdpStreamWorkload(1472, "rx"), offered_fraction_of_line_rate=0)

@@ -193,11 +193,6 @@ class TestOfferedLoadControl:
         per_direction = EthernetTiming().frames_per_second(1518)
         assert result.rx_fps == pytest.approx(0.5 * per_direction, rel=0.1)
 
-    def test_offered_load_validation(self):
-        from repro.net.workload import WorkloadShaper, UdpStreamWorkload
-        with pytest.raises(ValueError):
-            WorkloadShaper(UdpStreamWorkload(1472, "rx"), offered_fraction_of_line_rate=1.5)
-
 
 class TestTaskLevelBaseline:
     def test_event_register_firmware_scales_worse(self):

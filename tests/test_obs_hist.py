@@ -269,11 +269,11 @@ class TestRegistryStreaming:
         assert snap["shist.lat.count"] == 2.0
         assert snap["shist.lat.max"] == 20.0
         assert snap["shist.lat.p50"] == pytest.approx(10.0, rel=1e-2)
-        registry.reset_window(0, histograms=True)
+        registry.reset_window(histograms=True)
         assert registry.snapshot()["shist.lat.count"] == 0.0
         # Without histograms=True the distribution survives the reset.
         hist.record(5.0)
-        registry.reset_window(0)
+        registry.reset_window()
         assert registry.snapshot()["shist.lat.count"] == 1.0
 
     def test_merge_streaming_across_registries(self):

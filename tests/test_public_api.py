@@ -3,6 +3,7 @@ package surface documented in the README exists."""
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -76,6 +77,30 @@ class TestPublicApi:
         assert set(exported) <= set(dir(module))
         for name in exported:
             assert hasattr(module, name), f"{package}.{name} missing"
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_no_export_shadows_a_submodule(self, package):
+        """A package name that is also a submodule's name resolves to
+        whichever was bound last: the function before the submodule is
+        imported, the module after."""
+        module = importlib.import_module(package)
+        submodules = {info.name for info in pkgutil.iter_modules(module.__path__)}
+        assert sorted(submodules.intersection(getattr(module, "__all__", []))) == []
+
+    def test_check_fuzz_is_the_fuzz_module(self):
+        """``from repro.check import fuzz`` gives the submodule in a fresh
+        interpreter, as the replay-determinism CI step expects."""
+        out = _run_fresh(
+            """
+            import types
+
+            from repro.check import fuzz as fz
+
+            assert isinstance(fz, types.ModuleType), fz
+            print(fz.__name__, callable(fz.fuzz), callable(fz.replay))
+            """
+        )
+        assert out.split() == ["repro.check.fuzz", "True", "True"]
 
     def test_readme_entry_points_exist(self):
         import repro

@@ -3,7 +3,8 @@
 A tail-dropped frame gets no sequence number on either traffic edge, so
 the ordering board, the DMA, the commit pass and every per-frame record
 count the same frames.  These runs tail-drop at the MAC and then keep
-committing frames accepted after the drop.
+committing frames accepted after the drop.  Each accepted frame has one
+receive record, which only the commit pass removes.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ from repro.firmware.ordering import OrderingMode
 from repro.host.rss import RssSpec
 from repro.net.workload import ImixSize
 from repro.nic import NicConfig, ThroughputSimulator
+from repro.nic.throughput import _RxRecord
 from repro.units import mhz
 
 WARMUP_S = 0.1e-3
@@ -48,7 +50,10 @@ def test_fault_plan_does_not_wedge_the_receive_path():
     faulted = simulator.run(WARMUP_S, MEASURE_S)
     assert faulted.rx_dropped > 0
     assert faulted.rx_frames == clean.rx_frames == 88
-    assert not simulator._rx_landed_flags
+    assert not [
+        seq for seq, record in simulator._rx_records.items()
+        if seq >= simulator._rx_written and record.landed_ps is not None
+    ]
     verify_conservation(simulator)
 
 
@@ -71,7 +76,7 @@ def test_rx_buffer_space_is_what_the_buffered_frames_leave(monkeypatch):
     buffered = taken[simulator.board_rx.commit_seq:]
     assert len(taken) == simulator.mac_rx.frames_accepted
     assert simulator._rx_space == config.rx_buffer_bytes - sum(buffered)
-    assert simulator.rx_sizes.records == len(buffered)
+    assert len(simulator._rx_records) == len(buffered)
 
 
 @pytest.mark.parametrize(
@@ -98,9 +103,42 @@ def test_receive_records_stay_in_the_window(factory):
 def test_stray_receive_record_fails_the_check():
     simulator = ThroughputSimulator(_config(), 1472)
     simulator.run(WARMUP_S, MEASURE_S)
-    simulator._rx_landed_at[simulator.mac_rx.frames_accepted] = 0
+    simulator._rx_records[simulator.mac_rx.frames_accepted] = _RxRecord(1518, 1472, None)
     checked = verify_conservation(simulator, raise_on_failure=False)
     assert checked["rx.records_in_window"] is False
+
+
+class _KeptRecords(dict):
+    """A receive-record store whose ``pop`` returns the record but keeps
+    it: the commit pass then leaks every committed frame's record, its
+    sizes and identity included."""
+
+    def pop(self, seq, *default):
+        return self[seq]
+
+
+def test_leaked_receive_records_fail_the_check():
+    """The run is unchanged, and only ``rx.records_in_window`` sees the
+    leak; the per-frame stores the record replaced were read by no
+    check."""
+    simulator = ThroughputSimulator(_config(), 1472)
+    clean = simulator.run(WARMUP_S, MEASURE_S)
+    simulator = ThroughputSimulator(_config(), 1472)
+    simulator._rx_records = _KeptRecords()
+    leaked = simulator.run(WARMUP_S, MEASURE_S)
+    assert leaked.to_dict() == clean.to_dict()
+    assert len(simulator._rx_records) > simulator.board_rx.commit_seq > 0
+    checked = verify_conservation(simulator, raise_on_failure=False)
+    assert [name for name, ok in checked.items() if not ok] == ["rx.records_in_window"]
+
+
+def test_leaked_receive_records_on_a_fabric_endpoint_fail_the_check():
+    spec = FabricSpec.rpc_pair(concurrency=8, seed=1)
+    simulator = FabricSimulator(_config(), spec)
+    simulator.endpoints[1]._rx_records = _KeptRecords()
+    simulator.run(WARMUP_S, MEASURE_S)
+    checked = verify_conservation(simulator, raise_on_failure=False)
+    assert [name for name, ok in checked.items() if not ok] == ["nic1.rx.records_in_window"]
 
 
 def test_fabric_nic_counts_every_offered_frame():

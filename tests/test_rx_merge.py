@@ -21,6 +21,7 @@ from repro.host.rss import RssSpec
 from repro.mem.sdram import GddrSdram
 from repro.net.workload import ImixSize
 from repro.nic import NicConfig, ThroughputSimulator
+from repro.nic.throughput import _RxRecord
 from repro.units import mhz
 
 WARMUP_S = 0.1e-3
@@ -35,7 +36,7 @@ def _two_event_rx_pump(self) -> None:
     if not mac.has_pending:
         self._rx_pump_active = False
         return
-    frame_size, payload = mac.peek_frame()
+    frame_size, payload, identity = mac.peek_frame()
     if self._rx_space < frame_size:
         self._rx_pump_active = False
         return
@@ -45,7 +46,7 @@ def _two_event_rx_pump(self) -> None:
         return
     self._rx_space -= frame_size
     wire = mac.take_frame(now, frame_size)
-    self.rx_sizes.record(wire.seq, payload)
+    self._rx_records[wire.seq] = _RxRecord(frame_size, payload, identity)
     self._assist_touch(self.config.assist_accesses_per_mac_frame)
     if self.tracer.enabled:
         self.tracer.complete(

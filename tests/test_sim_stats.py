@@ -6,8 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.sim import Counter, Histogram, RateMeter, StatRegistry
-from repro.units import seconds_to_ps
+from repro.sim import Counter, Histogram, StatRegistry
 
 
 class TestCounter:
@@ -26,26 +25,6 @@ class TestCounter:
         counter.add(3)
         counter.reset()
         assert counter.value == 0
-
-
-class TestRateMeter:
-    def test_rate(self):
-        meter = RateMeter("fps")
-        meter.add(1000)
-        assert meter.rate_per_second(seconds_to_ps(0.5)) == pytest.approx(2000)
-
-    def test_reset_moves_window(self):
-        meter = RateMeter("fps")
-        meter.add(1000)
-        meter.reset(seconds_to_ps(1.0))
-        meter.add(100)
-        rate = meter.rate_per_second(seconds_to_ps(1.5))
-        assert rate == pytest.approx(200)
-
-    def test_zero_window(self):
-        meter = RateMeter("fps")
-        meter.add(10)
-        assert meter.rate_per_second(0) == 0.0
 
 
 class TestHistogram:
@@ -123,17 +102,8 @@ class TestStatRegistry:
     def test_snapshot(self):
         registry = StatRegistry()
         registry.counter("a").add(2)
-        registry.meter("b").add(3.5)
         snap = registry.snapshot()
         assert snap["counter.a"] == 2
-        assert snap["meter.b"] == 3.5
-
-    def test_reset_meters(self):
-        registry = StatRegistry()
-        registry.meter("b").add(5)
-        registry.reset_meters(seconds_to_ps(1.0))
-        assert registry.meter("b").total == 0.0
-        assert registry.meter("b").window_start_ps == seconds_to_ps(1.0)
 
     def test_items_sorted(self):
         registry = StatRegistry()
@@ -167,20 +137,17 @@ class TestStatRegistry:
         registry.reset_counters()
         assert registry.counter("a").value == 0
 
-    def test_reset_window_covers_counters_and_meters(self):
-        """Warm-up reset must exclude warm-up events from *both* kinds
-        of accounting, not just the meters."""
+    def test_reset_window_covers_counters_and_histograms(self):
+        """Warm-up reset excludes warm-up events from the counters, and
+        from the histograms when asked."""
         registry = StatRegistry()
         registry.counter("frames").add(10)
-        registry.meter("bytes").add(100)
         histogram = registry.histogram("lat", [1, 10])
         histogram.record(5)
-        registry.reset_window(seconds_to_ps(0.5))
+        registry.reset_window()
         assert registry.counter("frames").value == 0
-        assert registry.meter("bytes").total == 0.0
-        assert registry.meter("bytes").window_start_ps == seconds_to_ps(0.5)
         assert histogram.total == 1  # histograms kept by default
-        registry.reset_window(seconds_to_ps(0.6), histograms=True)
+        registry.reset_window(histograms=True)
         assert histogram.total == 0 and histogram.max is None
 
     def test_histogram_reset_clears_samples(self):

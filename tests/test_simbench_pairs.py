@@ -86,6 +86,29 @@ def test_spread_wider_than_the_bound_is_unresolved(pairs):
     assert row["verdict"] == "within bound"
 
 
+def test_gain_is_tested_before_the_spread(pairs):
+    """The held-out ``nic-saturation`` seed 2 ``setup_s`` pairs of the
+    lean start-up change: every change run is faster than every parent
+    run, and the change's quartiles span 41% of its median."""
+    parent = [0.137, 0.150, 0.1690, 0.1722, 0.1850, 0.1942, 0.2100, 0.2136, 0.220, 0.230]
+    change = [0.080, 0.082, 0.0843, 0.0859, 0.0930, 0.0976, 0.1218, 0.1239, 0.127, 0.129]
+    (row,) = pairs.summarize(_records("setup_s", parent, change), [SETUP])
+    assert (row["wins"], row["pairs"]) == (10, 10)
+    assert row["parent"] == pytest.approx((0.1698, 0.1896, 0.2127))
+    assert row["change"] == pytest.approx((0.0847, 0.0953, 0.123375))
+    assert row["spread"] == pytest.approx(0.406, abs=1e-3)
+    assert -row["gap"] > row["parent_iqr"]
+    assert row["verdict"] == "gain"
+    # Every change run beats every parent run, but the gap is inside
+    # the parent's wide spread: within bound, not unresolved.
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.50, 1.60, 1.70, 1.80, 1.90]
+    change = [0.95, 0.96, 0.97, 0.98, 0.99, 0.99, 0.99, 0.99, 0.99, 0.99]
+    (row,) = pairs.summarize(_records("setup_s", parent, change), [SETUP])
+    assert -row["gap"] < row["parent_iqr"]
+    assert row["spread"] > SETUP["bound"]
+    assert row["verdict"] == "within bound"
+
+
 def test_missing_metric_is_reported(pairs):
     (row,) = pairs.summarize(_records("frames_per_wall_s", [1.0], [1.0]), [SPEED])
     assert row["verdict"] == "missing"
