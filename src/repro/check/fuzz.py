@@ -2,8 +2,9 @@
 
 The fuzzer samples random :class:`~repro.exp.spec.RunSpec` points —
 configs, workloads, optional :class:`~repro.faults.FaultPlan` fault
-injection and optional :class:`~repro.fabric.spec.FabricSpec` multi-NIC
-topologies — and runs each with an armed
+injection, optional :class:`~repro.fabric.spec.FabricSpec` multi-NIC
+topologies and an optional :class:`~repro.host.rss.RssSpec` multi-queue
+host — and runs each with an armed
 :class:`~repro.check.monitor.InvariantMonitor` plus the post-run
 :func:`~repro.check.verify.verify_conservation` identities.
 
@@ -60,6 +61,7 @@ def sample_point(rng: random.Random):
     from repro.fabric.spec import FabricSpec
     from repro.faults import FaultPlan
     from repro.firmware.ordering import OrderingMode
+    from repro.host.rss import RssSpec
     from repro.nic.config import NicConfig
     from repro.units import mhz
 
@@ -113,6 +115,17 @@ def sample_point(rng: random.Random):
         # earlier draw of a case is unchanged.
         config = dataclasses.replace(config, rx_buffer_bytes=16 * 1024)
 
+    rss = None
+    if rng.random() < 0.3:
+        # The multi-queue host, drawn after the buffer for the same
+        # reason; it composes with faults and both fabrics.
+        rss = RssSpec(
+            rings=rng.choice([1, 2, 4, 8]),
+            hash_seed=rng.randrange(1 << 16),
+            interrupt_coalesce_frames=rng.choice([1, 8]),
+            host_cores=rng.choice([0, 1]),
+        )
+
     return RunSpec(
         config=config,
         workload=workload,
@@ -120,6 +133,7 @@ def sample_point(rng: random.Random):
         measure_s=MEASURE_S,
         fault_plan=fault_plan,
         fabric_spec=fabric_spec,
+        rss=rss,
         label="fuzz",
     )
 
@@ -153,6 +167,18 @@ def _drop_fabric(spec):
 
 def _drop_faults(spec):
     return dataclasses.replace(spec, fault_plan=None)
+
+
+def _drop_rss(spec):
+    return dataclasses.replace(spec, rss=None)
+
+
+def _single_ring(spec):
+    if spec.rss is None:
+        return spec
+    return dataclasses.replace(
+        spec, rss=dataclasses.replace(spec.rss, rings=1)
+    )
 
 
 def _plain_switch(spec):
@@ -206,6 +232,8 @@ def _short_window(spec):
 SHRINK_TRANSFORMS: Dict[str, Callable] = {
     "drop_fabric": _drop_fabric,
     "drop_faults": _drop_faults,
+    "drop_rss": _drop_rss,
+    "single_ring": _single_ring,
     "plain_switch": _plain_switch,
     "constant_workload": _constant_workload,
     "single_core": _single_core,

@@ -377,6 +377,21 @@ class TestFuzz:
         assert shrunk.fault_plan is None
         assert shrunk.config.cores == 1
 
+    def test_rss_shrink_transforms_apply(self):
+        index = next(
+            i for i in range(64)
+            if spec_for_case(0, i).rss is not None
+            and spec_for_case(0, i).rss.rings > 1
+        )
+        spec = spec_for_case(0, index)
+        single = apply_shrinks(spec, ["single_ring"])
+        assert single.rss.rings == 1
+        assert single.rss.hash_seed == spec.rss.hash_seed
+        assert apply_shrinks(spec, ["drop_rss"]).rss is None
+        # Without a multi-queue host, single_ring is a no-op.
+        dropped = apply_shrinks(spec, ["drop_rss", "single_ring"])
+        assert dropped == apply_shrinks(spec, ["drop_rss"])
+
     def test_unknown_shrink_rejected(self):
         with pytest.raises(KeyError):
             apply_shrinks(spec_for_case(0, 0), ["no_such_transform"])
