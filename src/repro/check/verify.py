@@ -63,9 +63,8 @@ def _attach_throughput(simulator: Any, monitor: NullInvariantMonitor) -> None:
         simulator.board_rx,
     ):
         board.monitor = monitor
-    rss_host = getattr(simulator, "rss_host", None)
-    if rss_host is not None:
-        rss_host.monitor = monitor
+    if simulator.rss_host:  # the multi-queue host, on an RSS run
+        simulator.rss_host.monitor = monitor
 
 
 # ----------------------------------------------------------------------
@@ -247,9 +246,8 @@ def _verify_throughput(simulator: Any, checker: _Checker) -> None:
 
     # Multi-queue host rings: per-ring descriptor conservation — every
     # posted descriptor is completed or still held in the ring.
-    rss_host = getattr(simulator, "rss_host", None)
-    if rss_host is not None:
-        for ring in rss_host.rings:
+    if simulator.rss_host:
+        for ring in simulator.rss_host.rings:
             checker.equal(
                 f"rss.ring{ring.index}.rx_conservation",
                 ring.rx_posted,

@@ -137,9 +137,9 @@ class NicEndpoint(ThroughputSimulator):
     It shares the fabric's event kernel and is its own traffic edge
     (the calls :class:`~repro.nic.throughput.LineRateEdge` lists): it
     owns the wire-fed :class:`FabricMacReceiver` and the posted frames,
-    steers RSS by the frames' flows, budgets the driver by posted
-    frames, hands sent frames to the wire, and reports deliveries and
-    losses.  It overrides nothing of the core.
+    names the frames' flows for RSS steering, budgets the driver by
+    posted frames, hands sent frames to the wire, and reports
+    deliveries and losses.  It overrides nothing of the core.
     """
 
     #: Flow-driven transmit: no frames exist until a flow posts one.
@@ -171,7 +171,7 @@ class NicEndpoint(ThroughputSimulator):
         """Fetch what is queued, up to one batch: partial batches, since
         a 4-deep RPC window never queues the 16 frames the saturation
         workload always has."""
-        self._refill_send()
+        self.host.refill_send()
         room = (
             self.config.tx_bd_buffer_frames
             - self._tx_bd_onboard
@@ -195,7 +195,7 @@ class NicEndpoint(ThroughputSimulator):
         self.fabric.wire.transmit(self.index, self.tx_sizes.frames.pop(seq), wire)
 
     # ==================================================================
-    # RSS steering from real flow identities
+    # Flow identities for RSS steering
     # ==================================================================
     @staticmethod
     def _flow_tuple(frame: FabricFrame) -> Tuple[int, int, int, int]:
@@ -205,11 +205,11 @@ class NicEndpoint(ThroughputSimulator):
         port = 0x8000 | (zlib.crc32(frame.flow.encode("ascii")) & 0x7FFF)
         return (0x0A00_0000 + frame.src + 1, 0x0A00_0000 + frame.dst + 1, port, 9999)
 
-    def tx_ring(self, seq: int) -> int:
-        return self.rss_host.ring_for(*self._flow_tuple(self.tx_sizes.frames[seq]))
+    def tx_flow(self, seq: int) -> Tuple[int, int, int, int]:
+        return self._flow_tuple(self.tx_sizes.frames[seq])
 
-    def rx_ring(self, seq: int, frame: FabricFrame) -> int:
-        return self.rss_host.ring_for(*self._flow_tuple(frame))
+    def rx_flow(self, seq: int, frame: FabricFrame) -> Tuple[int, int, int, int]:
+        return self._flow_tuple(frame)
 
     # ==================================================================
     # Receive side: wire -> driver

@@ -18,7 +18,7 @@ Section 2.1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.firmware.profiles import BDS_PER_SENT_FRAME
 from repro.host.descriptors import DescriptorRing
@@ -106,7 +106,9 @@ class DriverStats:
 
 
 class DriverModel:
-    """The OS half of the NIC protocol."""
+    """The OS half of the NIC protocol, and the paper's single-ring host
+    edge: the NIC core makes its six host calls, :meth:`refill_send` to
+    :meth:`report`, on this or on a multi-queue host built over it."""
 
     def __init__(
         self,
@@ -114,13 +116,45 @@ class DriverModel:
         recv_ring_capacity: int = 256,
         layout: Optional[HostMemoryLayout] = None,
         max_frames: Optional[int] = None,
+        interrupt_coalesce_frames: int = 8,
     ) -> None:
         self.send_ring = DescriptorRing(send_ring_capacity, "send-bd")
         self.recv_ring = DescriptorRing(recv_ring_capacity, "recv-bd")
         self.layout = layout if layout is not None else HostMemoryLayout()
         self.max_frames = max_frames  # None = saturation (endless traffic)
+        #: Completions per interrupt (the NIC's moderation window).
+        self.interrupt_coalesce_frames = interrupt_coalesce_frames
         self.stats = DriverStats()
         self._next_send_seq = 0
+
+    # -- the host edge -----------------------------------------------------
+    def refill_send(self) -> int:
+        return self.refill_send_ring()
+
+    def replenish_recv(self) -> int:
+        return self.replenish_recv_ring()
+
+    def complete_tx(self, first: int, count: int, now_ps: int) -> None:
+        """Send completions for frames ``first`` on, then a refill; an
+        interrupt when the batch reaches a multiple of the window."""
+        self.complete_sends(
+            count, (first + count) % self.interrupt_coalesce_frames < count
+        )
+        self.refill_send_ring()
+
+    def commit_rx(self, frames: List[Tuple[int, object]], commit_seq: int,
+                  committed: int, now_ps: int) -> None:
+        """A commit pass delivered ``frames`` (``(seq, identity)``); the
+        interrupt rule counts all ``committed`` frames, holes included."""
+        self.complete_receives(
+            len(frames), commit_seq % self.interrupt_coalesce_frames < committed
+        )
+
+    def window_reset(self) -> None:
+        """The single-ring host keeps no state per measurement window."""
+
+    def report(self, baselines: None, measure_ps: int) -> None:
+        """Nothing to report: a single-ring result has no ``rss`` section."""
 
     # -- send side -------------------------------------------------------
     def refill_send_ring(self, limit: Optional[int] = None) -> int:

@@ -251,11 +251,12 @@ class HostRing:
 class HostQueueModel:
     """N host rings + Toeplitz steering + host-core contention.
 
-    Sits beside the NIC-facing aggregate :class:`DriverModel` (whose
-    descriptor-DMA timing the firmware pipeline already models) and owns
-    the *host* side: which ring each flow lands on, per-ring interrupt
-    moderation and statistics, and when descriptors recycle back to the
-    NIC.  Two credit pools couple the sides:
+    Built over the NIC-facing aggregate :class:`DriverModel` (whose
+    descriptor-DMA timing the firmware pipeline already models), it
+    makes the same host calls and owns the *host* side: which ring each
+    frame's flow (the edge's ``tx_flow``/``rx_flow``) lands on, per-ring
+    interrupt moderation and statistics, and when descriptors recycle
+    back to the NIC.  Two credit pools couple the sides:
 
     * receive — the NIC may only be handed as many buffer descriptors
       as the rings have posted; a completion batch returns its buffers
@@ -271,11 +272,17 @@ class HostQueueModel:
         self,
         spec: RssSpec,
         sim,
+        driver: DriverModel,
+        tx_flow: Callable[[int], tuple],
+        rx_flow: Callable[[int, object], tuple],
         send_ring_capacity: int = 512,
         recv_ring_capacity: int = 256,
     ) -> None:
         self.spec = spec
         self.sim = sim
+        self.driver = driver
+        self.tx_flow = tx_flow
+        self.rx_flow = rx_flow
         self.monitor = NULL_MONITOR
         self._hash = ToeplitzHash(toeplitz_key(spec.hash_seed))
         self._indirection = [
@@ -324,8 +331,7 @@ class HostQueueModel:
         return ring
 
     # -- transmit side --------------------------------------------------
-    def refill_send(self, driver: DriverModel,
-                    steer_fn: Callable[[int], int]) -> int:
+    def refill_send(self) -> int:
         """Credit-gated replacement for ``driver.refill_send_ring()``.
 
         Posts frame by frame so each post lands in its steered ring's
@@ -333,6 +339,7 @@ class HostQueueModel:
         frame's descriptors (head-of-line, in frame order) or when
         transmit credit runs out.
         """
+        driver = self.driver
         posted = 0
         while self.tx_credit > 0:
             seq = driver._next_send_seq
@@ -343,7 +350,7 @@ class HostQueueModel:
                 break
             if driver.send_ring.free_slots < BDS_PER_SENT_FRAME:
                 break
-            ring = self.rings[steer_fn(seq)]
+            ring = self.rings[self.ring_for(*self.tx_flow(seq))]
             if ring.send_ring.free_slots < BDS_PER_SENT_FRAME:
                 break
             if driver.refill_send_ring(limit=1) == 0:
@@ -357,13 +364,14 @@ class HostQueueModel:
                 self.monitor.ring_posted(self, ring.index, "tx", 1)
         return posted
 
-    def complete_tx(self, first_seq: int, count: int,
-                    steer_fn: Callable[[int], int], now_ps: int) -> None:
-        """Route a contiguous batch of send completions to their rings."""
+    def complete_tx(self, first_seq: int, count: int, now_ps: int) -> None:
+        """Route a contiguous batch of send completions to their rings,
+        then refill."""
+        tx_flow = self.tx_flow
         run_ring = -1
         run_count = 0
         for seq in range(first_seq, first_seq + count):
-            ring = steer_fn(seq)
+            ring = self.ring_for(*tx_flow(seq))
             if ring == run_ring:
                 run_count += 1
                 continue
@@ -373,13 +381,14 @@ class HostQueueModel:
             run_count = 1
         if run_count:
             self._deliver_tx(self.rings[run_ring], run_count, now_ps)
+        self.refill_send()
 
     def _deliver_tx(self, ring: HostRing, count: int, now_ps: int) -> None:
         ring.tx_completed += count
         ring.send_ring.take(BDS_PER_SENT_FRAME * count)
         ring.stats.record_sends(count)
-        # Per-ring interrupt moderation, same modulo form as the legacy
-        # single-ring decision in ``_commit_tx``.
+        # Per-ring interrupt moderation, the modulo form of
+        # ``DriverModel.complete_tx``.
         interrupt = (
             ring.tx_completed % self.spec.interrupt_coalesce_frames
         ) < count
@@ -390,14 +399,33 @@ class HostQueueModel:
         self._enqueue(ring, "tx", count, interrupt, now_ps)
 
     # -- receive side ---------------------------------------------------
-    def replenish_recv(self, driver: DriverModel) -> int:
+    def replenish_recv(self) -> int:
         """Credit-gated replacement for ``driver.replenish_recv_ring()``:
         the NIC only sees buffers the rings actually hold."""
         if self.rx_credit <= 0:
             return 0
-        posted = driver.replenish_recv_ring(limit=self.rx_credit)
+        posted = self.driver.replenish_recv_ring(limit=self.rx_credit)
         self.rx_credit -= posted
         return posted
+
+    def commit_rx(self, frames: List[Tuple[int, object]], commit_seq: int,
+                  committed: int, now_ps: int) -> None:
+        """Route a commit pass's delivered ``(seq, identity)`` frames to
+        their rings, one :meth:`complete_rx` per run on one ring."""
+        rx_flow = self.rx_flow
+        run_ring = -1
+        run_count = 0
+        for seq, identity in frames:
+            ring = self.ring_for(*rx_flow(seq, identity))
+            if ring == run_ring:
+                run_count += 1
+                continue
+            if run_count:
+                self.complete_rx(run_ring, run_count, now_ps)
+            run_ring = ring
+            run_count = 1
+        if run_count:
+            self.complete_rx(run_ring, run_count, now_ps)
 
     def complete_rx(self, ring_index: int, count: int, now_ps: int) -> None:
         """``count`` received frames steered to ``ring_index`` finished

@@ -29,7 +29,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.assists.dma import DmaAssist
 from repro.assists.mac import MacReceiver, MacTransmitter, WireEvent
@@ -338,10 +338,10 @@ class LineRateEdge:
     whose means normalize the results), ``driver_budget`` (``None`` is
     endless), its MAC :meth:`receiver`, its :meth:`fetch_send_bds`
     policy, and the per-frame calls: a sent frame's :meth:`tx_wire`
-    hand-off, RSS steering (:meth:`tx_ring`, :meth:`rx_ring`), and a
-    received frame's :meth:`rx_delivered` commit or :meth:`rx_lost` FCS
-    hole.  A received frame's calls carry the identity its receiver
-    peeked with the frame.
+    hand-off, a frame's flow (:meth:`tx_flow`, :meth:`rx_flow`) for a
+    multi-queue host to steer, and a received frame's
+    :meth:`rx_delivered` commit or :meth:`rx_lost` FCS hole.  A received
+    frame's calls carry the identity its receiver peeked with the frame.
     """
 
     #: Endless send traffic: the driver always has the next frame.
@@ -400,7 +400,7 @@ class LineRateEdge:
             return  # scratchpad BD staging buffer is full
         driver = nic.driver
         if driver.send_bds_available() < SEND_BDS_PER_FETCH:
-            nic._refill_send()
+            nic.host.refill_send()
         if driver.send_bds_available() < SEND_BDS_PER_FETCH:
             return
         nic._tx_fetch_inflight += SEND_FRAMES_PER_BD_FETCH
@@ -410,17 +410,15 @@ class LineRateEdge:
     def tx_wire(self, seq: int, wire: WireEvent) -> None:
         """The wire is a sink: a sent frame goes nowhere."""
 
-    def tx_ring(self, seq: int) -> int:
-        """Ring of a synthetic flow: frames spread over the spec's
+    def tx_flow(self, seq: int) -> Tuple[int, int, int, int]:
+        """A synthetic flow: frames spread over the RSS spec's
         ``synthetic_flows`` flows in sequence order."""
-        host = self.nic.rss_host
-        flow = seq % host.spec.synthetic_flows
-        return host.ring_for(0x0A000001, 0x0A000002, 0x8000 + flow, 9999)
+        flow = seq % self.nic.rss.synthetic_flows
+        return (0x0A000001, 0x0A000002, 0x8000 + flow, 9999)
 
-    def rx_ring(self, seq: int, identity: None) -> int:
-        host = self.nic.rss_host
-        flow = seq % host.spec.synthetic_flows
-        return host.ring_for(0x0A000002, 0x0A000001, 9999, 0x8000 + flow)
+    def rx_flow(self, seq: int, identity: None) -> Tuple[int, int, int, int]:
+        flow = seq % self.nic.rss.synthetic_flows
+        return (0x0A000002, 0x0A000001, 9999, 0x8000 + flow)
 
     def rx_delivered(self, identity: None, now_ps: int) -> None:
         """A committed frame leaves the model."""
@@ -534,23 +532,24 @@ class ThroughputSimulator:
             send_ring_capacity=config.send_ring_capacity,
             recv_ring_capacity=config.recv_ring_capacity,
             max_frames=edge.driver_budget,
+            interrupt_coalesce_frames=config.interrupt_coalesce_frames,
         )
-        #: Multi-queue host model (the modern-RSS comparison arm);
-        #: ``None`` keeps the paper's single-ring host interface with
-        #: byte-identical behaviour.
+        #: The one host edge the core calls: the paper's single-ring
+        #: driver, or the multi-queue host (the modern-RSS comparison
+        #: arm, also kept as ``rss_host``) built over it.
+        self.host = self.driver
         self.rss = rss
         self.rss_host: Optional[HostQueueModel] = None
         if rss is not None:
             from repro.host.rss import HostQueueModel
 
-            self.rss_host = HostQueueModel(
-                rss,
-                sim=self.sim,
+            self.host = self.rss_host = HostQueueModel(
+                rss, self.sim, self.driver, edge.tx_flow, edge.rx_flow,
                 send_ring_capacity=config.send_ring_capacity,
                 recv_ring_capacity=config.recv_ring_capacity,
             )
-            self.rss_host.on_rx_processed = self._rss_rx_processed
-            self.rss_host.on_tx_processed = self._rss_tx_processed
+            self.host.on_rx_processed = self._rss_rx_processed
+            self.host.on_tx_processed = self._rss_tx_processed
 
         mode = config.ordering_mode
         self.board_tx_mac = OrderingBoard(
@@ -650,26 +649,12 @@ class ThroughputSimulator:
         self._contention_window_accesses = 0.0
         self._contention_window_start_ps = 0
 
-        self._replenish_recv()
-        self._refill_send()
+        self.host.replenish_recv()
+        self.host.refill_send()
 
     # ==================================================================
-    # Multi-queue host interface (RSS)
+    # Multi-queue host credit callbacks (RSS)
     # ==================================================================
-    def _refill_send(self) -> None:
-        """Post send descriptors: legacy fill-to-capacity, or (with a
-        multi-queue host) steered, credit-gated per-ring posting."""
-        if self.rss_host is not None:
-            self.rss_host.refill_send(self.driver, self._edge.tx_ring)
-        else:
-            self.driver.refill_send_ring()
-
-    def _replenish_recv(self) -> None:
-        if self.rss_host is not None:
-            self.rss_host.replenish_recv(self.driver)
-        else:
-            self.driver.replenish_recv_ring()
-
     def _rss_rx_processed(self, count: int) -> None:
         # A host core recycled receive buffers: credit is back, so the
         # NIC may be able to fetch receive BDs again.
@@ -678,7 +663,7 @@ class ThroughputSimulator:
     def _rss_tx_processed(self, count: int) -> None:
         # Send credit returned: post the next frames and let the NIC
         # fetch their descriptors.
-        self._refill_send()
+        self.host.refill_send()
         self._edge.fetch_send_bds()
 
     # ==================================================================
@@ -1119,17 +1104,9 @@ class ThroughputSimulator:
             done_ps = now + self.core_clock.cycles_to_ps(cycles_so_far + cycles)
             self.dma_write.descriptor_transfer(done_ps, DESCRIPTOR_BYTES)
             self._assist_touch(self.config.assist_accesses_per_dma)
-            if self.rss_host is not None:
-                first = self.board_tx_notify.commit_seq - notified
-                self.rss_host.complete_tx(first, notified, self._edge.tx_ring, done_ps)
-                self._refill_send()
-            else:
-                interrupt = (
-                    self.board_tx_notify.commit_seq
-                    % self.config.interrupt_coalesce_frames
-                ) < notified
-                self.driver.complete_sends(notified, interrupt)
-                self.driver.refill_send_ring()
+            self.host.complete_tx(
+                self.board_tx_notify.commit_seq - notified, notified, done_ps
+            )
         if committed:
             self.sim.schedule(
                 self.core_clock.cycles_to_ps(cycles_so_far + cycles), self._mac_tx_pump
@@ -1476,28 +1453,18 @@ class ThroughputSimulator:
         committed, cost = self.board_rx.commit()
         cycles += self._charge("recv_dispatch_ordering", cost)
         freed_bytes = 0
-        holes = 0
         trace_on = self.tracer.enabled
-        rss_on = self.rss_host is not None
-        # Contiguous (ring, count) runs of delivered frames, in commit
-        # order.  Steering is resolved *before* the edge takes the frame
-        # back: the fabric edge steers by the frame the delivery
-        # consumes.
-        ring_runs: List[List[int]] = []
+        # The delivered frames, in commit order, for the host.
+        frames: List[tuple] = []
         records = self._rx_records
-        for seq in range(self.board_rx.commit_seq - committed, self.board_rx.commit_seq):
+        commit_seq = self.board_rx.commit_seq
+        for seq in range(commit_seq - committed, commit_seq):
             record = records.pop(seq)  # the record's only exit
             if record.hole:
                 # A hole commits (the pointer passes it) but delivers
-                # nothing: no payload, no descriptor, no driver notify.
-                holes += 1
+                # nothing: no payload, no descriptor, no host notify.
                 continue
-            if rss_on:
-                ring = self._edge.rx_ring(seq, record.identity)
-                if ring_runs and ring_runs[-1][0] == ring:
-                    ring_runs[-1][1] += 1
-                else:
-                    ring_runs.append([ring, 1])
+            frames.append((seq, record.identity))
             freed_bytes += record.frame_bytes
             self._rx_payload_done += record.payload_bytes
             if trace_on:
@@ -1507,8 +1474,8 @@ class ThroughputSimulator:
             self._rx_latency_samples += 1
             self.rx_latency_histogram.record(latency_ps / 1e6)  # us
             self._edge.rx_delivered(record.identity, now)
-        delivered = committed - holes
-        self._rx_hole_frames += holes
+        delivered = len(frames)
+        self._rx_hole_frames += committed - delivered
         if delivered:
             cycles += self._acquire_lock(
                 "notify_rx", now, _HOLD_NOTIFY, "recv_locking", cycles_so_far + cycles
@@ -1516,14 +1483,7 @@ class ThroughputSimulator:
             done_ps = now + self.core_clock.cycles_to_ps(cycles_so_far + cycles)
             self.dma_write.descriptor_transfer(done_ps, delivered * DESCRIPTOR_BYTES)
             self._assist_touch(self.config.assist_accesses_per_dma)
-            if rss_on:
-                for ring_index, run in ring_runs:
-                    self.rss_host.complete_rx(ring_index, run, done_ps)
-            else:
-                interrupt = (
-                    self.board_rx.commit_seq % self.config.interrupt_coalesce_frames
-                ) < committed
-                self.driver.complete_receives(delivered, interrupt)
+            self.host.commit_rx(frames, commit_seq, committed, done_ps)
             self._rx_done_frames += delivered
             self._rx_space += freed_bytes
             self.sim.schedule(
@@ -1541,7 +1501,7 @@ class ThroughputSimulator:
             >= self.config.recv_bd_low_water
         ):
             return
-        self._replenish_recv()
+        self.host.replenish_recv()
         if self.driver.recv_bds_available() < RECV_BDS_PER_FETCH:
             return
         self._rx_fetch_inflight += RECV_BDS_PER_FETCH
@@ -1727,13 +1687,9 @@ class ThroughputSimulator:
             "fault_counters": (
                 self.faults.snapshot() if self.faults is not None else None
             ),
-            # Also opens the multi-queue measurement window (per-ring
-            # stat windows + core baselines).
-            "rss": (
-                self.rss_host.window_reset()
-                if self.rss_host is not None
-                else None
-            ),
+            # Also opens the host's measurement window (a multi-queue
+            # host's per-ring stat windows + core baselines).
+            "rss": self.host.window_reset(),
             "now_ps": self.sim.now_ps,
         }
 
@@ -1832,9 +1788,5 @@ class ThroughputSimulator:
             p99_rx_commit_latency_s=self.rx_latency_histogram.percentile(0.99) * 1e-6,
             rx_holes=self._rx_hole_frames - snap["rx_holes"],  # type: ignore[operator]
             fault_counters=fault_counters,
-            rss=(
-                self.rss_host.report(snap["rss"], measure_ps)  # type: ignore[arg-type]
-                if self.rss_host is not None
-                else None
-            ),
+            rss=self.host.report(snap["rss"], measure_ps),  # type: ignore[arg-type]
         )

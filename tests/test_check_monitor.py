@@ -18,6 +18,7 @@ import gc
 import pytest
 
 from repro.check.monitor import InvariantMonitor, InvariantViolation
+from repro.host import DriverModel
 from repro.host.rss import HostQueueModel, RssSpec
 from repro.sim import Simulator
 
@@ -73,7 +74,8 @@ class TestShadowPinning:
         for _ in range(8):
             host = HostQueueModel(
                 RssSpec(rings=2, completion_ps=100, interrupt_ps=0),
-                sim=Simulator(),
+                Simulator(), DriverModel(), lambda seq: None,
+                lambda seq, identity: None,
                 send_ring_capacity=8, recv_ring_capacity=4,
             )
             host.monitor = monitor

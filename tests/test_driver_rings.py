@@ -233,31 +233,57 @@ class TestWindowReset:
 # ----------------------------------------------------------------------
 # Multi-queue host rings
 # ----------------------------------------------------------------------
-def _host(rings=4, send_capacity=8, recv_capacity=6, **spec_kwargs):
+class _Steering:
+    """A test's traffic edge: frame ``seq`` travels on a flow that the
+    host's hash sends to ring ``ring_of(seq)``."""
+
+    def __init__(self, ring_of):
+        self.ring_of = ring_of
+        self.flows = {}
+
+    def learn(self, host):
+        port = 0x8000
+        while len(self.flows) < len(host.rings):
+            flow = (0x0A00_0001, 0x0A00_0002, port, 9999)
+            self.flows.setdefault(host.ring_for(*flow), flow)
+            port += 1
+
+    def tx_flow(self, seq):
+        return self.flows[self.ring_of(seq)]
+
+    def rx_flow(self, seq, identity):
+        return self.tx_flow(seq)
+
+
+def _host(rings=4, send_capacity=8, recv_capacity=6, driver=None,
+          steering=None, **spec_kwargs):
     spec = RssSpec(rings=rings, completion_ps=100, interrupt_ps=0,
                    **spec_kwargs)
-    return HostQueueModel(
-        spec, sim=Simulator(),
+    if driver is None:
+        driver = DriverModel(send_ring_capacity=512, recv_ring_capacity=16)
+    if steering is None:
+        steering = _Steering(lambda seq: 0)
+    host = HostQueueModel(
+        spec, Simulator(), driver, steering.tx_flow, steering.rx_flow,
         send_ring_capacity=send_capacity, recv_ring_capacity=recv_capacity,
     )
+    steering.learn(host)
+    return host
 
 
 class TestMultiRingWraparound:
     def test_send_rings_wrap_under_steered_refill(self):
         # Round-robin steering across 4 rings, 8-slot (4-frame) send
         # rings: 80 frames are 20 per ring = 5 full ring generations.
-        host = _host(rings=4, send_capacity=8)
-        driver = DriverModel(
-            send_ring_capacity=512, recv_ring_capacity=16,
-        )
+        host = _host(rings=4, send_capacity=8,
+                     steering=_Steering(lambda seq: seq % 4))
         completed = 0
         while completed < 80:
-            host.refill_send(driver, lambda seq: seq % 4)
+            host.refill_send()
             # NIC completes the oldest 4 frames (one per ring); running
             # the sim lets the host cores process the batches and
             # return the transmit credit the next refill needs.
-            host.complete_tx(completed, 4, lambda seq: seq % 4,
-                             host.sim.now_ps)
+            host.complete_tx(completed, 4, host.sim.now_ps)
             host.sim.run()
             completed += 4
         for ring in host.rings:
@@ -295,42 +321,42 @@ class TestMultiRingRefillInterleaving:
         # Frames steer 0,1,0,1,...; posting must land alternately and
         # stop the moment the *steered* ring is full (head-of-line in
         # frame order), not when the aggregate ring is.
-        host = _host(rings=2, send_capacity=4)  # 2 frames per ring
-        driver = DriverModel(
-            send_ring_capacity=512, recv_ring_capacity=16,
-        )
-        posted = host.refill_send(driver, lambda seq: seq % 2)
+        steering = _Steering(lambda seq: seq % 2)
+        host = _host(rings=2, send_capacity=4, steering=steering)  # 2 frames per ring
+        posted = host.refill_send()
         assert posted == 4  # 2 frames per ring, strictly alternating
         assert [len(r.send_ring) for r in host.rings] == [4, 4]
         # Complete one frame on ring 1 only: the next frame in sequence
         # steers to ring 0 (still full), so nothing posts.
-        host.complete_tx(0, 1, lambda seq: 1, 0)
+        steering.ring_of = lambda seq: 1
+        host.complete_tx(0, 1, 0)
         host.sim.run()
-        assert host.refill_send(driver, lambda seq: 0) == 0
+        steering.ring_of = lambda seq: 0
+        assert host.refill_send() == 0
         # A ring-1-steered refill fits exactly one frame.
-        assert host.refill_send(driver, lambda seq: 1) == 1
+        steering.ring_of = lambda seq: 1
+        assert host.refill_send() == 1
 
     def test_tx_credit_bounds_total_outstanding(self):
-        host = _host(rings=2, send_capacity=4)
-        driver = DriverModel(
-            send_ring_capacity=512, recv_ring_capacity=16,
-        )
+        host = _host(rings=2, send_capacity=4,
+                     steering=_Steering(lambda seq: seq % 2))
         assert host.tx_credit == 4  # 2 rings x (4 slots // 2)
-        host.refill_send(driver, lambda seq: seq % 2)
+        host.refill_send()
         assert host.tx_credit == 0
-        host.complete_tx(0, 2, lambda seq: seq % 2, 0)
+        host.complete_tx(0, 2, 0)
         host.sim.run()  # host cores process, credit returns
         assert host.tx_credit == 2
 
     def test_flow_budget_respected(self):
-        host = _host(rings=4, send_capacity=64)
         driver = DriverModel(
             send_ring_capacity=512, recv_ring_capacity=16, max_frames=3,
         )
-        assert host.refill_send(driver, lambda seq: seq % 4) == 3
-        assert host.refill_send(driver, lambda seq: seq % 4) == 0
+        host = _host(rings=4, send_capacity=64, driver=driver,
+                     steering=_Steering(lambda seq: seq % 4))
+        assert host.refill_send() == 3
+        assert host.refill_send() == 0
         driver.max_frames = 5
-        assert host.refill_send(driver, lambda seq: seq % 4) == 2
+        assert host.refill_send() == 2
 
 
 class TestSteeringDistribution:

@@ -13,6 +13,7 @@ import struct
 import pytest
 
 from repro.exp import RunSpec, WorkloadSpec
+from repro.host import DriverModel
 from repro.host.rss import (
     HostQueueModel,
     RSS_DEFAULT_KEY,
@@ -23,6 +24,11 @@ from repro.host.rss import (
 )
 from repro.nic import NicConfig, RMW_166MHZ, ThroughputSimulator
 from repro.sim import Simulator
+
+def _one_flow(seq, identity=None):
+    """Every frame on one flow, for hosts whose steering a test skips."""
+    return (1, 2, 0x8000, 4)
+
 
 # Long enough for the single-ring arm to drain its initial buffer
 # credit and reach its host-limited steady state before measuring.
@@ -120,7 +126,7 @@ class TestRssSpec:
 class TestSteering:
     def _model(self, rings=4):
         return HostQueueModel(
-            RssSpec(rings=rings), sim=Simulator(),
+            RssSpec(rings=rings), Simulator(), DriverModel(), _one_flow, _one_flow,
             send_ring_capacity=32, recv_ring_capacity=16,
         )
 
@@ -150,7 +156,8 @@ class TestSteering:
     def test_seed_changes_placement(self):
         base = self._model()
         seeded = HostQueueModel(
-            RssSpec(rings=4, hash_seed=99), sim=Simulator(),
+            RssSpec(rings=4, hash_seed=99), Simulator(), DriverModel(),
+            _one_flow, _one_flow,
             send_ring_capacity=32, recv_ring_capacity=16,
         )
         flows = [(1, 2, 0x8000 + i, 4) for i in range(64)]
@@ -168,7 +175,7 @@ class TestHostCorePump:
         sim = Simulator()
         model = HostQueueModel(
             RssSpec(rings=2, completion_ps=100, interrupt_ps=50),
-            sim=sim,
+            sim, DriverModel(), _one_flow, _one_flow,
             send_ring_capacity=8, recv_ring_capacity=8,
         )
         order = []
@@ -192,7 +199,7 @@ class TestHostCorePump:
         sim = Simulator()
         model = HostQueueModel(
             RssSpec(rings=2, host_cores=1, completion_ps=100, interrupt_ps=0),
-            sim=sim,
+            sim, DriverModel(), _one_flow, _one_flow,
             send_ring_capacity=8, recv_ring_capacity=8,
         )
         done = []
@@ -207,7 +214,7 @@ class TestHostCorePump:
         sim = Simulator()
         model = HostQueueModel(
             RssSpec(rings=1, completion_ps=100, interrupt_ps=0),
-            sim=sim,
+            sim, DriverModel(), _one_flow, _one_flow,
             send_ring_capacity=8, recv_ring_capacity=4,
         )
         ring = model.rings[0]
