@@ -289,10 +289,28 @@ def _verify_fabric(fabric: Any, checker: _Checker) -> None:
     for index, endpoint in enumerate(fabric.endpoints):
         sub = _Checker(f"{checker.label}nic{index}.")
         _verify_throughput(endpoint, sub)
+        _verify_posted_frames(endpoint, sub)
         checker.checked.update(
             {f"nic{index}.{k}": v for k, v in sub.checked.items()}
         )
         checker.failures.extend(sub.failures)
+
+
+def _verify_posted_frames(endpoint: Any, checker: _Checker) -> None:
+    """A posted frame waits in the endpoint's one transmit store from
+    its post to its wire hand-off: a key outside ``[_tx_mac_seq,
+    _tx_post_seq)`` is a frame already sent or never posted."""
+    mac_seq, post_seq = endpoint._tx_mac_seq, endpoint._tx_post_seq
+    stray = sorted(
+        seq for seq in endpoint.tx_sizes.frames
+        if not mac_seq <= seq < post_seq
+    )
+    checker.check(
+        "tx.records_in_window",
+        not stray,
+        f"{len(stray)} posted frame(s) outside [mac_seq {mac_seq}, "
+        f"post_seq {post_seq}): {stray[:8]}",
+    )
 
 
 def _verify_qos(wire: Any, checker: _Checker) -> None:

@@ -4,7 +4,9 @@ A tail-dropped frame gets no sequence number on either traffic edge, so
 the ordering board, the DMA, the commit pass and every per-frame record
 count the same frames.  These runs tail-drop at the MAC and then keep
 committing frames accepted after the drop.  Each accepted frame has one
-receive record, which only the commit pass removes.
+receive record, which only the commit pass removes; on the send side of
+a fabric NIC, each posted frame waits in one store until its wire
+hand-off.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import pytest
 from repro.assists.mac import MacReceiver
 from repro.check import verify_conservation
 from repro.fabric import FabricSimulator, FabricSpec, StreamFlowSpec
+from repro.fabric.endpoint import NicEndpoint
 from repro.faults import FaultPlan
 from repro.firmware.ordering import OrderingMode
 from repro.host.rss import RssSpec
@@ -139,6 +142,30 @@ def test_leaked_receive_records_on_a_fabric_endpoint_fail_the_check():
     simulator.run(WARMUP_S, MEASURE_S)
     checked = verify_conservation(simulator, raise_on_failure=False)
     assert [name for name, ok in checked.items() if not ok] == ["nic1.rx.records_in_window"]
+
+
+def _tx_wire_keeping_the_frame(self, seq, wire):
+    """``NicEndpoint.tx_wire`` reading the frame without popping it."""
+    self.fabric.wire.transmit(self.index, self.tx_sizes.frames[seq], wire)
+
+
+def test_leaked_posted_frames_fail_the_check(monkeypatch):
+    """A wire hand-off that leaves sent frames in the posted store moves
+    no result, and only ``tx.records_in_window`` sees the leak."""
+    spec = FabricSpec.rpc_pair(concurrency=8, seed=1)
+    simulator = FabricSimulator(_config(), spec)
+    clean = simulator.run(WARMUP_S, MEASURE_S)
+    assert verify_conservation(simulator)["nic0.tx.records_in_window"]
+    monkeypatch.setattr(NicEndpoint, "tx_wire", _tx_wire_keeping_the_frame)
+    simulator = FabricSimulator(_config(), spec)
+    leaked = simulator.run(WARMUP_S, MEASURE_S)
+    assert leaked.to_dict() == clean.to_dict()
+    nic = simulator.endpoints[0]
+    assert len(nic.tx_sizes.frames) > nic._tx_post_seq - nic._tx_mac_seq
+    checked = verify_conservation(simulator, raise_on_failure=False)
+    assert [name for name, ok in checked.items() if not ok] == [
+        "nic0.tx.records_in_window", "nic1.tx.records_in_window",
+    ]
 
 
 def test_fabric_nic_counts_every_offered_frame():
