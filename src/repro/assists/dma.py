@@ -15,9 +15,14 @@ which fires when the last region is done.  Timing per region:
    stages at most one burst at a time (its two-frame staging buffer
    holds the next while the current drains), and the burst is requested
    from the shared SDRAM bus *at its actual start time* via the event
-   kernel, so the bus's FIFO arbitration interleaves the four assists'
-   streams at frame-burst granularity exactly as the paper's
-   burst-friendly arbiter does.
+   kernel.
+
+The shared bus serves whole bursts first come, first served:
+:meth:`~repro.mem.sdram.GddrSdram.transfer` starts each burst when the
+bus is free, in the order the four assists request them, so their
+streams interleave at frame-burst granularity.  This is the one bus
+arbitration every run uses, the model's stand-in for the paper's
+burst-friendly arbiter on its 128-bit internal bus (DESIGN.md §2).
 
 A job costs fewer kernel events than one transfer per region would, and
 runs the same SDRAM requests at the same instants:
@@ -108,7 +113,6 @@ class DmaAssist:
         self._draining = False
         self.transfers = 0
         self.bytes_moved = 0
-        self.scratchpad_accesses = 0
         # Fault layer (repro.faults): when an injector is attached, each
         # burst consults it for SDRAM transfer errors; None keeps the
         # fault-free fast path untouched.
@@ -249,7 +253,3 @@ class DmaAssist:
         self.transfers += 1
         self.bytes_moved += nbytes
         return DmaTransfer(now_ps, complete, complete, nbytes, False)
-
-    def note_scratchpad_accesses(self, count: int) -> None:
-        """Track the assist's own control-data traffic (Table 4)."""
-        self.scratchpad_accesses += count

@@ -82,30 +82,6 @@ class Sweep:
         return cls(name, specs)
 
     @classmethod
-    def frame_sizes(
-        cls,
-        name: str,
-        udp_sizes: Sequence[int],
-        configs: Sequence[NicConfig],
-        warmup_s: float = 0.4e-3,
-        measure_s: float = 0.8e-3,
-    ) -> "Sweep":
-        """Figure-8-style frame-size sweep over one or more configs."""
-        specs = []
-        for payload in udp_sizes:
-            for config in configs:
-                specs.append(
-                    RunSpec(
-                        config=config,
-                        workload=WorkloadSpec(udp_payload_bytes=payload),
-                        warmup_s=warmup_s,
-                        measure_s=measure_s,
-                        label=f"{config.label}/{payload}B",
-                    )
-                )
-        return cls(name, specs)
-
-    @classmethod
     def of_configs(
         cls,
         name: str,

@@ -88,11 +88,6 @@ class Memory:
         self.data[address] = value & 0xFF
         self._invalidate_reservations(address & ~3)
 
-    def load_bytes(self, address: int, count: int) -> bytes:
-        if not 0 <= address <= self.size_bytes - count:
-            raise MachineError(f"bulk access at {address:#x} outside memory")
-        return bytes(self.data[address : address + count])
-
     def store_bytes(self, address: int, payload: bytes) -> None:
         if not 0 <= address <= self.size_bytes - len(payload):
             raise MachineError(f"bulk access at {address:#x} outside memory")

@@ -62,9 +62,6 @@ class InstructionCache:
         ways.append(tag)
         return False
 
-    def line_address(self, address: int) -> int:
-        return address - (address % self.line_bytes)
-
     @property
     def accesses(self) -> int:
         return self.hits + self.misses

@@ -12,7 +12,7 @@ The paper's headline configurations:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cpu.costmodel import CoreCostModel
 from repro.firmware.ordering import OrderingMode
@@ -113,15 +113,6 @@ class NicConfig:
     @property
     def dma_latency_ps(self) -> int:
         return seconds_to_ps(self.dma_latency_s)
-
-    def with_cores(self, cores: int) -> "NicConfig":
-        return replace(self, cores=cores)
-
-    def with_frequency(self, frequency_hz: float) -> "NicConfig":
-        return replace(self, core_frequency_hz=frequency_hz)
-
-    def with_ordering(self, mode: OrderingMode) -> "NicConfig":
-        return replace(self, ordering_mode=mode)
 
     @property
     def label(self) -> str:

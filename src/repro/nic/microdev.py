@@ -283,7 +283,3 @@ class DeviceMemory(Memory):
     @property
     def rx_consumer(self) -> int:
         return super().load_word(RX_CONS_ADDR)
-
-    @property
-    def dma_consumer(self) -> int:
-        return super().load_word(DMA_CONS_ADDR)

@@ -40,11 +40,6 @@ def gbps(value: float) -> float:
     return value * GIGA
 
 
-def mbps(value: float) -> float:
-    """Return a bandwidth given in Mb/s as bits per second."""
-    return value * MEGA
-
-
 def to_gbps(bits_per_second: float) -> float:
     """Express a bits-per-second figure in Gb/s."""
     return bits_per_second / GIGA

@@ -102,12 +102,6 @@ class TestDmaAssist:
         with pytest.raises(ValueError):
             dma.frame_transfer(0, [(0, 0, 0)], lambda _t: None)
 
-    def test_scratchpad_access_tracking(self):
-        sim, clock, sdram, pci = _rig()
-        dma = DmaAssist("rd", sim, pci, sdram, clock, to_nic=True)
-        dma.note_scratchpad_accesses(9)
-        assert dma.scratchpad_accesses == 9
-
     @pytest.mark.parametrize("to_nic", [True, False])
     def test_bundle_calls_back_once(self, to_nic):
         sim, clock, sdram, pci = _rig()

@@ -339,12 +339,6 @@ class TestSweep:
         labels = [spec.label for spec in sweep]
         assert "1c@100MHz" in labels
 
-    def test_frame_sizes_shape(self):
-        sweep = Sweep.frame_sizes("f", udp_sizes=(18, 1472),
-                                  configs=[NicConfig(cores=1)], **_FAST)
-        assert len(sweep) == 2
-        assert {spec.workload.udp_payload_bytes for spec in sweep} == {18, 1472}
-
     def test_of_configs(self):
         configs = [NicConfig(cores=1), NicConfig(cores=2)]
         sweep = Sweep.of_configs("c", configs, **_FAST)

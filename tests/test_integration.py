@@ -3,7 +3,6 @@ end-to-end timing chains."""
 
 import pytest
 
-from repro.firmware.ordering import OrderingMode
 from repro.net.ethernet import EthernetTiming
 from repro.nic import NicConfig, RMW_166MHZ, ThroughputSimulator
 from repro.units import mhz
@@ -129,14 +128,6 @@ class TestEndToEndChains:
 
 
 class TestConfigSurface:
-    def test_with_helpers(self):
-        base = NicConfig()
-        assert base.with_cores(8).cores == 8
-        assert base.with_frequency(mhz(200)).core_frequency_hz == mhz(200)
-        assert base.with_ordering(OrderingMode.SOFTWARE).ordering_mode is (
-            OrderingMode.SOFTWARE
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NicConfig(cores=0)
