@@ -43,7 +43,7 @@ REPLAY_VERSION = 1
 
 #: The fuzzer keeps windows short: invariants are checked per event, so
 #: a few hundred microseconds of simulated traffic exercises thousands
-#: of checks per case while keeping ``--fuzz 25`` CI-cheap.
+#: of checks per case while keeping CI's ``--fuzz 200`` a few seconds.
 WARMUP_S = 0.05e-3
 MEASURE_S = 0.2e-3
 

@@ -33,3 +33,22 @@ def test_uninstall_restores_the_originals():
             assert not hasattr(owner.__dict__[method], "simbench_layer"), (
                 f"{class_name}.{method} still patched"
             )
+
+
+def test_every_callback_attribute_resolves():
+    """Each callback the traced round adopts exists on a workload's
+    simulator or endpoint.  ``Tracer.attach`` skips an owner or
+    attribute it cannot find, so a rename would leave those calls in
+    their caller's layer and fail nothing else."""
+    from simbench.trace import _CALLABLE_TYPES, CALLBACK_ATTRIBUTES
+    from simbench.workloads import WORKLOADS
+
+    resolved = set()
+    for workload in WORKLOADS.values():
+        simulator = workload.build(1)
+        for obj in [simulator] + list(getattr(simulator, "endpoints", ())):
+            for owner_name, attribute in CALLBACK_ATTRIBUTES:
+                owner = getattr(obj, owner_name, None)
+                if type(getattr(owner, attribute, None)) in _CALLABLE_TYPES:
+                    resolved.add((owner_name, attribute))
+    assert sorted(resolved) == sorted(CALLBACK_ATTRIBUTES)
