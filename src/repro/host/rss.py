@@ -512,13 +512,10 @@ class HostQueueModel:
             "core_processed": [core.processed for core in self.cores],
         }
 
-    def report(self, baselines: Optional[Dict[str, List[int]]],
+    def report(self, baselines: Dict[str, List[int]],
                measure_ps: int) -> Dict[str, object]:
-        if baselines is None:
-            baselines = {
-                "core_busy_ps": [0] * len(self.cores),
-                "core_processed": [0] * len(self.cores),
-            }
+        """The result's ``rss`` section over the window that
+        :meth:`window_reset` opened and returned ``baselines`` for."""
         measure_s = measure_ps / 1e12
         per_ring = []
         for ring in self.rings:

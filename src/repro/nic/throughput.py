@@ -1457,8 +1457,7 @@ class ThroughputSimulator:
         # The delivered frames, in commit order, for the host.
         frames: List[tuple] = []
         records = self._rx_records
-        commit_seq = self.board_rx.commit_seq
-        for seq in range(commit_seq - committed, commit_seq):
+        for seq in range(self.board_rx.commit_seq - committed, self.board_rx.commit_seq):
             record = records.pop(seq)  # the record's only exit
             if record.hole:
                 # A hole commits (the pointer passes it) but delivers
@@ -1483,7 +1482,7 @@ class ThroughputSimulator:
             done_ps = now + self.core_clock.cycles_to_ps(cycles_so_far + cycles)
             self.dma_write.descriptor_transfer(done_ps, delivered * DESCRIPTOR_BYTES)
             self._assist_touch(self.config.assist_accesses_per_dma)
-            self.host.commit_rx(frames, commit_seq, committed, done_ps)
+            self.host.commit_rx(frames, self.board_rx.commit_seq, committed, done_ps)
             self._rx_done_frames += delivered
             self._rx_space += freed_bytes
             self.sim.schedule(
