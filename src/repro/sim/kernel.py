@@ -262,54 +262,64 @@ class Simulator:
         """Drain the event queue.
 
         Stops when the queue empties, when simulated time would pass
-        ``until_ps``, when ``max_events`` callbacks have run, or when a
-        callback calls :meth:`stop`.  Returns the number of events
-        processed during this call.
+        ``until_ps``, when ``max_events`` (a whole number) callbacks have
+        run, or when a callback calls :meth:`stop`.  Returns the number
+        of events processed during this call; :attr:`events_processed`
+        adds them when the call returns or raises.
         """
         self._stopped = False
-        processed = 0
+        queue = self._queue
+        if max_events is not None and max_events <= 0:
+            if not queue and until_ps is not None and self.now_ps < until_ps:
+                self.now_ps = until_ps
+            return 0
+        # Fired callbacks at which to stop; -1 never matches.
+        budget = -1 if max_events is None else max_events
+        limit = math.inf if until_ps is None else until_ps
+        fired = 0
         profiler = self._profiler
         monitor = self.monitor
-        queue = self._queue
         heappop = heapq.heappop
-        while queue:
-            if self._stopped:
-                break
-            if max_events is not None and processed >= max_events:
-                break
-            entry = queue[0]
-            when = entry[0]
-            if until_ps is not None and when > until_ps:
-                # Clamp instead of assigning unconditionally: a caller
-                # passing ``until_ps < now_ps`` must not move simulated
-                # time backwards (the drained-queue path below already
-                # guards the same way).
-                self.now_ps = max(self.now_ps, until_ps)
-                break
-            heappop(queue)
-            callback = entry[3]
-            if callback is None:
-                self._ghosts -= 1
+        try:
+            while queue:
+                # Pop first: keys are unique, so pushing back an entry
+                # that is not due leaves the pop order as it was.
+                entry = heappop(queue)
+                when = entry[0]
+                if when > limit:
+                    heapq.heappush(queue, entry)
+                    # Clamp: ``until_ps < now_ps`` must not move
+                    # simulated time backwards.
+                    if self.now_ps < until_ps:
+                        self.now_ps = until_ps
+                    break
+                callback = entry[3]
+                if callback is None:
+                    self._ghosts -= 1
+                    if monitor.enabled:
+                        monitor.event_discarded(entry[2])
+                    continue
+                entry[3] = None  # fired: a later cancel() is a no-op
                 if monitor.enabled:
-                    monitor.event_discarded(entry[2])
-                continue
-            entry[3] = None  # fired: a later cancel() is a no-op
-            if monitor.enabled:
-                monitor.event_fired(entry[2], when, self.now_ps)
-            self.now_ps = when
-            if profiler is None:
-                callback()
+                    monitor.event_fired(entry[2], when, self.now_ps)
+                self.now_ps = when
+                if profiler is None:
+                    callback()
+                else:
+                    started = perf_counter()
+                    callback()
+                    profiler.record(callback, perf_counter() - started)
+                fired += 1
+                # A drained queue falls through to the clause below.
+                if (fired == budget or self._stopped) and queue:
+                    break
             else:
-                started = perf_counter()
-                callback()
-                profiler.record(callback, perf_counter() - started)
-            processed += 1
-            self.events_processed += 1
-        else:
-            # Queue drained completely.
-            if until_ps is not None and self.now_ps < until_ps:
-                self.now_ps = until_ps
-        return processed
+                # Queue drained completely.
+                if until_ps is not None and self.now_ps < until_ps:
+                    self.now_ps = until_ps
+        finally:
+            self.events_processed += fired
+        return fired
 
     def peek_next_time(self) -> Optional[int]:
         """Global time of the next pending event, or None if idle."""

@@ -1,6 +1,11 @@
 """Event kernel: scheduling order, clock domains, cancellation."""
 
+import heapq
+from time import perf_counter
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import ClockDomain, Simulator
 from repro.units import mhz
@@ -506,3 +511,176 @@ class TestKernelEdgeCases:
         sim.monitor.check_ticket_conservation()
         assert not sim.monitor.violations
         assert seen == ["new"]
+
+
+def _reference_run(self, until_ps=None, max_events=None):
+    """The kernel loop as it was before it popped first and counted in
+    a local: the reference :meth:`Simulator.run` must match."""
+    self._stopped = False
+    processed = 0
+    profiler = self._profiler
+    monitor = self.monitor
+    queue = self._queue
+    heappop = heapq.heappop
+    while queue:
+        if self._stopped:
+            break
+        if max_events is not None and processed >= max_events:
+            break
+        entry = queue[0]
+        when = entry[0]
+        if until_ps is not None and when > until_ps:
+            self.now_ps = max(self.now_ps, until_ps)
+            break
+        heappop(queue)
+        callback = entry[3]
+        if callback is None:
+            self._ghosts -= 1
+            if monitor.enabled:
+                monitor.event_discarded(entry[2])
+            continue
+        entry[3] = None
+        if monitor.enabled:
+            monitor.event_fired(entry[2], when, self.now_ps)
+        self.now_ps = when
+        if profiler is None:
+            callback()
+        else:
+            started = perf_counter()
+            callback()
+            profiler.record(callback, perf_counter() - started)
+        processed += 1
+        self.events_processed += 1
+    else:
+        if until_ps is not None and self.now_ps < until_ps:
+            self.now_ps = until_ps
+    return processed
+
+
+class _Boom(Exception):
+    pass
+
+
+class _Recorder:
+    """A monitor and a profiler that log every hook the kernel calls."""
+
+    enabled = True
+
+    def __init__(self):
+        self.log = []
+
+    def event_scheduled(self, ticket, when, now):
+        self.log.append(("scheduled", ticket, when, now))
+
+    def event_cancelled(self, ticket):
+        self.log.append(("cancelled", ticket))
+
+    def event_fired(self, ticket, when, now):
+        self.log.append(("fired", ticket, when, now))
+
+    def event_discarded(self, ticket):
+        self.log.append(("discarded", ticket))
+
+    def record(self, callback, _wall_seconds):
+        self.log.append(("profiled", callback.index))
+
+
+_ACTIONS = st.one_of(
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("spawn"), st.integers(0, 30), st.integers(0, 2)),
+    st.just(("stop",)),
+)
+_EVENTS = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 2), st.lists(_ACTIONS, max_size=3)),
+    max_size=14,
+)
+_RUNS = st.lists(
+    st.tuples(st.none() | st.integers(0, 90), st.none() | st.integers(-1, 6), st.booleans()),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _build(events, cancelled, raiser, profiled):
+    """A kernel holding ``events``: each fires its actions in order
+    (cancel the event with that index, spawn an action-less event, or
+    stop), and event ``raiser`` then raises."""
+    sim = Simulator()
+    recorder = _Recorder()
+    sim.monitor = recorder
+    if profiled:
+        sim.attach_profiler(recorder)
+    handles = []
+
+    def make(index, actions):
+        def callback():
+            recorder.log.append(("ran", index, sim.now_ps))
+            for action in actions:
+                if action[0] == "cancel":
+                    if action[1] < len(handles):
+                        sim.cancel(handles[action[1]])
+                elif action[0] == "spawn":
+                    handles.append(sim.schedule(action[1], make(len(handles), ()), action[2]))
+                else:
+                    sim.stop()
+            if index == raiser:
+                raise _Boom(index)
+
+        callback.index = index
+        return callback
+
+    for delay, priority, actions in events:
+        handles.append(sim.schedule(delay, make(len(handles), actions), priority))
+    for index in cancelled:
+        if index < len(handles):
+            sim.cancel(handles[index])
+    return sim, recorder
+
+
+def _state(sim):
+    return (
+        sim.now_ps,
+        sim.events_processed,
+        sim.pending_events,
+        sim._ghosts,
+        sorted((entry[0], entry[1], entry[2], entry[3] is None) for entry in sim._queue),
+    )
+
+
+class TestRunMatchesReference:
+    """``Simulator.run`` fires the callbacks of the reference loop in the
+    same order, returns the same counts and leaves the same state, over
+    random schedules with ties, cancels, ghosts, stops, spawns, a
+    raising callback and random horizons and budgets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        events=_EVENTS,
+        cancelled=st.lists(st.integers(0, 14), max_size=5),
+        raiser=st.none() | st.integers(0, 20),
+        profiled=st.booleans(),
+        runs=_RUNS,
+    )
+    # A raising callback; max_events=0 on a live queue; a cancelled
+    # ghost past the horizon, then a drain.
+    @example(events=[(5, 0, []), (5, 0, [])], cancelled=[], raiser=0,
+             profiled=False, runs=[(None, None, False), (None, None, False)])
+    @example(events=[(5, 0, [])], cancelled=[], raiser=None, profiled=False,
+             runs=[(10, 0, False), (None, 0, False), (10, None, False)])
+    @example(events=[(5, 0, []), (50, 0, [])], cancelled=[1], raiser=None,
+             profiled=False, runs=[(20, None, False), (None, None, False)])
+    def test_same_callbacks_counts_and_state(self, events, cancelled, raiser, profiled, runs):
+        reference, expected = _build(events, cancelled, raiser, profiled)
+        sim, recorder = _build(events, cancelled, raiser, profiled)
+        for until_ps, max_events, stop_first in runs:
+            outcomes = []
+            for kernel, loop in ((reference, _reference_run), (sim, Simulator.run)):
+                if stop_first:
+                    kernel.stop()
+                try:
+                    outcomes.append(loop(kernel, until_ps, max_events))
+                except _Boom as exc:
+                    outcomes.append(("raised", exc.args))
+            assert outcomes[0] == outcomes[1]
+            assert recorder.log == expected.log
+            assert _state(sim) == _state(reference)
