@@ -252,4 +252,6 @@ class DmaAssist:
         complete = self.pci.host_phase(now_ps, nbytes)
         self.transfers += 1
         self.bytes_moved += nbytes
-        return DmaTransfer(now_ps, complete, complete, nbytes, False)
+        # tuple.__new__: the record without the NamedTuple's Python-level
+        # __new__.
+        return tuple.__new__(DmaTransfer, (now_ps, complete, complete, nbytes, False))

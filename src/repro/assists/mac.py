@@ -56,7 +56,9 @@ class MacTransmitter:
         self._wire_free_ps = wire_end
         self.frames_sent += 1
         self.bytes_sent += frame_bytes
-        return WireEvent(seq, wire_start, wire_end, sdram_done)
+        # tuple.__new__: the record without the NamedTuple's Python-level
+        # __new__, once per frame.
+        return tuple.__new__(WireEvent, (seq, wire_start, wire_end, sdram_done))
 
 
 class MacReceiver:
@@ -155,7 +157,7 @@ class MacReceiver:
         self._next_seq += 1
         self.frames_accepted += 1
         wire_end = now_ps + self.timing.frame_time_ps(frame_bytes)
-        return WireEvent(seq, arrival_ps, wire_end, wire_end)
+        return tuple.__new__(WireEvent, (seq, arrival_ps, wire_end, wire_end))
 
     def store(self, now_ps: int, sdram_address: int, frame_bytes: int) -> int:
         """Burst a fully received frame into the rx buffer; returns the

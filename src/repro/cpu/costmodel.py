@@ -43,7 +43,12 @@ _NO_TERMS = (0,) * len(STAT_TERMS)
 def nano_terms(profile, cost: CostTerms) -> Tuple[int, ...]:
     """The :data:`STAT_TERMS` of one charge of ``profile`` whose Table 3
     terms are ``cost``, each float rounded once to :data:`NANO` units."""
-    execution, imiss, load, conflict, pipeline = (round(term * 1e9) for term in cost)
+    execution, imiss, load, conflict, pipeline = cost
+    execution = round(execution * 1e9)
+    imiss = round(imiss * 1e9)
+    load = round(load * 1e9)
+    conflict = round(conflict * 1e9)
+    pipeline = round(pipeline * 1e9)
     return (
         round(profile.instructions * 1e9), round(profile.loads * 1e9),
         round(profile.stores * 1e9),
@@ -316,7 +321,9 @@ class ChargeTable:
     would run a frozen dataclass's generated ``__hash__``, Python code
     costing most of what the table saves.  The table holds a reference
     to every key object until it is emptied, so no other object can
-    reuse an id while its entry lives.
+    reuse an id while its entry lives.  :attr:`entries` is emptied in
+    place, never rebound, so a caller may keep a reference to it and
+    read a hit without calling :meth:`lookup`; only a lookup inserts.
 
     Statistics are counted, not summed, per charge: the caller bumps the
     entry's :attr:`ChargeEntry.counts` for its function, and
@@ -338,7 +345,8 @@ class ChargeTable:
         needs it."""
         self.model = model
         self._wait = wait
-        self._entries: Dict[object, ChargeEntry] = {}
+        #: Entry per key: ``id(profile)``, or ``(id(profile), factor)``.
+        self.entries: Dict[object, ChargeEntry] = {}
         self._keys: List[object] = []
         self._spin_profile = spin_profile
         #: Statistics of every folded charge.
@@ -357,13 +365,13 @@ class ChargeTable:
         """Fold, then move the conflict wait and empty the table."""
         self.fold()
         self._wait = wait
-        self._entries.clear()
+        self.entries.clear()
         self._keys.clear()
         self._spin_ps.clear()
         self._spins_folded.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def lookup(self, profile, factor: Optional[float] = None) -> ChargeEntry:
         """Entry of ``profile``, or of ``profile.scaled(factor)``.
@@ -374,7 +382,7 @@ class ChargeTable:
         :meth:`OpProfile.scaled` checks every distinct count once.
         """
         key = id(profile) if factor is None else (id(profile), factor)
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         if entry is None:
             if factor is None:
                 # OpProfiles are checked when built; OrderingCosts are not.
@@ -382,7 +390,7 @@ class ChargeTable:
                 entry = self.compute(profile)
             else:
                 entry = self.compute(profile.scaled(factor))
-            self._entries[key] = entry
+            self.entries[key] = entry
             self._keys.append(profile)
         return entry
 
@@ -427,7 +435,7 @@ class ChargeTable:
         adding only what the last fold did not.
         """
         sums = self.sums
-        for entry in self._entries.values():
+        for entry in self.entries.values():
             counts = entry.counts
             if counts:
                 for fn_name, count in counts.items():

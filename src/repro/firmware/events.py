@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional
 
 from repro.check.nullmonitor import NULL_MONITOR
@@ -37,24 +36,33 @@ class EventKind(enum.Enum):
     SW_RETRY = "sw_retry"
 
 
-@dataclass
 class FrameEvent:
     """One bundle of work units (the paper's 'event data structure').
 
     ``first_seq``/``count`` identify the contiguous frame range this
     event covers; handlers for pointer-driven hardware (DMA, MAC) build
-    these ranges straight from the progress pointers.
+    these ranges straight from the progress pointers.  A plain
+    ``__slots__`` record: one is built per handler bundle, and nothing
+    compares, hashes or prints one.
     """
 
-    kind: EventKind
-    first_seq: int = 0
-    count: int = 0
-    payload: Optional[object] = None
-    retries: int = 0
+    __slots__ = ("kind", "first_seq", "count", "payload", "retries")
 
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"event frame count must be non-negative, got {self.count}")
+    def __init__(
+        self,
+        kind: EventKind,
+        first_seq: int = 0,
+        count: int = 0,
+        payload: Optional[object] = None,
+        retries: int = 0,
+    ) -> None:
+        if count < 0:
+            raise ValueError(f"event frame count must be non-negative, got {count}")
+        self.kind = kind
+        self.first_seq = first_seq
+        self.count = count
+        self.payload = payload
+        self.retries = retries
 
 
 class DistributedEventQueue:
@@ -71,7 +79,8 @@ class DistributedEventQueue:
         if max_depth < 1:
             raise ValueError("queue depth must be positive")
         self.max_depth = max_depth
-        self._queue: Deque[FrameEvent] = deque()
+        #: The queued events, oldest first.
+        self.events: Deque[FrameEvent] = deque()
         self.enqueues = 0
         self.dequeues = 0
         self.retries = 0
@@ -80,16 +89,16 @@ class DistributedEventQueue:
         self.monitor = NULL_MONITOR
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self.events)
 
     @property
     def empty(self) -> bool:
-        return not self._queue
+        return not self.events
 
     @property
     def is_full(self) -> bool:
         """Whether a :meth:`push` right now would overflow the queue."""
-        return len(self._queue) >= self.max_depth
+        return len(self.events) >= self.max_depth
 
     def all_claimed(self, claims: Mapping[EventKind, bool]) -> bool:
         """Whether every queued event's kind is currently claimed.
@@ -99,17 +108,17 @@ class DistributedEventQueue:
         ``push_retry``, reordering them and spinning the scheduler
         without progress.  Returns ``True`` for an empty queue.
         """
-        return all(claims[event.kind] for event in self._queue)
+        return all(claims[event.kind] for event in self.events)
 
     def push(self, event: FrameEvent) -> None:
-        if len(self._queue) >= self.max_depth:
+        if len(self.events) >= self.max_depth:
             raise OverflowError(
                 f"event queue overflow at depth {self.max_depth}; "
                 "the firmware sizes the queue for worst-case in-flight frames"
             )
-        self._queue.append(event)
+        self.events.append(event)
         self.enqueues += 1
-        self.high_water = max(self.high_water, len(self._queue))
+        self.high_water = max(self.high_water, len(self.events))
         if self.monitor.enabled:
             self.monitor.queue_pushed(self)
 
@@ -119,10 +128,10 @@ class DistributedEventQueue:
         self.push(event)
 
     def pop(self) -> Optional[FrameEvent]:
-        if not self._queue:
+        if not self.events:
             return None
         self.dequeues += 1
-        event = self._queue.popleft()
+        event = self.events.popleft()
         if self.monitor.enabled:
             self.monitor.queue_popped(self)
         return event

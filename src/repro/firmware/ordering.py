@@ -125,6 +125,9 @@ class OrderingBoard:
             )
         self.ring_size = ring_size
         self.mode = mode
+        #: Whether mark/commit must run under the ordering lock.  A
+        #: field, not a property: ``mode`` is fixed at construction.
+        self.requires_lock = mode is OrderingMode.SOFTWARE
         self.hw_pointer = hw_pointer
         self.name = name
         #: Invariant monitor (null by default; see ``repro.check``).
@@ -146,11 +149,6 @@ class OrderingBoard:
         # first use: a commit builds no record, and the simulator's
         # charge table finds the same object again.
         self._commit_costs: Dict[Tuple[int, bool], OrderingCost] = {}
-
-    @property
-    def requires_lock(self) -> bool:
-        """Whether mark/commit must run under the ordering lock."""
-        return self.mode is OrderingMode.SOFTWARE
 
     # ------------------------------------------------------------------
     def mark_done(self, seq: int) -> OrderingCost:

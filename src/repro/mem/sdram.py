@@ -122,7 +122,9 @@ class GddrSdram:
             self.wasted_retry_bytes += nbytes
         self.transferred_bytes += padded
         self.requests += 1
-        request = SdramRequest(start, finish, nbytes, padded, activated)
+        # tuple.__new__ builds the same record without the NamedTuple's
+        # Python-level __new__: one burst per SDRAM access.
+        request = tuple.__new__(SdramRequest, (start, finish, nbytes, padded, activated))
         if self.monitor.enabled:
             self.monitor.sdram_transfer(self, request, cycle, nbytes)
         return request

@@ -594,6 +594,9 @@ class ThroughputSimulator:
             self.contention.expected_wait(min(2.5, estimated_rate)),
             spin_profile=self._spin_profile,
         )
+        # Emptied in place by set_wait(), never rebound: _charge reads
+        # hits from it directly.
+        self._charge_entries = self._charges.entries
         # Per-config constants the handlers read on every invocation.
         self._task_level = config.task_level_firmware
         self._checksum_on = config.checksum_offload != "none"
@@ -691,12 +694,18 @@ class ThroughputSimulator:
         statistics later; a ``transient`` profile, one built for this
         charge alone, is computed and added to the statistics at once.
         """
-        charges = self._charges
         if transient:
+            charges = self._charges
             entry = charges.compute(profile)
             charges.sums.add(fn_name, 1, entry.terms)
         else:
-            entry = charges.lookup(profile, factor)
+            # A hit is one dict read; only a miss calls lookup(), the
+            # one place the table inserts.
+            entry = self._charge_entries.get(
+                id(profile) if factor is None else (id(profile), factor)
+            )
+            if entry is None:
+                entry = self._charges.lookup(profile, factor)
             entry.counts[fn_name] += 1
         if frames:
             self.fn[fn_name].frames += frames
@@ -839,19 +848,21 @@ class ThroughputSimulator:
 
     def _dispatch(self) -> None:
         task_level = self._task_level
-        while self._idle_cores > 0 and not self.queue.empty:
-            if task_level and self.queue.all_claimed(self._task_claims):
+        queue = self.queue
+        queued = queue.events  # tested in place of the ``empty`` property
+        while self._idle_cores > 0 and queued:
+            if task_level and queue.all_claimed(self._task_claims):
                 # Event-register semantics: one core per event type, and
                 # every queued type is already being handled.  Popping
                 # now would only rotate claimed events through the retry
                 # path — reordering them without making progress — so
                 # leave the queue untouched until a handler finishes.
                 break
-            event = self.queue.pop()
+            event = queue.pop()
             assert event is not None
             if task_level:
                 if self._task_claims[event.kind]:
-                    self.queue.push_retry(event)
+                    queue.push_retry(event)
                     continue
                 self._task_claims[event.kind] = True
             self._idle_cores -= 1
