@@ -22,15 +22,18 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.fabric.spec import FabricSpec
 from repro.faults import FaultPlan
-from repro.host.rss import RssSpec
 from repro.net.workload import ConstantSize, FrameSizeModel, ImixSize
 from repro.nic.config import NicConfig
 from repro.nic.throughput import check_window
 from repro.units import check_int_fields
+
+if TYPE_CHECKING:
+    # Only a point with an RSS spec loads the multi-queue host model.
+    from repro.host.rss import RssSpec
 
 #: Bump when the meaning of cached results changes in a way the
 #: automatic constant-hashing below cannot see (e.g. a simulator

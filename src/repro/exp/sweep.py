@@ -12,7 +12,7 @@ CLI.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from repro.exp.runner import SweepOutcome, SweepRunner
 from repro.exp.spec import RunSpec, WorkloadSpec
@@ -20,9 +20,11 @@ from repro.fabric.spec import FabricSpec
 from repro.fabric.topology import TopologySpec
 from repro.faults import FaultPlan
 from repro.firmware.ordering import OrderingMode
-from repro.host.rss import RssSpec
 from repro.nic.config import NicConfig
 from repro.units import mhz
+
+if TYPE_CHECKING:
+    from repro.host.rss import RssSpec
 
 #: Fault-plan rate fields :meth:`Sweep.fault_grid` can sweep over.
 FAULT_AXES = ("rx_fcs_rate", "sdram_error_rate", "pci_stall_rate")
@@ -290,6 +292,9 @@ class Sweep:
         ``fabric`` to run every point against a fabric topology
         (RPC/IMIX flows) instead of the analytic single-NIC workload.
         """
+        # Imported here: only an RSS grid loads the multi-queue host model.
+        from repro.host.rss import RssSpec
+
         base = base_config if base_config is not None else NicConfig()
         template = base_rss if base_rss is not None else RssSpec()
         task_config = replace(base, task_level_firmware=True)
