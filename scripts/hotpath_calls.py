@@ -80,21 +80,19 @@ def function_name(code) -> str:
 
 def count_calls(
     workload: str,
-    seed: int = SEED,
-    start_s: float = START_S,
     window_s: float = WINDOW_S,
     bytecodes: bool = False,
     top: int = 10,
 ) -> Dict[str, object]:
     """Calls (and, with ``bytecodes``, opcodes) per simulated frame over
-    ``window_s`` of one workload, after ``start_s`` untraced."""
+    ``window_s`` of one workload on seed 1, after 0.6 ms untraced."""
     _import_paths()
     from simbench.workloads import WORKLOADS
 
-    simulator = WORKLOADS[workload].build(seed)
+    simulator = WORKLOADS[workload].build(SEED)
     simulator.start()
     kernel = simulator.sim
-    kernel.run(until_ps=round(start_s * 1e12))
+    kernel.run(until_ps=round(START_S * 1e12))
     frames_before = simulated_frames(simulator)
     calls: Dict[object, int] = {}
     opcodes: Dict[object, int] = {}
@@ -117,7 +115,7 @@ def count_calls(
     previous = sys.gettrace()
     sys.settrace(count_call)
     try:
-        kernel.run(until_ps=round((start_s + window_s) * 1e12))
+        kernel.run(until_ps=round((START_S + window_s) * 1e12))
     finally:
         sys.settrace(previous)
     frames = simulated_frames(simulator) - frames_before
@@ -138,25 +136,28 @@ def count_calls(
     return result
 
 
-def measure(workloads: List[str], seed: int, bytecodes: bool, top: int) -> Dict[str, object]:
+def measure(bytecodes: bool) -> Dict[str, object]:
+    """Every simbench workload's counts, with what they were measured on."""
+    _import_paths()
+    from simbench.workloads import WORKLOADS
+
     return {
         "python": python_version(),
-        "seed": seed,
+        "seed": SEED,
         "start_ms": START_S * 1e3,
         "window_ms": WINDOW_S * 1e3,
         "workloads": {
-            name: count_calls(name, seed, bytecodes=bytecodes, top=top)
-            for name in workloads
+            name: count_calls(name, bytecodes=bytecodes) for name in WORKLOADS
         },
     }
 
 
-def load_budget(path: str = BUDGET_PATH) -> Dict[str, object]:
-    with open(path, "r", encoding="utf-8") as handle:
+def load_budget() -> Dict[str, object]:
+    with open(BUDGET_PATH, "r", encoding="utf-8") as handle:
         return json.load(handle)
 
 
-def write_budget(report: Dict[str, object], path: str = BUDGET_PATH) -> None:
+def write_budget(report: Dict[str, object]) -> None:
     payload = {
         "comment": (
             "Python calls per simulated frame, seed 1, 1 ms after a 0.6 ms "
@@ -173,7 +174,7 @@ def write_budget(report: Dict[str, object], path: str = BUDGET_PATH) -> None:
             for name, entry in report["workloads"].items()
         },
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(BUDGET_PATH, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -210,15 +211,7 @@ def format_table(report: Dict[str, object]) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _import_paths()
-    from simbench.workloads import WORKLOADS
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                        help="one workload (repeatable; default: all four)")
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--top", type=int, default=10,
-                        help="functions listed per workload (default: 10)")
     parser.add_argument("--bytecodes", action="store_true",
                         help="also count bytecodes per frame (slow)")
     parser.add_argument("--json", action="store_true", help="print one JSON object")
@@ -227,32 +220,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="exit 1 when a workload exceeds scripts/hotpath_budget.json")
     mode.add_argument("--update", action="store_true",
                       help="write the measured counts to scripts/hotpath_budget.json")
-    parser.add_argument("--budget", default=BUDGET_PATH)
     args = parser.parse_args(argv)
 
     budget = None
     if args.check:
-        budget = load_budget(args.budget)
-        if budget["python"] != python_version() or budget["seed"] != args.seed:
-            print(f"hotpath budget was measured on Python {budget['python']}, "
-                  f"seed {budget['seed']}; this is Python {python_version()}, "
-                  f"seed {args.seed}", file=sys.stderr)
+        budget = load_budget()
+        if budget["python"] != python_version():
+            print(f"hotpath budget was measured on Python {budget['python']}; "
+                  f"this is Python {python_version()}", file=sys.stderr)
             return 2
-    workloads = args.workload or list(WORKLOADS)
-    if args.update and args.workload:
-        parser.error("--update measures every workload; drop --workload")
-    report = measure(workloads, args.seed, args.bytecodes, args.top)
+    report = measure(args.bytecodes)
     print(json.dumps(report, indent=2) if args.json else format_table(report))
     if args.update:
-        write_budget(report, args.budget)
-        print(f"wrote {args.budget}", file=sys.stderr)
+        write_budget(report)
+        print(f"wrote {BUDGET_PATH}", file=sys.stderr)
     if budget is not None:
-        failures = over_budget(
-            report, {**budget, "calls_per_frame": {
-                name: value for name, value in budget["calls_per_frame"].items()
-                if name in report["workloads"]
-            }},
-        )
+        failures = over_budget(report, budget)
         for line in failures:
             print(f"over budget: {line}", file=sys.stderr)
         return 1 if failures else 0

@@ -45,12 +45,13 @@ def test_counts_repeat_exactly_and_restore_the_trace_hook(hotpath):
     assert any(name.startswith("repro/") for name, _ in first["top"])
 
 
-def test_check_refuses_a_budget_from_another_python(hotpath, tmp_path, capsys):
+def test_check_refuses_a_budget_from_another_python(hotpath, tmp_path, monkeypatch, capsys):
     budget = tmp_path / "budget.json"
     budget.write_text(json.dumps({
         "python": "2.7", "seed": 1, "tolerance": 0.02, "calls_per_frame": {},
     }))
-    assert hotpath.main(["--check", "--budget", str(budget)]) == 2
+    monkeypatch.setattr(hotpath, "BUDGET_PATH", str(budget))
+    assert hotpath.main(["--check"]) == 2
     assert "measured on Python 2.7" in capsys.readouterr().err
 
 
