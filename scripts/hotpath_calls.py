@@ -45,7 +45,6 @@ START_S = 0.6e-3
 WINDOW_S = 1e-3
 SEED = 1
 TOLERANCE = 0.02
-FRAME_COUNTERS = ("counter.tx_wire_frames", "counter.rx_committed_frames")
 
 
 def _import_paths() -> None:
@@ -60,13 +59,11 @@ def python_version() -> str:
 
 
 def simulated_frames(simulator) -> int:
-    """Wire frames sent plus received frames committed, over every NIC
-    (a fabric prefixes each NIC's counters with ``nic<i>.``)."""
-    snapshot = simulator.metrics_snapshot()
-    return int(sum(
-        value for key, value in snapshot.items()
-        if any(key == name or key.endswith("." + name) for name in FRAME_COUNTERS)
-    ))
+    """Wire frames sent plus received frames committed, over every NIC,
+    counted as the ledger counts them."""
+    from simbench.worker import _FRAME_COUNTERS, _snapshot_sum
+
+    return int(_snapshot_sum(simulator.metrics_snapshot(), _FRAME_COUNTERS))
 
 
 def function_name(code) -> str:

@@ -849,7 +849,7 @@ class ThroughputSimulator:
     def _dispatch(self) -> None:
         task_level = self._task_level
         queue = self.queue
-        queued = queue.events  # tested in place of the ``empty`` property
+        queued = queue.events
         while self._idle_cores > 0 and queued:
             if task_level and queue.all_claimed(self._task_claims):
                 # Event-register semantics: one core per event type, and

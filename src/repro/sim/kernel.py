@@ -269,9 +269,7 @@ class Simulator:
         """
         self._stopped = False
         queue = self._queue
-        if max_events is not None and max_events <= 0:
-            if not queue and until_ps is not None and self.now_ps < until_ps:
-                self.now_ps = until_ps
+        if max_events is not None and max_events <= 0 and queue:
             return 0
         # Fired callbacks at which to stop; -1 never matches.
         budget = -1 if max_events is None else max_events

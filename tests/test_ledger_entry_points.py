@@ -12,11 +12,10 @@ A refactor that keeps every name but stops calling one (say,
 ``schedule``, or ``_dispatch`` reading the queue's deque instead of
 calling ``pop``) moves time between ledger layers just as silently.
 So each workload is run at smoke scale with every entry point wrapped
-on its class, as the tracer wraps it, and the entry points it reaches,
-with the functions that call them, are pinned.
+by the tracer's own ``install``, and the entry points it reaches, with
+the functions that call them, are pinned.
 """
 
-import importlib
 import sys
 
 import pytest
@@ -202,46 +201,37 @@ def _caller(frame) -> str:
     return f"{frame.f_globals.get('__name__')}:{frame.f_code.co_name}"
 
 
-def _reached(workload):
-    """``{entry point: callers}`` of one smoke-scale run, seed 1, with
-    every entry point wrapped where ``Tracer.install`` wraps it."""
-    reached = {}
-    patches = []
+class _CallerTracer(Tracer):
+    """The traced round's patching, with spans that record, per entry
+    point, the functions calling it instead of timing it."""
 
-    def counted(original, label):
+    def __init__(self):
+        super().__init__()
+        self.reached = {}
+
+    def span(self, fn, layer, adopt=True):
+        callers = self.reached
+
         def wrapper(*args, **kwargs):
-            reached.setdefault(label, set()).add(_caller(sys._getframe(1)))
-            return original(*args, **kwargs)
+            callers.setdefault(fn.__qualname__, set()).add(_caller(sys._getframe(1)))
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    def patch(owner, name, original, wrapped):
-        patches.append((owner, name, original))
-        setattr(owner, name, wrapped)
 
+def _reached(workload):
+    """``{entry point: callers}`` of one smoke-scale run, seed 1, with
+    every entry point wrapped by ``Tracer.install``."""
+    tracer = _CallerTracer()
     try:
-        for module_name, class_name, methods, _layer in ENTRY_POINTS:
-            owner = getattr(importlib.import_module(module_name), class_name)
-            for method in methods:
-                original = owner.__dict__[method]
-                patch(owner, method, original, counted(original, f"{class_name}.{method}"))
-        for module_name, functions, _layer in ENTRY_FUNCTIONS:
-            module = importlib.import_module(module_name)
-            for name in functions:
-                original = getattr(module, name)
-                wrapped = counted(original, name)
-                for importer in list(sys.modules.values()):
-                    if (getattr(importer, "__name__", "").startswith("repro")
-                            and getattr(importer, name, None) is original):
-                        patch(importer, name, original, wrapped)
+        tracer.install()
         spec = WORKLOADS[workload]
         simulator = spec.build(1)
         simulator.run(spec.warmup_s * SMOKE_SCALE, spec.measure_s * SMOKE_SCALE)
     finally:
-        while patches:
-            owner, name, original = patches.pop()
-            setattr(owner, name, original)
-    return reached
+        tracer.uninstall()
+    assert tracer.missing == []
+    return tracer.reached
 
 
 @pytest.fixture(scope="module")

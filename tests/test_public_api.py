@@ -132,28 +132,6 @@ class TestPublicApi:
             instance.not_a_field = 7
         assert getattr(instance, field) != 7
 
-    def test_hot_sites_build_the_named_records(self):
-        """The hot sites build their records with ``tuple.__new__``; the
-        result is the NamedTuple the constructor would give."""
-        from repro.assists.dma import DmaTransfer
-        from repro.assists.mac import MacReceiver, MacTransmitter, WireEvent
-        from repro.mem.sdram import GddrSdram, SdramRequest
-        from repro.nic import NicConfig, ThroughputSimulator
-        from repro.sim.kernel import ClockDomain
-
-        clock = ClockDomain("sdram", 500e6)
-        request = GddrSdram().transfer(8, 64, 3)
-        sent = MacTransmitter(GddrSdram(), clock).transmit(0, 4, 0, 64)
-        taken = MacReceiver(GddrSdram(), clock, interarrival_ps=100).take_frame(0, 64)
-        dma = ThroughputSimulator(NicConfig(cores=2)).dma_read.descriptor_transfer(0, 16)
-        for record, cls in ((request, SdramRequest), (sent, WireEvent),
-                            (taken, WireEvent), (dma, DmaTransfer)):
-            assert type(record) is cls
-            assert cls(*record) == record
-            assert cls._fields == tuple(record._asdict())
-        assert request.useful_bytes == 64 and sent.seq == 4 and taken.seq == 0
-        assert dma.nbytes == 16 and dma.touched_sdram is False
-
     def test_cli_entry_point_importable(self):
         from repro.cli import main
 
