@@ -23,9 +23,10 @@ between Python versions (3.12 inlines comprehensions, so it makes fewer
 calls), so the budget in ``scripts/hotpath_budget.json`` records the
 version it was measured on and ``--check`` refuses another one (exit
 2).  ``--check`` fails (exit 1) when a workload's calls per frame rise
-more than the budget's tolerance (2%) above its budgeted count.  After
-a change that adds modelling work on purpose, ``--update`` writes the
-new counts.
+more than the budget's tolerance (2%) above its budgeted count, or
+fall more than the tolerance below it: a budget left high would let a
+later change add calls back unnoticed.  After a change that moves the
+counts on purpose, ``--update`` writes the new ones.
 
 ``--bytecodes`` also turns on opcode tracing (``f_trace_opcodes``) and
 reports bytecodes per frame; it runs about twenty times slower.
@@ -158,10 +159,10 @@ def write_budget(report: Dict[str, object]) -> None:
     payload = {
         "comment": (
             "Python calls per simulated frame, seed 1, 1 ms after a 0.6 ms "
-            "start (scripts/hotpath_calls.py). CI fails when a workload rises "
-            "more than `tolerance` above its count; rewrite with "
-            "`python scripts/hotpath_calls.py --update` after adding "
-            "modelling work on purpose."
+            "start (scripts/hotpath_calls.py). CI fails when a workload reads "
+            "more than `tolerance` above or below its count; rewrite with "
+            "`python scripts/hotpath_calls.py --update` after a change that "
+            "moves the counts on purpose."
         ),
         "python": report["python"],
         "seed": report["seed"],
@@ -176,19 +177,24 @@ def write_budget(report: Dict[str, object]) -> None:
         handle.write("\n")
 
 
-def over_budget(report: Dict[str, object], budget: Dict[str, object]) -> List[str]:
-    """One line per workload whose calls per frame exceed its budget by
-    more than the tolerance."""
-    limit = 1.0 + budget["tolerance"]
+def budget_failures(report: Dict[str, object], budget: Dict[str, object]) -> List[str]:
+    """One line per workload whose calls per frame lie more than the
+    tolerance above its budget (over budget) or below it (stale budget)."""
+    tolerance = budget["tolerance"]
     failures = []
     for name, budgeted in sorted(budget["calls_per_frame"].items()):
         measured = report["workloads"][name]["calls_per_frame"]
-        if measured > budgeted * limit:
-            failures.append(
-                f"{name}: {measured:.2f} calls per frame, budget {budgeted:.2f} "
-                f"(+{(measured / budgeted - 1) * 100:.1f}% > "
-                f"{budget['tolerance'] * 100:.0f}%)"
-            )
+        if measured > budgeted * (1.0 + tolerance):
+            verdict = "over budget"
+        elif measured < budgeted * (1.0 - tolerance):
+            verdict = "stale budget; run --update"
+        else:
+            continue
+        failures.append(
+            f"{name}: {measured:.2f} calls per frame, budget {budgeted:.2f} "
+            f"({(measured / budgeted - 1) * 100:+.1f}%, tolerance "
+            f"{tolerance * 100:.0f}%): {verdict}"
+        )
     return failures
 
 
@@ -214,7 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true",
-                      help="exit 1 when a workload exceeds scripts/hotpath_budget.json")
+                      help="exit 1 when a workload leaves scripts/hotpath_budget.json's band")
     mode.add_argument("--update", action="store_true",
                       help="write the measured counts to scripts/hotpath_budget.json")
     args = parser.parse_args(argv)
@@ -232,9 +238,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         write_budget(report)
         print(f"wrote {BUDGET_PATH}", file=sys.stderr)
     if budget is not None:
-        failures = over_budget(report, budget)
+        failures = budget_failures(report, budget)
         for line in failures:
-            print(f"over budget: {line}", file=sys.stderr)
+            print(line, file=sys.stderr)
         return 1 if failures else 0
     return 0
 

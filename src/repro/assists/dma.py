@@ -238,13 +238,14 @@ class DmaAssist:
                 # A later burst of this job ends its host phase later.
                 job.remaining -= 1
             else:
-                self.sim.schedule_at(host_done, lambda: self._host_done(job))
-        self._drain()
+                def burst_host_done() -> None:
+                    job.remaining -= 1
+                    if not job.remaining:
+                        job.on_complete(self.sim.now_ps)
 
-    def _host_done(self, job: _DmaJob) -> None:
-        job.remaining -= 1
-        if not job.remaining:
-            job.on_complete(self.sim.now_ps)
+                self.sim.schedule_at(host_done, burst_host_done)
+        if self._pending:
+            self._drain()
 
     # ------------------------------------------------------------------
     def descriptor_transfer(self, now_ps: int, nbytes: int) -> DmaTransfer:

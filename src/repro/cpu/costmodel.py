@@ -355,6 +355,8 @@ class ChargeTable:
         # its terms) that a fold has already added to the sums.
         self._spin_ps: Dict[str, int] = defaultdict(int)
         self._spins_folded: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
+        # A spin's (total, accesses) per wait in ps, at this epoch's wait.
+        self._spin_charges: Dict[int, Tuple[float, float]] = {}
 
     @property
     def wait(self) -> float:
@@ -369,6 +371,7 @@ class ChargeTable:
         self._keys.clear()
         self._spin_ps.clear()
         self._spins_folded.clear()
+        self._spin_charges.clear()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -415,15 +418,22 @@ class ChargeTable:
 
         Returns the spin's ``(total, accesses)`` as floats, for the
         handler's timeline and the contention window; its statistics
-        wait for the next fold.
+        wait for the next fold.  Both depend only on the spin's wait and
+        the table's, so they are computed once per wait until
+        :meth:`set_wait` moves the table's.
         """
-        profile = self._spin_profile(wait_ps)
-        execution, imiss, load, conflict, pipeline = self.model.cost(profile, self._wait)
+        charge = self._spin_charges.get(wait_ps)
+        if charge is None:
+            profile = self._spin_profile(wait_ps)
+            execution, imiss, load, conflict, pipeline = self.model.cost(
+                profile, self._wait
+            )
+            charge = self._spin_charges[wait_ps] = (
+                execution + imiss + load + conflict + pipeline,
+                profile.loads + profile.stores,
+            )
         self._spin_ps[fn_name] += wait_ps
-        return (
-            execution + imiss + load + conflict + pipeline,
-            profile.loads + profile.stores,
-        )
+        return charge
 
     def fold(self) -> None:
         """Add every pending charge to :attr:`sums`.

@@ -88,12 +88,16 @@ class FabricMacReceiver(MacReceiver):
         # The wire paces arrivals: none of the paced receiver's state.
         self._init_receiver(sdram, sdram_clock, timing)
         self._pending: Deque[Tuple[int, FabricFrame]] = deque()
+        #: ``bool(self._pending)``, kept by the three methods that
+        #: change the queue: the receive pump reads it per frame.
+        self.has_pending = False
         self.drop_fn = drop_fn
         self.frames_pushed = 0
 
     # -- wire side ------------------------------------------------------
     def push(self, available_ps: int, frame: FabricFrame) -> None:
         self._pending.append((available_ps, frame))
+        self.has_pending = True
         self.frames_pushed += 1
 
     @property
@@ -101,10 +105,6 @@ class FabricMacReceiver(MacReceiver):
         """Frames this MAC has taken or tail-dropped, by its own count:
         those the wire pushed that no longer queue."""
         return self.frames_pushed - len(self._pending)
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._pending)
 
     # -- NIC side -------------------------------------------------------
     def peek_frame(self) -> Tuple[int, int, FabricFrame]:
@@ -115,8 +115,10 @@ class FabricMacReceiver(MacReceiver):
         return self._pending[0][0]
 
     def take_frame(self, now_ps: int, frame_bytes: int) -> WireEvent:
-        wire = self._accept(now_ps, self._pending[0][0], frame_bytes)
-        self._pending.popleft()
+        pending = self._pending
+        wire = self._accept(now_ps, pending[0][0], frame_bytes)
+        pending.popleft()
+        self.has_pending = bool(pending)
         return wire
 
     def skip_backlog(self, now_ps: int) -> int:
@@ -128,6 +130,7 @@ class FabricMacReceiver(MacReceiver):
             self._pending.popleft()
             dropped += 1
             self.drop_fn(frame)
+        self.has_pending = bool(self._pending)
         return dropped
 
 

@@ -129,6 +129,9 @@ class DriverModel:
 
     # -- the host edge -----------------------------------------------------
     def refill_send(self) -> int:
+        # With every budgeted frame posted, a refill would post none.
+        if self._next_send_seq == self.max_frames:
+            return 0
         return self.refill_send_ring()
 
     def replenish_recv(self) -> int:
@@ -140,7 +143,8 @@ class DriverModel:
         self.complete_sends(
             count, (first + count) % self.interrupt_coalesce_frames < count
         )
-        self.refill_send_ring()
+        if self._next_send_seq != self.max_frames:
+            self.refill_send_ring()
 
     def commit_rx(self, frames: List[Tuple[int, object]], commit_seq: int,
                   committed: int, now_ps: int) -> None:
@@ -178,7 +182,8 @@ class DriverModel:
         return frames
 
     def send_bds_available(self) -> int:
-        return len(self.send_ring)
+        ring = self.send_ring
+        return ring.produced - ring.consumed
 
     def consume_send_bds(self, count: int) -> None:
         """The NIC's descriptor DMA pulls ``count`` BDs off the ring."""

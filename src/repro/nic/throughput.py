@@ -817,7 +817,10 @@ class ThroughputSimulator:
             self.tracer.counter(
                 "event-queue", "depth", self.sim.now_ps, len(self.queue)
             )
-        self._dispatch()
+        # The event was just queued, so a free core is the dispatch
+        # loop's whole condition.
+        if self._idle_cores:
+            self._dispatch()
 
     def _queue_overflowed(self, event: FrameEvent) -> None:
         """Overflow policy for a full distributed event queue.
@@ -849,7 +852,9 @@ class ThroughputSimulator:
     def _dispatch(self) -> None:
         task_level = self._task_level
         queue = self.queue
+        # Never rebound: the completions below test it directly.
         queued = queue.events
+        fn = self.fn
         while self._idle_cores > 0 and queued:
             if task_level and queue.all_claimed(self._task_claims):
                 # Event-register semantics: one core per event type, and
@@ -860,71 +865,71 @@ class ThroughputSimulator:
                 break
             event = queue.pop()
             assert event is not None
+            kind = event.kind
             if task_level:
-                if self._task_claims[event.kind]:
+                if self._task_claims[kind]:
                     queue.push_retry(event)
                     continue
-                self._task_claims[event.kind] = True
+                self._task_claims[kind] = True
             self._idle_cores -= 1
             core_id = self._free_core_ids.pop()
             if self.monitor.enabled:
                 self.monitor.core_claimed(self, core_id)
             self._current_core = core_id
-            cycles = self._run_handler(event)
+            # Run the handler: identity tests, not a dict keyed by
+            # EventKind, since an Enum hashes in Python code.
+            now = self.sim.now_ps
+            if kind is EventKind.FETCH_SEND_BD:
+                fn["fetch_send_bd"].invocations += 1
+                cycles = self._handle_fetch_send_bd(now, event)
+            elif kind is EventKind.SEND_FRAME:
+                fn["send_frame"].invocations += 1
+                cycles = self._handle_send_frame(now)
+            elif kind is EventKind.SEND_COMPLETE:
+                fn["send_frame"].invocations += 1
+                cycles = self._handle_send_complete(now, event)
+            elif kind is EventKind.FETCH_RECV_BD:
+                fn["fetch_recv_bd"].invocations += 1
+                cycles = self._handle_fetch_recv_bd(now, event)
+            elif kind is EventKind.RECV_FRAME:
+                fn["recv_frame"].invocations += 1
+                cycles = self._handle_recv_frame(now)
+            elif kind is EventKind.RECV_COMPLETE:
+                fn["recv_frame"].invocations += 1
+                cycles = self._handle_recv_complete(now, event)
+            else:
+                raise ValueError(f"no handler for {kind}")
             duration_ps = self.core_clock.cycles_to_ps(max(1.0, cycles))
             self._busy_ps += duration_ps
             if self.tracer.enabled:
                 self.tracer.complete(
                     f"core{core_id}",
-                    event.kind.value,
-                    self.sim.now_ps,
+                    kind.value,
+                    now,
                     duration_ps,
                     first_seq=event.first_seq,
                     count=event.count,
                 )
-            self.sim.schedule(
-                duration_ps,
-                lambda k=event.kind, c=core_id: self._handler_done(k, c),
-            )
 
-    def _handler_done(self, kind: EventKind, core_id: int) -> None:
-        if self.monitor.enabled:
-            self.monitor.core_released(self, core_id)
-        self._idle_cores += 1
-        self._free_core_ids.append(core_id)
-        if self._task_level:
-            self._task_claims[kind] = False
-        self._dispatch()
+            # Default arguments, not free variables: this loop may
+            # dispatch another event, rebinding kind and core_id.
+            def handler_done(kind=kind, core_id=core_id):
+                if self.monitor.enabled:
+                    self.monitor.core_released(self, core_id)
+                self._idle_cores += 1
+                self._free_core_ids.append(core_id)
+                if self._task_level:
+                    self._task_claims[kind] = False
+                # A core was just freed, so a queued event is the
+                # dispatch loop's whole condition.
+                if queued:
+                    self._dispatch()
+
+            self.sim.schedule(duration_ps, handler_done)
 
     # ==================================================================
     # Handlers (each returns its cycle cost; side effects scheduled)
     # ==================================================================
-    def _run_handler(self, event: FrameEvent) -> float:
-        # Identity tests, not a dict keyed by EventKind: an Enum hashes
-        # in Python code.
-        now = self.sim.now_ps
-        kind = event.kind
-        fn = self.fn
-        if kind is EventKind.FETCH_SEND_BD:
-            fn["fetch_send_bd"].invocations += 1
-            return self._handle_fetch_send_bd(now, event)
-        if kind is EventKind.SEND_FRAME:
-            fn["send_frame"].invocations += 1
-            return self._handle_send_frame(now)
-        if kind is EventKind.SEND_COMPLETE:
-            fn["send_frame"].invocations += 1
-            return self._handle_send_complete(now, event)
-        if kind is EventKind.FETCH_RECV_BD:
-            fn["fetch_recv_bd"].invocations += 1
-            return self._handle_fetch_recv_bd(now, event)
-        if kind is EventKind.RECV_FRAME:
-            fn["recv_frame"].invocations += 1
-            return self._handle_recv_frame(now)
-        if kind is EventKind.RECV_COMPLETE:
-            fn["recv_frame"].invocations += 1
-            return self._handle_recv_complete(now, event)
-        raise ValueError(f"no handler for {kind}")
-
     # -- send path ------------------------------------------------------
     def _handle_fetch_send_bd(self, now: int, event: FrameEvent) -> float:
         fw = self.config.firmware
@@ -951,14 +956,15 @@ class ThroughputSimulator:
                 transfer.latency_ps,
                 nbytes=transfer.nbytes,
             )
-        self.sim.schedule_at(transfer.complete_ps, lambda: self._send_bds_arrived(frames))
-        return cycles
 
-    def _send_bds_arrived(self, frames: int) -> None:
-        self._tx_bd_onboard += frames
-        self._tx_fetch_inflight -= frames
-        self._queue_send_frame_event()
-        self._edge.fetch_send_bds()
+        def send_bds_arrived() -> None:
+            self._tx_bd_onboard += frames
+            self._tx_fetch_inflight -= frames
+            self._queue_send_frame_event()
+            self._edge.fetch_send_bds()
+
+        self.sim.schedule_at(transfer.complete_ps, send_bds_arrived)
+        return cycles
 
     def _queue_send_frame_event(self) -> None:
         if self._send_event_queued:
@@ -976,11 +982,14 @@ class ThroughputSimulator:
         batch_limit = min(self._tx_bd_onboard, self.config.send_batch_max)
         batch = 0
         bytes_needed = 0
+        # The claimed frames' sizes, which also size their DMA regions.
+        sizes = []
         while batch < batch_limit:
             frame_size = self.tx_sizes.frame_bytes(self._tx_claim_seq + batch)
             if bytes_needed + frame_size > self._tx_space:
                 break
             bytes_needed += frame_size
+            sizes.append(frame_size)
             batch += 1
         cycles = self._charge("send_dispatch_ordering", fw.dispatch_per_event)
         if self.board_tx_mac.requires_lock:
@@ -1040,10 +1049,9 @@ class ThroughputSimulator:
         # Each frame is two host regions: the protocol header and the
         # payload (Section 2.1), staged 64 B apart in the frame's slot.
         layout = self.driver.layout
-        frame_bytes = self.tx_sizes.frame_bytes
         touches = 2 * self.config.assist_accesses_per_dma
         regions = []
-        for seq in range(first, first + batch):
+        for seq, frame_size in zip(range(first, first + batch), sizes):
             sdram_addr = self._tx_slot_address(seq)
             regions.append(
                 (layout.tx_header_address(seq), sdram_addr, TX_HEADER_REGION_BYTES)
@@ -1051,7 +1059,7 @@ class ThroughputSimulator:
             regions.append((
                 layout.tx_payload_address(seq),
                 sdram_addr + 64,
-                max(1, frame_bytes(seq) - TX_HEADER_REGION_BYTES),
+                max(1, frame_size - TX_HEADER_REGION_BYTES),
             ))
             self._assist_touch(touches)
         self.dma_read.frame_transfer(issue_ps, regions, bundle_done)
@@ -1152,18 +1160,17 @@ class ThroughputSimulator:
             # Sizes are read before the hand-off: the fabric edge
             # pops the posted frame there.
             self._edge.tx_wire(seq, wire)
-            self.sim.schedule_at(
-                wire.wire_end_ps,
-                lambda b=frame_bytes, p=payload: self._tx_wire_done(b, p),
-            )
 
-    def _tx_wire_done(self, frame_bytes: int, payload_bytes: int) -> None:
-        self._tx_outstanding_mac -= 1
-        self._tx_space += frame_bytes
-        self._tx_done_frames += 1
-        self._tx_payload_done += payload_bytes
-        self._queue_send_frame_event()
-        self._mac_tx_pump()
+            # Default arguments: the loop may send another frame.
+            def wire_done(frame_bytes=frame_bytes, payload=payload):
+                self._tx_outstanding_mac -= 1
+                self._tx_space += frame_bytes
+                self._tx_done_frames += 1
+                self._tx_payload_done += payload
+                self._queue_send_frame_event()
+                self._mac_tx_pump()
+
+            self.sim.schedule_at(wire.wire_end_ps, wire_done)
 
     def _tx_slot_address(self, seq: int) -> int:
         return (seq % self._tx_slots) * 2048
@@ -1540,13 +1547,14 @@ class ThroughputSimulator:
                 transfer.latency_ps,
                 nbytes=transfer.nbytes,
             )
-        self.sim.schedule_at(transfer.complete_ps, lambda: self._recv_bds_arrived(frames))
-        return cycles
 
-    def _recv_bds_arrived(self, count: int) -> None:
-        self._rx_bds_onboard += count
-        self._rx_fetch_inflight -= count
-        self._queue_recv_frame_event()
+        def recv_bds_arrived() -> None:
+            self._rx_bds_onboard += frames
+            self._rx_fetch_inflight -= frames
+            self._queue_recv_frame_event()
+
+        self.sim.schedule_at(transfer.complete_ps, recv_bds_arrived)
+        return cycles
 
     # ==================================================================
     # Contention feedback

@@ -86,8 +86,7 @@ class DrrScheduler(Scheduler):
         self._entering = True
 
     def select(self, queues: Sequence[Deque]) -> Optional[int]:
-        backlog = [index for index, queue in enumerate(queues) if queue]
-        if not backlog:
+        if not any(queues):
             # Idle classes forfeit their deficit between busy periods.
             for index in range(len(self.deficits)):
                 self.deficits[index] = 0

@@ -257,3 +257,32 @@ class TestChargeTable:
         table = ChargeTable(CoreCostModel(), -0.5)
         with pytest.raises(ValueError):
             table.lookup(OpProfile(instructions=10, loads=1, stores=1))
+
+    def test_spin_charge_is_kept_per_wait_until_the_wait_moves(self):
+        from repro.firmware.profiles import DEFAULT_FIRMWARE_PROFILES
+
+        model = CoreCostModel()
+        built = []
+
+        def spin_profile(wait_ps):
+            built.append(wait_ps)
+            return DEFAULT_FIRMWARE_PROFILES.spin_cost(wait_ps / 6000)
+
+        def expected(wait_ps, wait):
+            entry = _expected_entry(model, spin_profile(wait_ps), wait)
+            return entry.total, entry.accesses
+
+        table = ChargeTable(model, 0.3, spin_profile=spin_profile)
+        first = table.spin("send_locking", 90_000)
+        assert table.spin("recv_locking", 90_000) is first  # a repeated wait
+        assert built == [90_000]
+        assert first == expected(90_000, 0.3)
+        other = table.spin("send_locking", 45_000)
+        assert other == expected(45_000, 0.3) and other != first
+        table.set_wait(0.9)
+        built.clear()
+        moved = table.spin("send_locking", 90_000)
+        assert built == [90_000]  # recomputed at the new wait
+        assert moved == expected(90_000, 0.9) and moved != first
+        table.fold()
+        assert table.sums.spin_ps == {"send_locking": 225_000, "recv_locking": 90_000}

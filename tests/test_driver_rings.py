@@ -12,6 +12,8 @@ interleaving across steered rings, and a chi-squared bound on the
 Toeplitz steering distribution.
 """
 
+import dataclasses
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,42 @@ class TestClosedFormPosting:
             assert len(closed.recv_ring) == len(loop.recv_ring)
             assert closed._next_send_seq == loop._next_send_seq
             assert closed.stats == loop.stats
+
+
+class TestRefillWithTheBudgetPosted:
+    @given(
+        capacity=st.integers(min_value=2, max_value=64),
+        budget=st.integers(min_value=0, max_value=40),
+        takes=st.lists(st.integers(min_value=0, max_value=64), max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_refill_posts_nothing_and_changes_nothing(self, capacity, budget, takes):
+        driver = _driver(send_capacity=capacity, max_frames=budget)
+        for count in takes:
+            driver.consume_send_bds(min(count, driver.send_bds_available()))
+            driver.refill_send()
+        while driver._next_send_seq < budget:
+            driver.consume_send_bds(driver.send_bds_available())
+            driver.refill_send()
+        ring = driver.send_ring
+        driver.consume_send_bds(driver.send_bds_available() // 2)
+        before = (ring.produced, ring.consumed, dataclasses.replace(driver.stats))
+        assert driver.refill_send() == 0
+        assert (ring.produced, ring.consumed, driver.stats) == before
+        assert driver._next_send_seq == budget
+        driver.complete_tx(0, 1, 0)  # completes, and refills nothing
+        assert (ring.produced, ring.consumed) == before[:2]
+        assert driver._next_send_seq == driver.stats.frames_posted == budget
+
+    def test_endless_driver_still_posts(self):
+        driver = _driver(send_capacity=8)
+        assert driver.refill_send() == 4
+        assert driver.refill_send() == 0  # the ring is full
+        driver.consume_send_bds(4)
+        assert driver.refill_send() == 2
+        driver.consume_send_bds(2)
+        driver.complete_tx(0, 1, 0)
+        assert driver._next_send_seq == 7 and driver.stats.frames_posted == 7
 
 
 class TestCompletionsPerInterrupt:

@@ -27,9 +27,16 @@ def _report(**calls_per_frame):
 
 def test_budget_allows_the_tolerance_and_no_more(hotpath):
     budget = {"tolerance": 0.02, "calls_per_frame": {"a": 100.0, "b": 50.0}}
-    assert hotpath.over_budget(_report(a=102.0, b=40.0), budget) == []
-    (failure,) = hotpath.over_budget(_report(a=102.1, b=50.0), budget)
+    assert hotpath.budget_failures(_report(a=102.0, b=49.5), budget) == []
+    assert hotpath.budget_failures(_report(a=98.5, b=50.5), budget) == []
+    (failure,) = hotpath.budget_failures(_report(a=102.1, b=50.0), budget)
     assert failure.startswith("a: 102.10 calls per frame, budget 100.00")
+    assert failure.endswith("over budget")
+    # Far under its budget: a budget left this high would let calls
+    # come back unnoticed.
+    (failure,) = hotpath.budget_failures(_report(a=100.0, b=40.0), budget)
+    assert failure.startswith("b: 40.00 calls per frame, budget 50.00")
+    assert failure.endswith("stale budget; run --update")
 
 
 def test_counts_repeat_exactly_and_restore_the_trace_hook(hotpath):

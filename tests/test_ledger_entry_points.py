@@ -17,6 +17,7 @@ the functions that call them, are pinned.
 """
 
 import sys
+import types
 
 import pytest
 
@@ -284,6 +285,38 @@ def test_uninstall_restores_the_originals():
             assert not hasattr(owner.__dict__[method], "simbench_layer"), (
                 f"{class_name}.{method} still patched"
             )
+
+
+class _CallbackRecorder:
+    """A kernel profiler that keeps, per type, a label of each callback
+    the kernel ran that the ledger cannot cache by code object."""
+
+    def __init__(self):
+        self.uncached = {}
+
+    def record(self, callback, wall_s):
+        if type(callback) is types.FunctionType:
+            return
+        if (type(callback) is types.MethodType
+                and hasattr(callback.__func__, "__code__")):
+            return
+        self.uncached.setdefault(type(callback).__name__, set()).add(repr(callback)[:80])
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_scheduled_callback_has_a_code_object(workload):
+    """The traced round caches a callback's layer by ``__code__``
+    (``Tracer.layer_of``).  A callback without one, such as a
+    ``functools.partial``, would re-run ``describe_callback`` on every
+    event, inside the kernel's row of the ledger.  So every callback a
+    workload schedules is a function, or a bound method of one."""
+    recorder = _CallbackRecorder()
+    spec = WORKLOADS[workload]
+    simulator = spec.build(1)
+    simulator.sim.attach_profiler(recorder)
+    simulator.run(spec.warmup_s * SMOKE_SCALE, spec.measure_s * SMOKE_SCALE)
+    assert simulator.sim.events_processed > 0
+    assert recorder.uncached == {}
 
 
 def test_every_callback_attribute_resolves():

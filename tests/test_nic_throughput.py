@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cpu.costmodel import OpProfile
+from repro.cpu.costmodel import ChargeTable, OpProfile
 from repro.firmware.ordering import OrderingMode
 from repro.net.ethernet import EthernetTiming
 from repro.nic import NicConfig, RMW_166MHZ, SOFTWARE_200MHZ, ThroughputSimulator
@@ -206,55 +206,48 @@ class TestTaskLevelBaseline:
 
 
 class TestTaskLevelDispatchInternals:
-    """Unit-level checks of the event-register dispatch restriction."""
+    """The event-register dispatch restriction, read from the handler
+    spans a recording tracer keeps on each core's track."""
 
-    def _sim(self):
-        from dataclasses import replace
-        config = replace(RMW_166MHZ, task_level_firmware=True)
-        return ThroughputSimulator(config, 1472)
+    @staticmethod
+    def _peak_overlap(config, warmup_s, measure_s):
+        """Per event kind, the most handlers of that kind running at once:
+        the peak overlap of their half-open ``[ts, ts + dur)`` spans."""
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        ThroughputSimulator(config, 1472, tracer=tracer).run(
+            warmup_s=warmup_s, measure_s=measure_s
+        )
+        edges = {}
+        for event in tracer.events:
+            if event.phase == "X" and event.track.startswith("core"):
+                edges.setdefault(event.name, []).extend(
+                    [(event.ts_ps, 1), (event.ts_ps + event.dur_ps, -1)]
+                )
+        peak = {}
+        for kind, points in edges.items():
+            # An end sorts before a start at the same instant: half-open.
+            running = highest = 0
+            for _ts, step in sorted(points):
+                running += step
+                highest = max(highest, running)
+            peak[kind] = highest
+        return peak
 
     def test_same_kind_never_runs_twice_concurrently(self):
+        from dataclasses import replace
+
         from repro.firmware.events import EventKind
-        sim = self._sim()
-        concurrent = {kind: 0 for kind in EventKind}
-        peak = {kind: 0 for kind in EventKind}
-        original_run = sim._run_handler
-        original_done = sim._handler_done
 
-        def spy_run(event):
-            concurrent[event.kind] += 1
-            peak[event.kind] = max(peak[event.kind], concurrent[event.kind])
-            return original_run(event)
-
-        def spy_done(kind, core_id):
-            concurrent[kind] -= 1
-            return original_done(kind, core_id)
-
-        sim._run_handler = spy_run
-        sim._handler_done = spy_done
-        sim.run(warmup_s=0.05e-3, measure_s=0.1e-3)
-        assert all(count <= 1 for count in peak.values())
+        config = replace(RMW_166MHZ, task_level_firmware=True)
+        peak = self._peak_overlap(config, 0.05e-3, 0.1e-3)
+        handled = {kind.value for kind in EventKind} - {EventKind.SW_RETRY.value}
+        assert set(peak) == handled
+        assert all(count == 1 for count in peak.values())
 
     def test_frame_level_allows_concurrency(self):
-        from repro.firmware.events import EventKind
-        sim = ThroughputSimulator(RMW_166MHZ, 1472)
-        concurrent = {kind: 0 for kind in EventKind}
-        peak = {kind: 0 for kind in EventKind}
-        original_run = sim._run_handler
-        original_done = sim._handler_done
-
-        def spy_run(event):
-            concurrent[event.kind] += 1
-            peak[event.kind] = max(peak[event.kind], concurrent[event.kind])
-            return original_run(event)
-
-        def spy_done(kind, core_id):
-            concurrent[kind] -= 1
-            return original_done(kind, core_id)
-
-        sim._run_handler = spy_run
-        sim._handler_done = spy_done
-        sim.run(warmup_s=0.1e-3, measure_s=0.3e-3)
+        peak = self._peak_overlap(RMW_166MHZ, 0.1e-3, 0.3e-3)
         assert max(peak.values()) >= 2  # some handler type ran in parallel
 
 
@@ -306,10 +299,10 @@ class TestChargeTable:
         "18B-6x200MHz",
     ])
     def test_matches_recomputing_every_charge(self, name, monkeypatch):
-        """Differential: the same run with every charge recomputed
-        through ``cost()`` at the current wait and added to the
-        statistics at once, as charges were made before the table, must
-        agree bit for bit."""
+        """Differential: the same run with every charge and every lock
+        spin recomputed through ``cost()`` at the current wait, the
+        charges added to the statistics at once, as charges were made
+        before the table, must agree bit for bit."""
         _, built = _unpinned_run(name)
         charge = ThroughputSimulator._charge
 
@@ -318,9 +311,20 @@ class TestChargeTable:
                 profile = profile.scaled(factor)
             return charge(simulator, fn_name, profile, frames=frames, transient=True)
 
+        def recompute_spin(table, fn_name, wait_ps):
+            profile = table._spin_profile(wait_ps)
+            execution, imiss, load, conflict, pipeline = table.model.cost(profile, table.wait)
+            table._spin_ps[fn_name] += wait_ps
+            return (
+                execution + imiss + load + conflict + pipeline,
+                profile.loads + profile.stores,
+            )
+
         monkeypatch.setattr(ThroughputSimulator, "_charge", recompute)
+        monkeypatch.setattr(ChargeTable, "spin", recompute_spin)
         simulator, reference = _unpinned_run(name)
         assert len(simulator._charges) == 0  # nothing was kept
+        assert not simulator._charges._spin_charges
         assert built.to_dict() == reference.to_dict()
         assert vars(built.cost_totals) == vars(reference.cost_totals)
         assert {fn: vars(stats) for fn, stats in built.function_stats.items()} == {

@@ -179,3 +179,37 @@ def test_empty_port_never_drops():
     assert wire.drops == 0
     assert sum(len(ep.arrivals) for ep in fabric.endpoints) == len(frames)
     assert monitor.ok
+
+
+# ----------------------------------------------------------------------
+# The fabric MAC's pending flag tracks its queue
+# ----------------------------------------------------------------------
+@given(st.lists(st.tuples(
+    st.sampled_from(["push", "take", "skip"]),
+    st.integers(min_value=0, max_value=3_000_000),   # time step
+    st.sampled_from([18, 256, 1472]),                # udp payload
+), max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_fabric_mac_pending_flag_tracks_its_queue(steps):
+    from repro.fabric.endpoint import FabricMacReceiver
+    from repro.mem.sdram import GddrSdram
+    from repro.sim.kernel import ClockDomain
+
+    dropped = []
+    mac = FabricMacReceiver(GddrSdram(), ClockDomain("sdram", 500e6),
+                            EthernetTiming(), dropped.append)
+    assert mac.has_pending is False
+    now = 0
+    for request_id, (op, step, payload) in enumerate(steps):
+        now += step
+        if op == "push":
+            mac.push(now, FabricFrame(
+                flow="prop", src=0, dst=1, udp_payload_bytes=payload,
+                kind="stream", request_id=request_id, created_ps=now,
+            ))
+        elif op == "take" and mac.has_pending:
+            mac.take_frame(max(now, mac.next_arrival_ps()), mac.peek_frame()[0])
+        elif op == "skip":
+            mac.skip_backlog(now)
+        assert mac.has_pending == bool(mac._pending)
+    assert mac.frames_disposed == mac.frames_accepted + len(dropped)
